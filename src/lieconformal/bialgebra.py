@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .enveloping import EnvelopingAlgebra, UElem, VACUUM, Word
-from .linalg import kernel_basis
+from .linalg import iadd, kernel_basis, scale
 
 Q = Fraction
 
@@ -42,34 +42,20 @@ class TensorElem:
         return isinstance(other, TensorElem) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nc
         res = TensorElem()
-        res.terms = out
+        res.terms = iadd(dict(self.terms), other.terms)
         return res
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElem":
-        c = Q(c)
-        if c == 0:
-            return TensorElem()
         res = TensorElem()
-        res.terms = {k: v * c for k, v in self.terms.items()}
+        res.terms = scale(self.terms, c)
         return res
 
     def iadd(self, key, c) -> None:
-        nc = self.terms.get(key, 0) + c
-        if nc == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = nc
+        iadd(self.terms, {key: c})
 
     def flip(self) -> "TensorElem":
         res = TensorElem()
@@ -127,12 +113,11 @@ def primitives_up_to(alg: EnvelopingAlgebra, max_len: int, depth: int) -> list[U
     return basis
 
 
-def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int,
-               window_bound: int | None = None) -> TensorElem:
+def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int) -> TensorElem:
     """Integer-indexed product of the two-factor vertex algebra.
 
     The inner index range is finite through the per-factor vanishing
-    bounds; ``window_bound`` optionally caps the absolute index range.
+    bounds.
     """
     out = TensorElem()
     for (u1, u2), c1 in s.terms.items():
@@ -141,12 +126,8 @@ def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int,
             e_v1, e_v2 = UElem.monomial(v1), UElem.monomial(v2)
             n1 = alg.trunc_bound(e_u1, e_v1)
             n2 = alg.trunc_bound(e_u2, e_v2)
-            lo, hi = n - n2, n1 - 1
-            if window_bound is not None:
-                lo = max(lo, -window_bound)
-                hi = min(hi, window_bound)
             c = c1 * c2
-            for m in range(lo, hi + 1):
+            for m in range(n - n2, n1):
                 p1 = alg.nth(e_u1, e_v1, m)
                 if not p1:
                     continue
@@ -169,11 +150,7 @@ def delta_on_component(t: TensorElem, component: int) -> dict:
                 key = (left, right, b)
             else:
                 key = (a, left, right)
-            nc = out.get(key, 0) + c
-            if nc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = nc
+            iadd(out, {key: c})
     return out
 
 

@@ -16,16 +16,10 @@ from fractions import Fraction
 
 from . import dsl, render
 from .bialgebra import coproduct, counit, primitives_up_to
-from .core import CVec
+from .core import CVec, LMPoly, LPoly
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent, TruncationInsufficient
-from .lawtable import (
-    LawTable,
-    check_convergence_bound,
-    check_identities,
-    check_law_jacobi,
-    extract_law,
-)
+from .lawtable import check_identities, check_law_jacobi, extract_law
 from .manifold import integrate
 
 Q = Fraction
@@ -39,7 +33,17 @@ EXIT_TRUNCATION = 4
 
 def _window(text: str) -> tuple[int, int]:
     lo, hi = text.split("..", 1)
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty window {text!r}: {lo} > {hi}")
+    return lo, hi
+
+
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative size {n}")
+    return n
 
 
 def _load(path: str):
@@ -81,11 +85,10 @@ def _report_lines(pres, report) -> list[str]:
         if not c.passed:
             names = tuple(pres.gen_name(i) for i in c.witness)
             lines.append(f"  witness: {names}")
-            if hasattr(c.residual, "coeffs") and not isinstance(c.residual, CVec):
-                try:
-                    lines.append("  residual: " + render.lpoly_text(pres, c.residual))
-                except Exception:
-                    lines.append("  residual: " + render.lmpoly_text(pres, c.residual))
+            if isinstance(c.residual, LPoly):
+                lines.append("  residual: " + render.lpoly_text(pres, c.residual))
+            elif isinstance(c.residual, LMPoly):
+                lines.append("  residual: " + render.lmpoly_text(pres, c.residual))
     return lines
 
 
@@ -167,13 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitives", parents=[common], help="primitive basis of a word span")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--max-len", type=_size, required=True)
+    p.add_argument("--depth", type=_size, required=True)
 
     p = sub.add_parser("fvl", parents=[common], help="extract the coefficient law table")
     p.add_argument("file")
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--deg", type=_size, required=True)
+    p.add_argument("--depth", type=_size, required=True)
     p.add_argument("--window", type=_window, required=True)
     p.add_argument("--check-identities", action="store_true")
     p.add_argument("--check-jacobi", type=int, default=None, metavar="DEG")
@@ -196,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-manifold", parents=[common], help="randomized product axiom suite")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_size, default=20)
     p.add_argument("--window", type=_window, default=(-4, 4))
 
     p = sub.add_parser("roundtrip", parents=[common], help="tangent structure reproduces the input")

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import iadd, scale
+
 Q = Fraction
 Symbol = tuple  # (generator index, depth)
 
@@ -29,6 +31,33 @@ def binom_z(n: int, k: int) -> int:
     for s in range(k):
         num *= n - s
     return num // math.factorial(k)
+
+
+def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
+    """Residual of the Borcherds three-sum identity at indices (l, t, j).
+
+    ``terms`` are the three nested products as callables of an (outer,
+    inner) index pair returning sparse dicts: u_outer (v_inner w),
+    v_outer (u_inner w) and (u_inner v)_outer w.  ``stops`` are exclusive
+    upper bounds on the inner index of each, past which the term vanishes.
+    The residual is zero exactly when the identity holds.
+    """
+    first, second, third = terms
+
+    def weights(top, count):
+        # binomials C(top, i) for i < count; past a nonnegative top they vanish
+        if top >= 0:
+            count = min(count, top + 1)
+        return ((i, binom_z(top, i)) for i in range(count))
+
+    out: dict = {}
+    for i, c in weights(l, stops[0] - j):
+        iadd(out, first(t + l - i, j + i), -c if i & 1 else c)
+    for i, c in weights(l, stops[1] - t):
+        iadd(out, second(j + l - i, t + i), c if (l + i) & 1 else -c)
+    for i, c in weights(t, stops[2] - l):
+        iadd(out, third(t + j - i, l + i), -c)
+    return out
 
 
 class CVec:
@@ -61,15 +90,8 @@ class CVec:
         return tuple(sorted(self.coeffs.items()))
 
     def __add__(self, other: "CVec") -> "CVec":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
         res = CVec()
-        res.coeffs = out
+        res.coeffs = iadd(dict(self.coeffs), other.coeffs)
         return res
 
     def __neg__(self) -> "CVec":
@@ -81,11 +103,8 @@ class CVec:
         return self + (-other)
 
     def scale(self, c) -> "CVec":
-        c = Q(c)
-        if c == 0:
-            return CVec()
         res = CVec()
-        res.coeffs = {k: v * c for k, v in self.coeffs.items()}
+        res.coeffs = scale(self.coeffs, c)
         return res
 
     @classmethod
@@ -135,15 +154,8 @@ class LPoly:
         return isinstance(other, LPoly) and self.coeffs == other.coeffs
 
     def __add__(self, other: "LPoly") -> "LPoly":
-        out = dict(self.coeffs)
-        for n, v in other.coeffs.items():
-            nv = out.get(n, ZERO_VEC) + v
-            if nv:
-                out[n] = nv
-            else:
-                out.pop(n, None)
         res = LPoly()
-        res.coeffs = out
+        res.coeffs = iadd(dict(self.coeffs), other.coeffs)
         return res
 
     def __neg__(self) -> "LPoly":
@@ -168,13 +180,7 @@ class LPoly:
         return res
 
     def add_term(self, n: int, v: CVec) -> None:
-        if not v:
-            return
-        nv = self.coeffs.get(n, ZERO_VEC) + v
-        if nv:
-            self.coeffs[n] = nv
-        else:
-            self.coeffs.pop(n, None)
+        iadd(self.coeffs, {n: v})
 
 
 class LMPoly:
@@ -186,14 +192,7 @@ class LMPoly:
         self.coeffs: dict = {}
 
     def add_term(self, i: int, j: int, v: CVec) -> None:
-        if not v:
-            return
-        key = (i, j)
-        nv = self.coeffs.get(key, ZERO_VEC) + v
-        if nv:
-            self.coeffs[key] = nv
-        else:
-            self.coeffs.pop(key, None)
+        iadd(self.coeffs, {(i, j): v})
 
     def is_zero(self) -> bool:
         return not self.coeffs

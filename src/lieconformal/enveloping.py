@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import CVec, LcaPresentation, binom_z
+from .core import CVec, LcaPresentation, three_sum
 from .filtration import RawBasis
+from .linalg import iadd, scale
 
 Q = Fraction
 Word = tuple
@@ -60,15 +61,8 @@ class UElem:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "UElem") -> "UElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = nc
         res = UElem()
-        res.terms = out
+        res.terms = iadd(dict(self.terms), other.terms)
         return res
 
     def __neg__(self) -> "UElem":
@@ -80,25 +74,12 @@ class UElem:
         return self + (-other)
 
     def scale(self, c) -> "UElem":
-        c = Q(c)
-        if c == 0:
-            return UElem()
         res = UElem()
-        res.terms = {w: v * c for w, v in self.terms.items()}
+        res.terms = scale(self.terms, c)
         return res
 
     def iadd_scaled(self, other: "UElem", c=1) -> None:
-        if c == 0:
-            return
-        for w, v in other.terms.items():
-            nc = self.terms.get(w, 0) + v * c
-            if nc == 0:
-                self.terms.pop(w, None)
-            else:
-                self.terms[w] = nc
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        iadd(self.terms, other.terms, c)
 
     def __repr__(self):
         return f"UElem({self.terms!r})"
@@ -381,39 +362,21 @@ class EnvelopingAlgebra:
 
     # -- coefficient Jacobi identity ------------------------------------------------
 
-    def borcherds_check(self, u: UElem, v: UElem, w: UElem, l: int, t: int, j: int):
-        """Whether the coefficient identity holds, with its residual."""
-        resid = self.borcherds_residual(u, v, w, l, t, j)
-        return resid.is_zero(), resid
-
     def borcherds_residual(self, u: UElem, v: UElem, w: UElem, l: int, t: int, j: int) -> UElem:
         """Residual of the three-sum coefficient identity; zero when it holds."""
-        out = UElem()
-        n_vw = self.trunc_bound(v, w)
-        i = 0
-        while j + i < n_vw:
-            c = binom_z(l, i)
-            if c:
-                inner = self.nth(v, w, j + i)
-                if inner:
-                    out.iadd_scaled(self.nth(u, inner, t + l - i), (-1) ** i * c)
-            i += 1
-        n_uw = self.trunc_bound(u, w)
-        i = 0
-        while t + i < n_uw:
-            c = binom_z(l, i)
-            if c:
-                inner = self.nth(u, w, t + i)
-                if inner:
-                    out.iadd_scaled(self.nth(v, inner, j + l - i), -((-1) ** (l + i)) * c)
-            i += 1
-        n_uv = self.trunc_bound(u, v)
-        i = 0
-        while l + i < n_uv:
-            c = binom_z(t, i)
-            if c:
-                inner = self.nth(u, v, l + i)
-                if inner:
-                    out.iadd_scaled(self.nth(inner, w, t + j - i), -c)
-            i += 1
-        return out
+
+        def nested(x, y):
+            # x_outer (y_inner w)
+            def term(outer, inner):
+                p = self.nth(y, w, inner)
+                return self.nth(x, p, outer).terms if p else {}
+            return term
+
+        def composed(outer, inner):
+            p = self.nth(u, v, inner)
+            return self.nth(p, w, outer).terms if p else {}
+
+        stops = (self.trunc_bound(v, w), self.trunc_bound(u, w), self.trunc_bound(u, v))
+        res = UElem()
+        res.terms = three_sum(l, t, j, stops, (nested(u, v), nested(v, u), composed))
+        return res

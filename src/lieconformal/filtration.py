@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import CVec, LcaPresentation, Symbol
 from .errors import NotNilpotent, SeriesDivergent
-from .linalg import Echelon, kernel_basis, vec_add, vec_scale
+from .linalg import Echelon, kernel_basis
 from .polyring import PolyModule, UPoly
 
 Q = Fraction
@@ -233,7 +233,6 @@ class AdaptedBasis:
         if not self.graded:
             self._strata_seq = [0] * (series.nilpotency_degree + 2)
             self._expander = Echelon()
-            self._expander_history: dict = {}
 
     def _check_graded(self) -> bool:
         for (i, j), poly in self.pres.brackets.items():
@@ -320,24 +319,8 @@ class AdaptedBasis:
 
     def _rebuild_expander(self) -> None:
         self._expander = Echelon()
-        self._expander_history = {}
         for bv in self._order:
-            v = dict(bv.vec.coeffs)
-            combo = {bv.key: Q(1)}
-            changed = True
-            while changed:
-                changed = False
-                for label in sorted(v):
-                    if label in self._expander.rows:
-                        c = v[label]
-                        v = vec_add(v, self._expander.rows[label], -c)
-                        combo = vec_add(combo, self._expander_history[label], -c)
-                        changed = True
-                        break
-            piv = min(v)
-            inv = Q(1) / v[piv]
-            self._expander.rows[piv] = vec_scale(v, inv)
-            self._expander_history[piv] = vec_scale(combo, inv)
+            self._expander.insert(bv.vec.coeffs, {bv.key: Q(1)})
 
     # -- queries ---------------------------------------------------------------
 
@@ -377,19 +360,8 @@ class AdaptedBasis:
         self.ensure_depth(v.max_depth())
         if self.graded:
             return {(self._grades[g], g, d): c for (g, d), c in v.coeffs.items()}
-        rem = dict(v.coeffs)
         combo: dict = {}
-        changed = True
-        while changed:
-            changed = False
-            for label in sorted(rem):
-                if label in self._expander.rows:
-                    c = rem[label]
-                    rem = vec_add(rem, self._expander.rows[label], -c)
-                    combo = vec_add(combo, self._expander_history[label], -c)
-                    changed = True
-                    break
-        if rem:
+        if self._expander.reduce(v.coeffs, combo):
             raise AssertionError("vector outside the issued basis slice")
         return {k: -c for k, c in combo.items()}
 

@@ -21,10 +21,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
+from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
+from .linalg import iadd
 
 Q = Fraction
 
@@ -77,13 +80,35 @@ def _poly_mul(p1: dict, p2: dict, cap: int) -> dict:
     return out
 
 
-def _poly_iadd(acc: dict, p: dict, c=1) -> None:
-    for m, v in p.items():
-        nc = acc.get(m, 0) + v * c
-        if nc == 0:
-            acc.pop(m, None)
-        else:
-            acc[m] = nc
+def convolve(factors: tuple, q: int, series, maxn, window, cap: int, memo: dict) -> dict:
+    """x-coefficient q of the product of the series of ``factors``.
+
+    Series f has x-coefficients ``series(f, m)``, slotted polynomials that
+    vanish for m > ``maxn(f)``; the product of r series takes coefficient q
+    from the index tuples with m_1 + ... + m_r + r - 1 = q.  Polynomial
+    terms of total degree above ``cap`` are dropped.  An index the sum
+    needs below the low end of ``window`` raises TruncationInsufficient.
+    Results are kept in ``memo`` under (factors, q).
+    """
+    if not factors:
+        return {(): Q(1)} if q == -1 else {}
+    key = (factors, q)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    first, rest = factors[0], factors[1:]
+    m = q - 1 - (sum(maxn(p) for p in rest) + len(rest) - 1) if rest else q
+    if m < window[0]:
+        raise TruncationInsufficient(f"composition needs index {m} below window {window}")
+    out: dict = {}
+    for m in range(m, maxn(first) + 1):
+        head = series(first, m)
+        if head:
+            tail = convolve(rest, q - m - 1, series, maxn, window, cap, memo)
+            if tail:
+                iadd(out, _poly_mul(head, tail, cap))
+    memo[key] = out
+    return out
 
 
 def _slot_monomial(m: MIdx, slot: int) -> tuple:
@@ -125,12 +150,6 @@ class LawTable:
 
     def series_entry(self, l, n: int) -> dict:
         return self.entries.get((l, n), {})
-
-    def max_index_for(self, l) -> int:
-        return max((n for (pl, n) in self.entries if pl == l), default=self.window[0] - 1)
-
-    def domain_pairs(self):
-        return sorted(self.pair_bounds)
 
     @property
     def complete_above(self) -> bool:
@@ -344,48 +363,26 @@ class _Composer:
     def maxn(self, pos) -> int:
         return self._maxn.get(pos, self.lo - 1)
 
-    def base_series(self, pos, n: int, slots) -> dict:
+    def base_series(self, slots, pos, n: int) -> dict:
         """Law series of one position as a slotted polynomial."""
         if n > self.hi or n < self.lo:
             raise TruncationInsufficient(
                 f"series index {n} for position {self.table.labels.get(pos, pos)} "
                 f"outside window {self.table.window}"
             )
-        out: dict = {}
-        for (k, kp), c in self.table.series_entry(pos, n).items():
-            if midx_norm(k) + midx_norm(kp) > self.cap:
-                continue
-            mono = tuple(sorted(_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1])))
-            _poly_iadd(out, {mono: c})
-        return out
+        # the two slots differ, so distinct cells give distinct monomials
+        return {
+            tuple(sorted(_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]))): c
+            for (k, kp), c in self.table.series_entry(pos, n).items()
+            if midx_norm(k) + midx_norm(kp) <= self.cap
+        }
 
     def conv(self, factors: tuple, q: int, slots) -> dict:
         """x-coefficient q of the product of position series."""
-        if not factors:
-            return {(): Q(1)} if q == -1 else {}
-        key = (factors, q, slots)
-        cached = self._conv_memo.get(key)
-        if cached is not None:
-            return cached
-        first, rest = factors[0], factors[1:]
-        rest_max = sum(self.maxn(p) for p in rest) + len(rest) - 1 if rest else -1
-        out: dict = {}
-        m = q - 1 - rest_max if rest else q
-        lo_needed = m
-        if lo_needed < self.lo:
-            raise TruncationInsufficient(
-                f"composition needs index {lo_needed} below window {self.table.window}"
-            )
-        while m <= self.maxn(first):
-            head = self.base_series(first, m, slots)
-            if head:
-                tail = self.conv(rest, q - m - 1, slots)
-                if tail:
-                    for mono, c in _poly_mul(head, tail, self.cap).items():
-                        _poly_iadd(out, {mono: c})
-            m += 1
-        self._conv_memo[key] = out
-        return out
+        return convolve(
+            factors, q, partial(self.base_series, slots), self.maxn,
+            self.table.window, self.cap, self._conv_memo.setdefault(slots, {}),
+        )
 
     def composed(self, l, outer_n: int, inner_n: int, direct_slot: int,
                  inner_slots, substitute_first: bool) -> dict:
@@ -411,7 +408,7 @@ class _Composer:
             if not inner:
                 continue
             direct_poly = {tuple(_slot_monomial(direct, direct_slot)): Q(1)}
-            _poly_iadd(out, _poly_mul(direct_poly, inner, self.cap), c)
+            iadd(out, _poly_mul(direct_poly, inner, self.cap), c)
         return out
 
     def max_outer_index(self) -> int:
@@ -439,53 +436,24 @@ def check_law_jacobi(table: LawTable, samples, cap: int, out_positions=None) -> 
     Verifies, for every output position and every monomial of total
     degree at most ``cap``, the three binomial-weighted composition sums.
     """
-    from .core import binom_z
-
     _guard_table(table, cap)
     comp = _Composer(table, cap)
     positions = out_positions if out_positions is not None else table.positions
     entries = []
     ok = True
+    stops = (comp.qmax_second + 1, comp.qmax_second + 1, comp.qmax_first + 1)
     for (l, t, j) in samples:
         for pos in positions:
-            resid: dict = {}
-            # first composition sum
-            i = 0
-            while True:
-                if l >= 0 and i > l:
-                    break
-                q = j + i
-                if q > comp.qmax_second:
-                    break
-                c = binom_z(l, i)
-                if c:
-                    term = comp.composed(pos, t + l - i, q, 0, (1, 2), False)
-                    _poly_iadd(resid, term, Q((-1) ** i * c))
-                i += 1
-            # second sum, outer and inner arguments exchanged
-            i = 0
-            while True:
-                if l >= 0 and i > l:
-                    break
-                p = t + i
-                if p > comp.qmax_second:
-                    break
-                c = binom_z(l, i)
-                if c:
-                    term = comp.composed(pos, j + l - i, p, 1, (0, 2), False)
-                    _poly_iadd(resid, term, Q(-((-1) ** (l + i)) * c))
-                i += 1
-            # third sum, the inner law in the first argument
-            i = 0
-            while True:
-                m = l + i
-                if m > comp.qmax_first:
-                    break
-                c = binom_z(t, i)
-                if c:
-                    term = comp.composed(pos, t + j - i, m, 2, (0, 1), True)
-                    _poly_iadd(resid, term, Q(-c))
-                i += 1
+            # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
+            terms = (
+                partial(comp.composed, pos, direct_slot=0, inner_slots=(1, 2),
+                        substitute_first=False),
+                partial(comp.composed, pos, direct_slot=1, inner_slots=(0, 2),
+                        substitute_first=False),
+                partial(comp.composed, pos, direct_slot=2, inner_slots=(0, 1),
+                        substitute_first=True),
+            )
+            resid = three_sum(l, t, j, stops, terms)
             good = not resid
             ok = ok and good
             entries.append(
@@ -526,7 +494,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
         for m, c in alpha.get(pos, {}).items():
             if midx_norm(m) > cap:
                 continue
-            _poly_iadd(out, {tuple(_slot_monomial(m, slot)): Q(c)})
+            iadd(out, {tuple(_slot_monomial(m, slot)): Q(c)})
         return out
 
     for dpos in dst.positions:
@@ -536,7 +504,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
             lhs: dict = {}
             for m, c in apoly.items():
                 factors = word_from_midx(m)
-                _poly_iadd(lhs, comp.conv(factors, n, (0, 1)), Q(c))
+                iadd(lhs, comp.conv(factors, n, (0, 1)), Q(c))
             # destination law with substituted arguments
             rhs: dict = {}
             for (k, kp), c in dst.series_entry(dpos, n).items():
@@ -549,9 +517,8 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
                 for p, e in kp:
                     for _ in range(e):
                         poly = _poly_mul(poly, alpha_poly(p, 1), cap)
-                _poly_iadd(rhs, poly, c)
-            resid = dict(lhs)
-            _poly_iadd(resid, rhs, -1)
+                iadd(rhs, poly, c)
+            resid = iadd(dict(lhs), rhs, -1)
             good = not resid
             ok = ok and good
             entries.append(

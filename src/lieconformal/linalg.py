@@ -1,101 +1,120 @@
 """Exact sparse linear algebra over Q with dict-backed vectors.
 
-Vectors are maps from hashable coordinate labels to nonzero Fractions.
-Label order (given explicitly per span) makes pivoting deterministic.
+Vectors are maps from hashable coordinate labels to nonzero coefficients.
+``iadd`` and ``scale`` are the one add-and-drop-zero kernel that every
+sparse combination in the package (CVec, UElem, TensorElem, law-series
+polynomials, manifold points) is built on.  Labels of an echelon span are
+totally ordered, which makes pivoting deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 Q = Fraction
 
 
-def vec_add(a: dict, b: dict, cb=1) -> dict:
-    """a + cb*b with zero coefficients dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + cb * v
-        if nv == 0:
-            out.pop(k, None)
+def iadd(acc: dict, other: dict, c=1) -> dict:
+    """acc += c * other in place, dropping zero coefficients; returns acc.
+
+    Values only need ``+`` and truth testing when c is 1, so coefficient
+    vectors of polynomials add through here too.
+    """
+    if c == 0:
+        return acc
+    unit = c == 1
+    get = acc.get
+    for k, v in other.items():
+        if not unit:
+            v = v * c
+        old = get(k)
+        nv = v if old is None else old + v
+        if nv:
+            acc[k] = nv
         else:
-            out[k] = nv
-    return out
+            acc.pop(k, None)
+    return acc
 
 
-def vec_scale(a: dict, c) -> dict:
+def scale(a: dict, c) -> dict:
     c = Q(c)
     if c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
 
 
-class Echelon:
-    """Row echelon span of Q-vectors with a fixed total order on labels."""
+def vec_add(a: dict, b: dict, cb=1) -> dict:
+    """a + cb*b with zero coefficients dropped."""
+    return iadd(dict(a), b, cb)
 
-    def __init__(self, label_key=None):
+
+class Echelon:
+    """Row echelon span of Q-vectors over totally ordered labels.
+
+    A row's pivot is its least label and rows are never back-reduced, so
+    eliminating a pivot only brings in larger labels and one ascending
+    pass reduces a vector.  Rows inserted together with a combination also
+    record, in ``history``, that combination reduced alongside them.
+    """
+
+    def __init__(self):
         # pivot label -> normalized row (pivot coefficient 1)
         self.rows: dict = {}
-        self._key = label_key if label_key is not None else (lambda x: x)
+        # pivot label -> combination recorded with the row
+        self.history: dict = {}
 
-    def reduce(self, v: dict) -> dict:
+    def reduce(self, v: dict, combo: dict | None = None) -> dict:
+        """Remainder of v modulo the rows; combo follows the eliminations."""
         v = dict(v)
-        changed = True
-        while changed:
-            changed = False
-            for label in sorted(v, key=self._key):
-                if label in self.rows:
-                    v = vec_add(v, self.rows[label], -v[label])
-                    changed = True
-                    break
+        heap = list(v)
+        heapify(heap)
+        last = None
+        while heap:
+            label = heappop(heap)
+            if label == last:
+                continue
+            last = label
+            row = self.rows.get(label)
+            if row is None or label not in v:
+                continue
+            c = -v[label]
+            for k in row:
+                if k not in v:
+                    heappush(heap, k)
+            iadd(v, row, c)
+            if combo is not None:
+                iadd(combo, self.history[label], c)
         return v
 
-    def insert(self, v: dict) -> dict | None:
-        """Add v to the span; returns the normalized new row or None."""
-        v = self.reduce(v)
+    def insert(self, v: dict, combo: dict | None = None) -> dict | None:
+        """Add v to the span; returns the normalized new row or None.
+
+        With a combination, it is reduced in place alongside v and, when v
+        is independent, recorded scaled like the new row.
+        """
+        v = self.reduce(v, combo)
         if not v:
             return None
-        piv = min(v, key=self._key)
-        row = vec_scale(v, Q(1) / v[piv])
+        piv = min(v)
+        inv = Q(1) / v[piv]
+        row = scale(v, inv)
         self.rows[piv] = row
+        if combo is not None:
+            self.history[piv] = scale(combo, inv)
         return row
 
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def kernel_basis(columns: list[dict], label_key=None) -> list[dict]:
+def kernel_basis(columns: list[dict]) -> list[dict]:
     """Kernel of the linear map sending unit vector i to columns[i].
 
     Returns combination dicts {column index: coefficient}, reduced so the
     result is deterministic for a fixed column order.
     """
-    ech = Echelon(label_key)
-    # track the expression of each inserted row in terms of input columns
-    history: dict = {}
+    ech = Echelon()
     kernel: list[dict] = []
     for i, col in enumerate(columns):
-        v = dict(col)
         combo = {i: Q(1)}
-        changed = True
-        while changed:
-            changed = False
-            for label in sorted(v, key=ech._key):
-                if label in ech.rows:
-                    c = v[label]
-                    v = vec_add(v, ech.rows[label], -c)
-                    combo = vec_add(combo, history[label], -c)
-                    changed = True
-                    break
-        if not v:
+        if ech.insert(col, combo) is None:
             kernel.append(combo)
-        else:
-            piv = min(v, key=ech._key)
-            inv = Q(1) / v[piv]
-            ech.rows[piv] = vec_scale(v, inv)
-            history[piv] = vec_scale(combo, inv)
     return kernel

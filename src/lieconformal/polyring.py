@@ -235,8 +235,3 @@ class PolyModule:
 
     def is_zero_module(self) -> bool:
         return not self._basis
-
-    def with_columns(self, columns: Iterable[Sequence[UPoly]]) -> "PolyModule":
-        cols = [tuple(c) for c in self.basis_columns()]
-        cols.extend(tuple(c) for c in columns)
-        return PolyModule(self.nrows, cols)

@@ -1,12 +1,12 @@
 """Canonical text rendering of algebra values.
 
-Term order is fixed (weight when a basis provides one, then generator
-order, then depth, then variable degree) so golden files and command
-output are byte-stable across runs.
+Term order is fixed (generator order, then depth, then variable degree)
+so golden files and command output are byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import CVec, LMPoly, LPoly, LcaPresentation
@@ -42,26 +42,13 @@ def _join(parts: list[str]) -> str:
     return out
 
 
-def _fact(d: int) -> int:
-    out = 1
-    for i in range(2, d + 1):
-        out *= i
-    return out
-
-
-def _sym_sort_key(pres, sym, weight_of=None):
-    if weight_of is not None:
-        return (weight_of(sym), sym[0], sym[1])
-    return (sym[0], sym[1])
-
-
-def vector_text(pres: LcaPresentation, v: CVec, weight_of=None) -> str:
+def vector_text(pres: LcaPresentation, v: CVec) -> str:
     parts = []
-    for sym in sorted(v.coeffs, key=lambda s: _sym_sort_key(pres, s, weight_of)):
+    for sym in sorted(v.coeffs):
         c = v.coeffs[sym]
         g, d = sym
         # fold the divided-power normalization into the coefficient
-        parts.append(_coeff_prefix(c / _fact(d) if d else c, _dpow(pres, sym)))
+        parts.append(_coeff_prefix(c / math.factorial(d) if d else c, _dpow(pres, sym)))
     return _join(parts)
 
 
@@ -87,7 +74,7 @@ def lpoly_text(pres: LcaPresentation, poly: LPoly) -> str:
     parts = []
     for n in sorted(poly.coeffs):
         vec = poly.coeffs[n]
-        for sym in sorted(vec.coeffs, key=lambda s: _sym_sort_key(pres, s)):
+        for sym in sorted(vec.coeffs):
             c = vec.coeffs[sym]
             g, d = sym
             body = _dpow(pres, sym)
@@ -95,7 +82,7 @@ def lpoly_text(pres: LcaPresentation, poly: LPoly) -> str:
                 body = "lambda*" + body
             elif n > 1:
                 body = f"lambda^{n}*" + body
-            parts.append(_coeff_prefix(c / _fact(d) if d else c, body))
+            parts.append(_coeff_prefix(c / math.factorial(d) if d else c, body))
     return _join(parts)
 
 
@@ -103,7 +90,7 @@ def lmpoly_text(pres: LcaPresentation, poly: LMPoly) -> str:
     parts = []
     for (i, j) in sorted(poly.coeffs):
         vec = poly.coeffs[(i, j)]
-        for sym in sorted(vec.coeffs, key=lambda s: _sym_sort_key(pres, s)):
+        for sym in sorted(vec.coeffs):
             c = vec.coeffs[sym]
             g, d = sym
             body = _dpow(pres, sym)
@@ -115,7 +102,7 @@ def lmpoly_text(pres: LcaPresentation, poly: LMPoly) -> str:
                 body = "lambda*" + body
             elif i > 1:
                 body = f"lambda^{i}*" + body
-            parts.append(_coeff_prefix(c / _fact(d) if d else c, body))
+            parts.append(_coeff_prefix(c / math.factorial(d) if d else c, body))
     return _join(parts)
 
 
@@ -135,13 +122,3 @@ def uelem_text(basis, u) -> str:
     for word in sorted(u.terms):
         parts.append(_coeff_prefix(u.terms[word], word_text(basis, word) if word else ""))
     return _join(parts)
-
-
-def point_json(basis, point) -> dict:
-    return {"coords": {basis.label(k): frac(point[k]) for k in sorted(point)}}
-
-
-def point_text(basis, point) -> str:
-    if not point:
-        return "0"
-    return ", ".join(f"{basis.label(k)}={frac(point[k])}" for k in sorted(point))

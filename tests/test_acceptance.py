@@ -32,7 +32,8 @@ from lieconformal.lawtable import (
     midx_norm,
     word_from_midx,
 )
-from lieconformal.manifold import integrate, point_add
+from lieconformal.linalg import vec_add as point_add
+from lieconformal.manifold import integrate
 from lieconformal.errors import NotNilpotent
 
 DATA = Path(__file__).parent / "data"

@@ -335,3 +335,17 @@ def test_cli_rejects_bad_values():
     code, text = run(["eval", str(DATA / "heisenberg.lca"), "--a", "a[0]=x",
                       "--b", "0", "--window=-1..1"])
     assert code == 2
+    heis = str(DATA / "heisenberg.lca")
+    for argv, want in [
+        (["eval", heis, "--a", "a[0]=1", "--b", "a[0]=1", "--window=5..-5"], 2),
+        (["yprod", heis, "--left", "a", "--right", "a", "--window=1..0"], 2),
+        (["fvl", heis, "--deg", "-1", "--depth", "2", "--window=-2..2"], 2),
+        (["fvl", heis, "--deg", "2", "--depth", "-3", "--window=-2..2"], 2),
+        (["primitives", heis, "--max-len", "-2", "--depth", "2"], 2),
+        (["primitives", heis, "--max-len", "2", "--depth", "-1"], 2),
+        (["verify-manifold", heis, "--samples", "-1"], 2),
+        # a suite that examined no point does not pass
+        (["verify-manifold", heis, "--samples", "0"], 1),
+    ]:
+        code, text = run(argv)
+        assert code == want, (argv, text)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import golden
+import pytest
 from oracles import oracle_mul, oracle_straighten, skew_bracket
 
 from lieconformal.core import CVec
@@ -336,6 +338,23 @@ class TestBorcherds:
                 l, t, j = (rng.randint(-3, 3) for _ in range(3))
                 assert U.borcherds_residual(u, v, w, l, t, j).is_zero(), (
                     build.__name__, u.terms, v.terms, w.terms, (l, t, j))
+
+    @pytest.mark.parametrize("build, keys, ltj, expected", [
+        (golden.heisenberg, ((0, 0), (0, 1), (0, 0)), (-2, 1, -1), {}),
+        (golden.virasoro, ((0, 0), (0, 0), (0, 0)), (-1, -1, -1), {}),
+        (golden.mixed, ((0, 0), (0, 1), (0, 0)), (-2, 1, -1), {}),
+        (golden.corrupted_heisenberg, ((0, 0), (0, 0), (0, 0)), (-1, -1, 1),
+         {((0, 0), (1, 0)): Fraction(4, 21)}),
+    ])
+    def test_residual_is_exact_for_negative_sign_exponents(self, build, keys, ltj, expected):
+        # the sign (-1)^(l + i) of the second sum has a negative exponent here
+        U = alg_of(build)
+        u = U.letter(keys[0]).scale(Fraction(1, 3))
+        v = U.letter(keys[1]).scale(Fraction(2, 7))
+        w = U.letter(keys[2])
+        resid = U.borcherds_residual(u, v, w, *ltj)
+        assert resid.terms == expected
+        assert all(type(c) is Fraction for c in resid.terms.values())
 
 
 class TestDepthBudget:

@@ -6,7 +6,8 @@ import pytest
 
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
-from lieconformal.manifold import integrate, point_add
+from lieconformal.linalg import vec_add as point_add
+from lieconformal.manifold import integrate
 
 
 def rand_point(rng, M, depth=1, bound=4):
