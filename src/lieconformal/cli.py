@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed,
-2 parse or usage error, 3 the presentation is not nilpotent,
-4 a truncated table cannot certify a check.
+2 parse or usage error, 3 the presentation is not nilpotent or its
+lower central series did not stabilize, 4 a truncated table cannot
+certify a check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import dsl, render
 from .bialgebra import coproduct, counit, primitives_up_to
 from .core import CVec, LMPoly, LPoly
 from .enveloping import EnvelopingAlgebra, UElem
-from .errors import AxiomFailure, NotNilpotent, TruncationInsufficient
+from .errors import AxiomFailure, NotNilpotent, SeriesDivergent, TruncationInsufficient
 from .lawtable import check_identities, check_law_jacobi, extract_law
 from .manifold import integrate
 
@@ -121,9 +122,12 @@ class _Emitter:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the global flags set nothing when absent, so the subcommand's copy of a
+    # flag does not overwrite one given before the subcommand; run() passes
+    # the defaults in the namespace
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(
         prog="lcv",
@@ -214,7 +218,7 @@ def run(argv) -> tuple[int, str]:
     buf = io.StringIO()
     try:
         with redirect_stdout(buf), redirect_stderr(buf):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(argv, argparse.Namespace(format="text", seed=0))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return (EXIT_USAGE if code not in (0,) else 0), buf.getvalue()
@@ -230,6 +234,8 @@ def run(argv) -> tuple[int, str]:
         return EXIT_USAGE, f"invalid argument: {exc}\n"
     except NotNilpotent as exc:
         return EXIT_NOT_NILPOTENT, _not_nilpotent_text(exc)
+    except SeriesDivergent as exc:
+        return EXIT_NOT_NILPOTENT, f"series did not stabilize: {exc}\n"
     except TruncationInsufficient as exc:
         return EXIT_TRUNCATION, f"truncation insufficient: {exc}\n"
     except AxiomFailure as exc:

@@ -230,6 +230,13 @@ class EnvelopingAlgebra:
     def partial_div(self, u: UElem, times: int) -> UElem:
         return self.partial_pow(u, times).scale(Q(1, math.factorial(times)))
 
+    def divided_powers(self, u: UElem, top: int) -> list:
+        """``[u, ∂u, ∂²u/2!, ..., ∂^top u/top!]``, one ∂ pass per entry."""
+        chain = [u]
+        for j in range(1, top + 1):
+            chain.append(self.partial(chain[-1]).scale(Q(1, j)))
+        return chain
+
     # -- lambda bracket -----------------------------------------------------------
 
     def bracket(self, u: UElem, v: UElem) -> ULPoly:
@@ -288,18 +295,19 @@ class EnvelopingAlgebra:
         rest_elem = UElem.monomial(rest)
         out = ULPoly()
         # derivative-shifted head against the tail bracket; the shift carries
-        # the full derivative power with a plain binomial weight (the
-        # divided-power variant fails the coefficient Jacobi suite)
+        # the full derivative power with a plain binomial weight, read off the
+        # divided-power chain as comb(n, s) ∂^s = perm(n, s) ∂^s/s! (dropping
+        # the s! fails the coefficient Jacobi suite)
         bw = self._bracket_words(rest, wv)
+        chain = self.divided_powers(a_elem, bw.degree)
         for n, q in bw.coeffs.items():
             for s in range(n + 1):
-                left = self.partial_pow(a_elem, s)
-                out.add_term(n - s, self.nop(left, q), math.comb(n, s))
+                out.add_term(n - s, self.nop(chain[s], q), math.perm(n, s))
         av = self._bracket_words((a,), wv)
+        chain = self.divided_powers(rest_elem, av.degree)
         for n, p in av.coeffs.items():
             for s in range(n + 1):
-                left = self.partial_pow(rest_elem, s)
-                out.add_term(n - s, self.nop(left, p), math.comb(n, s))
+                out.add_term(n - s, self.nop(chain[s], p), math.perm(n, s))
         # integral term with the substituted variable
         for n, p in av.coeffs.items():
             inner = self.bracket(rest_elem, p)
@@ -313,10 +321,14 @@ class EnvelopingAlgebra:
 
     def nop(self, u: UElem, v: UElem) -> UElem:
         out = UElem()
+        self._nop_into(out, u, v, 1)
+        return out
+
+    def _nop_into(self, out: UElem, u: UElem, v: UElem, c) -> None:
+        """Add c times the ordered product of u and v to out."""
         for wu, cu in u.terms.items():
             for wv, cv in v.terms.items():
-                out.iadd_scaled(self._nop_words(wu, wv), cu * cv)
-        return out
+                out.iadd_scaled(self._nop_words(wu, wv), c * cu * cv)
 
     def _nop_words(self, wu: Word, wv: Word) -> UElem:
         memo = self._nop_memo
@@ -330,19 +342,20 @@ class EnvelopingAlgebra:
             a, rest = wu[0], wu[1:]
             a_elem = UElem.monomial((a,))
             rest_elem = UElem.monomial(rest)
-            v_elem = UElem.monomial(wv)
-            res = self.nop(a_elem, self._nop_words(rest, wv))
+            res = UElem()
+            self._nop_into(res, a_elem, self._nop_words(rest, wv), 1)
             wv_poly = self._bracket_words(rest, wv)
             av_poly = self._bracket_words((a,), wv)
-            top = max(wv_poly.degree, av_poly.degree)
-            for m in range(top + 1):
+            a_chain = self.divided_powers(a_elem, wv_poly.degree + 1)
+            rest_chain = self.divided_powers(rest_elem, av_poly.degree + 1)
+            for m in range(max(wv_poly.degree, av_poly.degree) + 1):
                 fact = math.factorial(m)
-                rm = wv_poly.coeff(m).scale(fact)
+                rm = wv_poly.coeff(m)
                 if rm:
-                    res = res + self.nop(self.partial_div(a_elem, m + 1), rm)
-                am = av_poly.coeff(m).scale(fact)
+                    self._nop_into(res, a_chain[m + 1], rm, fact)
+                am = av_poly.coeff(m)
                 if am:
-                    res = res + self.nop(self.partial_div(rest_elem, m + 1), am)
+                    self._nop_into(res, rest_chain[m + 1], am, fact)
         memo[key] = res
         return res
 
@@ -357,7 +370,11 @@ class EnvelopingAlgebra:
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
         """Products for n in [lo, hi] plus the vanishing bound."""
-        products = {n: self.nth(u, v, n) for n in range(lo, hi + 1)}
+        chain = self.divided_powers(u, -lo - 1)
+        products = {
+            n: self.nop(chain[-n - 1], v) if n < 0 else self.nth(u, v, n)
+            for n in range(lo, hi + 1)
+        }
         return products, self.trunc_bound(u, v)
 
     # -- coefficient Jacobi identity ------------------------------------------------

@@ -225,17 +225,20 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     lo, hi = table.window
     pos_set = set(positions)
 
+    # multi-indices by ascending norm; the first ends[d] have norm <= d
     midxes = [EMPTY]
+    ends = [1]
     for size in range(1, degree + 1):
         midxes.extend(
             midx_from_word(w) for w in combinations_with_replacement(positions, size)
         )
+        ends.append(len(midxes))
     for k in midxes:
         dk = midx_norm(k)
         u = UElem.monomial(word_from_midx(k))
-        for kp in midxes:
-            if dk + midx_norm(kp) > degree:
-                continue
+        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
+        chain = env.divided_powers(u, -lo - 1)
+        for kp in midxes[: ends[degree - dk]]:
             v = UElem.monomial(word_from_midx(kp))
             norm = Q(1, midx_factorial(k) * midx_factorial(kp))
             poly = env.bracket(u, v)
@@ -247,7 +250,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
                 if n >= 0:
                     prod = poly.coeff(n).scale(math.factorial(n))
                 else:
-                    prod = env.nth(u, v, n)
+                    prod = env.nop(chain[-n - 1], v)
                 for word, c in prod.terms.items():
                     if len(word) != 1:
                         continue

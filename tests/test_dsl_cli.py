@@ -5,9 +5,10 @@ from pathlib import Path
 import golden
 import pytest
 
-from lieconformal import dsl
+from lieconformal import dsl, filtration
 from lieconformal.cli import run
 from lieconformal.core import CVec, LPoly
+from lieconformal.manifold import VertexManifold
 
 DATA = Path(__file__).parent / "data"
 
@@ -326,6 +327,35 @@ def test_empty_generator_block_parses():
     pres, _ = dsl.load_presentation("algebra none { generators { } }")
     assert pres.generators == []
     assert pres.check_axioms().ok
+
+
+def test_global_flags_before_or_after_the_subcommand(monkeypatch):
+    heis = str(DATA / "heisenberg.lca")
+    before = run(["--format", "json", "check", heis])
+    assert before == run(["check", "--format", "json", heis])
+    assert json.loads(before[1])["pass"] is True
+    seeds = []
+    check_axioms = VertexManifold.check_axioms
+
+    def recording(self, samples, seed, window):
+        seeds.append(seed)
+        return check_axioms(self, samples, seed, window)
+
+    monkeypatch.setattr(VertexManifold, "check_axioms", recording)
+    before = run(["--seed", "3", "verify-manifold", heis, "--samples", "4"])
+    assert before == run(["verify-manifold", "--seed", "3", heis, "--samples", "4"])
+    assert before[0] == 0
+    run(["verify-manifold", heis, "--samples", "4"])
+    assert seeds == [3, 3, 0]
+
+
+def test_series_divergent_exits_3_without_traceback(monkeypatch):
+    # n3current is nilpotent, but its series needs three steps
+    monkeypatch.setattr(filtration, "_SERIES_CAP", 2)
+    code, text = run(["integrate", str(DATA / "n3current.lca")])
+    assert code == 3
+    assert text.startswith("series did not stabilize: ") and text.count("\n") == 1
+    assert "Traceback" not in text
 
 
 def test_cli_rejects_bad_values():

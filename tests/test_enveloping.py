@@ -1,17 +1,28 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import golden
 import pytest
 from oracles import oracle_mul, oracle_straighten, skew_bracket
 
+from lieconformal import dsl
 from lieconformal.core import CVec
 from lieconformal.enveloping import EnvelopingAlgebra, UElem, ULPoly
+
+DATA = Path(__file__).parent / "data"
+DATA_ALGEBRAS = ["abelian1", "abelian2", "heisenberg", "mixed", "n3current", "virasoro"]
 
 
 def alg_of(build):
     return EnvelopingAlgebra(build())
+
+
+def data_alg(name):
+    pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text())
+    return EnvelopingAlgebra(pres)
 
 
 def rand_monomial(rng, keys, max_len=3):
@@ -146,6 +157,20 @@ class TestTranslation:
                     expect.add_term(n + 1, e, -1)
                 assert lhs == expect
 
+    def test_divided_powers_match_partial_pow(self):
+        rng = random.Random(31)
+        for name in DATA_ALGEBRAS:
+            U = data_alg(name)
+            keys = U.basis.keys_up_to_depth(1)
+            for _ in range(6):
+                u = rand_elem(rng, keys)
+                top = rng.randint(0, 5)
+                chain = U.divided_powers(u, top)
+                assert len(chain) == top + 1 and chain[0] == u
+                for j in range(top + 1):
+                    expect = U.partial_pow(u, j).scale(Fraction(1, math.factorial(j)))
+                    assert chain[j] == expect, (name, u, j)
+
 
 class TestBracket:
     def test_left_peel_example(self):
@@ -244,6 +269,24 @@ class TestIndexedProducts:
         assert products[-2] == U.letter((0, 1))
         assert products[-3] == U.letter((0, 2))
         assert products[0].is_zero()
+
+    def test_window_reads_one_chain(self):
+        # with the ordered products of the chain's words already memoized,
+        # a window makes one ∂ pass per index below -1, not one per index
+        # and power; a cold window also pays the chains inside _nop_words,
+        # one per distinct word pair, which the nop memo keeps across calls
+        counts = []
+        for lo in (-8, -16):
+            U = alg_of(golden.heisenberg)
+            a = U.letter((0, 0))
+            aa = U.mul(a, a)
+            cold = U.y_window(aa, a, lo, 0)
+            calls = []
+            inner = U.partial
+            U.partial = lambda u: calls.append(u) or inner(u)
+            assert U.y_window(aa, a, lo, 0) == cold
+            counts.append(len(calls))
+        assert counts == [7, 15]
 
     def test_abelian_window_all_zero(self):
         U = alg_of(golden.abelian2)

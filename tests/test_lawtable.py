@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import golden
 import pytest
 
+from lieconformal import dsl
 from lieconformal.enveloping import EnvelopingAlgebra, UElem
 from lieconformal.errors import TruncationInsufficient
 from lieconformal.lawtable import (
@@ -152,6 +154,58 @@ def test_composition_matches_enveloping_oracle():
             for q in range(-2, 3):
                 got = comp.composed(l_key, p, q, 0, (1, 2), False)
                 assert got == _h_oracle(U, T, l_key, p, q, 2), (l_key, p, q)
+
+
+def _reference_table(env, degree, depth, window):
+    """The law table built cell by cell from the n-th products."""
+    positions = env.basis.keys_up_to_depth(depth)
+    table = LawTable(env.pres.name, degree, depth, window, positions)
+    table.labels = {k: env.basis.label(k) for k in positions}
+    midxes = [EMPTY] + [
+        midx_from_word(w)
+        for size in range(1, degree + 1)
+        for w in combinations_with_replacement(positions, size)
+    ]
+    for k in midxes:
+        for kp in midxes:
+            if midx_norm(k) + midx_norm(kp) > degree:
+                continue
+            u = UElem.monomial(word_from_midx(k))
+            v = UElem.monomial(word_from_midx(kp))
+            table.pair_bounds[(k, kp)] = env.trunc_bound(u, v)
+            norm = Q(1, midx_factorial(k) * midx_factorial(kp))
+            for n in range(window[0], window[1] + 1):
+                for word, c in env.nth(u, v, n).terms.items():
+                    if len(word) != 1:
+                        continue
+                    if word[0] in positions:
+                        table.add_entry(word[0], n, k, kp, c * norm)
+                    else:
+                        table.overflow_degrees.add(midx_norm(k) + midx_norm(kp))
+    return table
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "mixed", "virasoro", "n3current"])
+def test_extraction_matches_cellwise_products(name):
+    text = (Path(__file__).parent / "data" / f"{name}.lca").read_text()
+    pres, _ = dsl.load_presentation(text)
+    got = extract_law(EnvelopingAlgebra(pres), 2, 1, (-6, 6)).to_json()
+    assert got == _reference_table(EnvelopingAlgebra(pres), 2, 1, (-6, 6)).to_json()
+
+
+def test_extraction_builds_one_chain_per_left_index():
+    # one ∂ chain per left multi-index: doubling the depth of the window
+    # at most about doubles the ∂ passes (rebuilding ∂^j u for every n
+    # and every right factor grows them fourfold)
+    counts = []
+    for lo in (-8, -16):
+        env = EnvelopingAlgebra(golden.heisenberg())
+        calls = []
+        inner = env.partial
+        env.partial = lambda u: calls.append(u) or inner(u)
+        extract_law(env, 2, 1, (lo, 4))
+        counts.append(len(calls))
+    assert 0 < counts[1] <= 2.5 * counts[0], counts
 
 
 def test_monotone_reextraction():
