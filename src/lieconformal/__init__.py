@@ -18,7 +18,13 @@ from .core import (
     build_presentation,
 )
 from .enveloping import EnvelopingAlgebra, UElem
-from .errors import AxiomFailure, NotNilpotent, SeriesDivergent, TruncationInsufficient
+from .errors import (
+    AxiomFailure,
+    NotNilpotent,
+    OutsideBasis,
+    SeriesDivergent,
+    TruncationInsufficient,
+)
 from .filtration import AdaptedBasis, LowerCentralSeries, RawBasis, adapted_basis
 from .lawtable import (
     LawTable,
@@ -43,6 +49,7 @@ __all__ = [
     "LPoly",
     "LowerCentralSeries",
     "NotNilpotent",
+    "OutsideBasis",
     "RawBasis",
     "SeriesDivergent",
     "TruncationInsufficient",

@@ -3,7 +3,7 @@
 Exit codes: 0 success / all checks pass, 1 a verification failed,
 2 parse or usage error, 3 the presentation is not nilpotent or its
 lower central series did not stabilize, 4 a truncated table cannot
-certify a check.
+certify a check or a vector falls outside the issued basis slice.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from . import dsl, render
 from .bialgebra import coproduct, counit, primitives_up_to
 from .core import CVec, LMPoly, LPoly
 from .enveloping import EnvelopingAlgebra, UElem
-from .errors import AxiomFailure, NotNilpotent, SeriesDivergent, TruncationInsufficient
+from .errors import (
+    AxiomFailure,
+    NotNilpotent,
+    OutsideBasis,
+    SeriesDivergent,
+    TruncationInsufficient,
+)
 from .lawtable import check_identities, check_law_jacobi, extract_law
 from .manifold import integrate
 
@@ -238,6 +244,8 @@ def run(argv) -> tuple[int, str]:
         return EXIT_NOT_NILPOTENT, f"series did not stabilize: {exc}\n"
     except TruncationInsufficient as exc:
         return EXIT_TRUNCATION, f"truncation insufficient: {exc}\n"
+    except OutsideBasis as exc:
+        return EXIT_TRUNCATION, f"basis slice exceeded: {exc}\n"
     except AxiomFailure as exc:
         return EXIT_CHECK_FAILED, f"axiom failure: {exc}\n"
     return code, em.render()

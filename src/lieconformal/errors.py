@@ -24,3 +24,7 @@ class TruncationInsufficient(Exception):
 
 class SeriesDivergent(Exception):
     """Lower central series kept descending past the iteration cap."""
+
+
+class OutsideBasis(Exception):
+    """A vector has no coordinates in the issued adapted basis slice."""

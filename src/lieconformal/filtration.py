@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .core import CVec, LcaPresentation, Symbol
-from .errors import NotNilpotent, SeriesDivergent
+from .errors import NotNilpotent, OutsideBasis, SeriesDivergent
 from .linalg import Echelon, kernel_basis
 from .polyring import PolyModule, UPoly
 
@@ -362,7 +362,7 @@ class AdaptedBasis:
             return {(self._grades[g], g, d): c for (g, d), c in v.coeffs.items()}
         combo: dict = {}
         if self._expander.reduce(v.coeffs, combo):
-            raise AssertionError("vector outside the issued basis slice")
+            raise OutsideBasis(f"vector outside the issued basis slice of depth {self.depth_cap}")
         return {k: -c for k, c in combo.items()}
 
 

@@ -10,7 +10,10 @@ origin.
 
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
-as idempotent inserts.
+as idempotent inserts.  The same holds for the inner series memo: the
+x^q coefficients of the product series of a point pair, kept per (pair,
+q) for the manifold's life because every outer index and outer point of
+a composed product reads the same ones.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class VertexManifold:
         self._table: dict = {}
         self._bounds: dict = {}
         self._composed_memo: dict = {}
-        self._pairs_memo: dict = {}
+        self._inner_memo: dict = {}
+        self._monomial_memo: dict = {}
 
     # -- table cells ------------------------------------------------------
 
@@ -86,138 +90,144 @@ class VertexManifold:
             self._table[key] = cached
         return cached
 
-    def _pairs_for(self, supp_left, supp_right):
-        """Exponent pairs over the given supports with total degree <= N."""
-        left, right = tuple(sorted(supp_left)), tuple(sorted(supp_right))
-        cached = self._pairs_memo.get((left, right))
-        if cached is not None:
-            return cached
-        lefts = [()]
-        for s in range(1, self.N + 1):
-            lefts.extend(combinations_with_replacement(left, s))
-        out = []
-        for wl in lefts:
-            room = self.N - len(wl)
-            out.append((midx_from_word(wl), ()))
-            for s in range(1, room + 1):
-                for wr in combinations_with_replacement(right, s):
-                    out.append((midx_from_word(wl), midx_from_word(wr)))
-        pairs = [(k, kp) for (k, kp) in out if not (k == () and kp == ())]
-        self._pairs_memo[(left, right)] = pairs
-        return pairs
+    def _monomials(self, supp) -> list:
+        """(multi-index, norm) over the support with norm 0..N, by norm."""
+        key = tuple(sorted(supp))
+        cached = self._monomial_memo.get(key)
+        if cached is None:
+            cached = [
+                (midx_from_word(w), s)
+                for s in range(self.N + 1)
+                for w in combinations_with_replacement(key, s)
+            ]
+            self._monomial_memo[key] = cached
+        return cached
 
     # -- products of points ----------------------------------------------------
 
     @staticmethod
     def _power(p: Point, m) -> Q:
-        out = Q(1)
+        out = 1
         for pos, e in m:
-            c = p.get(pos, Q(0))
+            c = p.get(pos, 0)
             if c == 0:
-                return Q(0)
+                return 0
             out *= c ** e
         return out
 
-    def product(self, a: Point, b: Point, n: int) -> Point:
-        out: Point = {}
-        for k, kp in self._pairs_for(a.keys(), b.keys()):
-            ca = self._power(a, k)
-            if ca == 0:
-                continue
-            cb = self._power(b, kp)
-            if cb == 0:
-                continue
-            iadd(out, self.table_entry(k, kp, n), ca * cb)
+    def _powers(self, p: Point) -> list:
+        """(m, |m|, p^m) over the multi-indices of the point's support, nonzero only."""
+        out = []
+        for m, s in self._monomials(p.keys()):
+            c = self._power(p, m)
+            if c:
+                out.append((m, s, c))
         return out
+
+    def _weights(self, left: list, right: list) -> list:
+        """(k, k', w * w') over the exponent pairs of total degree 1..N.
+
+        Both sides list (multi-index, norm, weight) in order of norm, as
+        `_powers` and `_inner_series` give them.
+        """
+        N = self.N
+        out = []
+        for k, s, w in left:
+            for kp, sp, wp in right:
+                if s + sp > N:
+                    break
+                if s + sp:
+                    out.append((k, kp, w * wp))
+        return out
+
+    def _combine(self, weights: list, n: int) -> Point:
+        """Index-n table cells of the weighted exponent pairs, summed."""
+        out: Point = {}
+        for k, kp, w in weights:
+            iadd(out, self.table_entry(k, kp, n), w)
+        return out
+
+    def _point_weights(self, a: Point, b: Point) -> list:
+        return self._weights(self._powers(a), self._powers(b))
+
+    def product(self, a: Point, b: Point, n: int) -> Point:
+        return self._combine(self._point_weights(a, b), n)
 
     def truncation_bound(self, a: Point, b: Point) -> int:
         """Index with all higher products of the two points zero."""
-        supp = sorted(set(a) | set(b))
+        unit = self._powers(dict.fromkeys(set(a) | set(b), 1))
         bound = 0
-        for k, kp in self._pairs_for(supp, supp):
+        for k, kp, _ in self._weights(unit, unit):
             bound = max(bound, self.pair_bound(k, kp))
         return bound
 
     def product_window(self, a: Point, b: Point, lo: int, hi: int) -> ProductResult:
-        slices = {n: self.product(a, b, n) for n in range(lo, hi + 1)}
+        weights = self._point_weights(a, b)
+        slices = {n: self._combine(weights, n) for n in range(lo, hi + 1)}
         return ProductResult(slices, self.truncation_bound(a, b))
 
     def exponential_element(self, a: Point) -> UElem:
         """Degree-truncated coordinate exponential in the enveloping algebra."""
         out = UElem.vacuum()
-        supp = sorted(a)
-        for s in range(1, self.N + 1):
-            for w in combinations_with_replacement(supp, s):
-                m = midx_from_word(w)
-                c = self._power(a, m) / midx_factorial(m)
-                if c != 0:
-                    out.iadd_scaled(UElem.monomial(word_from_midx(m)), c)
+        for m, s, c in self._powers(a):
+            if s:
+                out.iadd_scaled(UElem.monomial(word_from_midx(m)), Q(c, midx_factorial(m)))
         return out
 
     # -- composed products (series substituted into a polynomial slot) -----------
 
-    def _inner_series(self, b: Point, c: Point, q: int):
-        """Support and x^q product coefficients of the (b, c) product series.
+    def _inner_series(self, b: Point, c: Point, q: int) -> list:
+        """x^q coefficients of the (b, c) product series, as (m, |m|, coefficient).
 
-        The coordinates of the series enter the shared convolution as
-        degree-0 polynomials, with a memo that lives for one call.
+        The multi-indices m run over the support of the series with norm
+        1..N, plus () when q = -1, in order of norm: all that `composed` and
+        `composed_first` read, whatever their outer point and index.  They
+        are computed once per (b, c, q) and kept for the manifold's life;
+        zero coefficients are not stored.  The coordinates of the series
+        enter the shared convolution as degree-0 polynomials, with one memo
+        for all the multi-indices.
         """
+        key = (point_key(b), point_key(c), q)
+        cached = self._inner_memo.get(key)
+        if cached is not None:
+            return cached
         n_bc = self.truncation_bound(b, c)
         window = (q + 1 - self.N * max(n_bc, 1), n_bc - 1)
-        inner: dict = {}
+        weights = self._point_weights(b, c)
+        heads: dict = {}
         for m in range(window[0], n_bc):
-            w = self.product(b, c, m)
-            if w:
-                inner[m] = w
-        supp = sorted({pos for w in inner.values() for pos in w})
-
-        def series(pos, m):
-            head = inner.get(m, {}).get(pos)
-            return {(): head} if head else {}
-
+            for pos, v in self._combine(weights, m).items():
+                heads[pos, m] = {(): v}
+        supp = sorted({pos for pos, _ in heads})
         memo: dict = {}
-
-        def coeff(m) -> Q:
-            prod = convolve(word_from_midx(m), q, series, lambda pos: n_bc - 1, window, 0, memo)
-            return prod.get((), 0)
-
-        return supp, coeff
+        cached = []
+        for s in range(self.N + 1):
+            for word in combinations_with_replacement(supp, s):
+                prod = convolve(word, q, lambda pos, m: heads.get((pos, m)),
+                                lambda pos: n_bc - 1, window, 0, memo)
+                coeff = prod.get((), 0)
+                if coeff:
+                    cached.append((midx_from_word(word), s, coeff))
+        self._inner_memo[key] = cached
+        return cached
 
     def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of a with the (b, c) product series."""
         key = ("second", point_key(a), point_key(b), point_key(c), p, q)
         cached = self._composed_memo.get(key)
-        if cached is not None:
-            return cached
-        out: Point = {}
-        supp_inner, conv = self._inner_series(b, c, q)
-        for k, kp in self._pairs_for(a.keys(), supp_inner):
-            ca = self._power(a, k)
-            if ca == 0:
-                continue
-            cc = conv(kp)
-            if cc:
-                iadd(out, self.table_entry(k, kp, p), ca * cc)
-        self._composed_memo[key] = out
-        return out
+        if cached is None:
+            weights = self._weights(self._powers(a), self._inner_series(b, c, q))
+            cached = self._composed_memo[key] = self._combine(weights, p)
+        return cached
 
     def composed_first(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of the (a, b) series with point c."""
         key = ("first", point_key(a), point_key(b), point_key(c), p, q)
         cached = self._composed_memo.get(key)
-        if cached is not None:
-            return cached
-        out: Point = {}
-        supp_inner, conv = self._inner_series(a, b, q)
-        for k, kp in self._pairs_for(supp_inner, c.keys()):
-            cc_dir = self._power(c, kp)
-            if cc_dir == 0:
-                continue
-            cc = conv(k)
-            if cc:
-                iadd(out, self.table_entry(k, kp, p), cc_dir * cc)
-        self._composed_memo[key] = out
-        return out
+        if cached is None:
+            weights = self._weights(self._inner_series(a, b, q), self._powers(c))
+            cached = self._composed_memo[key] = self._combine(weights, p)
+        return cached
 
     # -- axiom suite ------------------------------------------------------------
 
@@ -262,30 +272,33 @@ class VertexManifold:
 
         # weak truncation through the stored polynomial coefficients
         trunc_ok = bool(points)
-        for a in points[: min(8, len(points))]:
-            b = points[(points.index(a) + 1) % len(points)]
+        for i, a in enumerate(points[:8]):
+            b = points[(i + 1) % len(points)]
             bound = self.truncation_bound(a, b)
+            weights = self._point_weights(a, b)
             for n in range(bound, bound + 5):
-                if self.product(a, b, n):
+                if self._combine(weights, n):
                     trunc_ok = False
         checks.append({"axiom": "weak_truncation", "pass": trunc_ok})
 
         # identity element on the left
         left_ok = bool(points)
         for a in points:
+            weights = self._point_weights({}, a)
             for n in range(lo, hi + 1):
                 expect = a if n == -1 else {}
-                if self.product({}, a, n) != expect:
+                if self._combine(weights, n) != expect:
                     left_ok = False
         checks.append({"axiom": "left_identity", "pass": left_ok})
 
         # creation against the identity element
         create_ok = bool(points)
         for a in points:
+            weights = self._point_weights(a, {})
             for n in range(0, hi + 1):
-                if self.product(a, {}, n):
+                if self._combine(weights, n):
                     create_ok = False
-            if self.product(a, {}, -1) != a:
+            if self._combine(weights, -1) != a:
                 create_ok = False
         checks.append({"axiom": "creation", "pass": create_ok})
 

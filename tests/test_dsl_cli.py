@@ -358,6 +358,17 @@ def test_series_divergent_exits_3_without_traceback(monkeypatch):
     assert "Traceback" not in text
 
 
+def test_outside_basis_exits_4_without_traceback(monkeypatch):
+    # with no expander rows every nonzero vector of mixed (the non-graded
+    # path) falls outside the issued slice
+    monkeypatch.setattr(filtration.AdaptedBasis, "_rebuild_expander", lambda self: None)
+    code, text = run(["eval", str(DATA / "mixed.lca"), "--a", "a[0]=1", "--b", "a[0]=1",
+                      "--window=-1..1"])
+    assert code == 4
+    assert text.startswith("basis slice exceeded: ") and text.count("\n") == 1
+    assert "Traceback" not in text
+
+
 def test_cli_rejects_bad_values():
     code, text = run(["nth", str(DATA / "heisenberg.lca"), "--left", "a",
                       "--right", "a", "--n", "-1"])

@@ -6,7 +6,7 @@ import golden
 import pytest
 
 from lieconformal.core import CVec
-from lieconformal.errors import NotNilpotent
+from lieconformal.errors import NotNilpotent, OutsideBasis
 from lieconformal.filtration import (
     AdaptedBasis,
     LowerCentralSeries,
@@ -153,6 +153,13 @@ def test_adapted_basis_general_path():
     for key, c in coords.items():
         recon = recon + basis.vector(key).scale(c)
     assert recon == k
+
+
+def test_expand_outside_the_basis_raises_package_error():
+    # k has torsion 1 in mixed, so k[1] is no symbol of the basis
+    basis = adapted_basis(golden.mixed(), 1)
+    with pytest.raises(OutsideBasis):
+        basis.expand(CVec.unit((2, 1)))
 
 
 def test_lazy_extension_is_stable():

@@ -227,3 +227,77 @@ def test_composed_products_match_exponential_oracle():
                     inner = M.env.nth(Ea, Eb, q)
                     expect = M.basis.expand(M.env.pi(M.env.nth(inner, Ec, p)))
                     assert M.composed_first(a, b, c, p, q) == expect
+
+
+def _n3_slow_triple(M):
+    keys = {M.basis.label(k): k for k in M.basis.keys_up_to_depth(1)}
+    a = {keys["z[1]"]: Q(1)}
+    b = {keys["z[1]"]: Q(-1, 2), keys["w1[0]"]: Q(3, 2)}
+    c = {keys["y[0]"]: Q(2), keys["y[1]"]: Q(-1)}
+    return a, b, c
+
+
+def test_inner_series_convolved_once_per_pair(monkeypatch):
+    # the (b, c) series and its convolutions do not depend on the outer
+    # index or point; rebuilding them per outer index made 215,505 calls
+    import lieconformal.manifold as manifold
+
+    calls = [0]
+    convolve = manifold.convolve
+
+    def counting(*args):
+        calls[0] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(manifold, "convolve", counting)
+    M = integrate(golden.n3_current())
+    a, b, c = _n3_slow_triple(M)
+    for l in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
+    assert calls[0] <= 70_000, calls[0]
+
+
+def test_memos_survive_points_in_swapped_roles():
+    for build in [golden.heisenberg, golden.n3_current]:
+        M = integrate(build())
+        if build is golden.n3_current:
+            a, b, c = _n3_slow_triple(M)
+        else:
+            rng = random.Random(8)
+            a, b, c = (rand_point(rng, M) for _ in range(3))
+        for x, y, z in [(a, b, c), (b, a, c), (c, b, a), (a, c, b)]:
+            for l, t, j in [(-1, -1, -1), (0, -1, 1), (1, 0, -1)]:
+                assert not M.jacobi_residual(x, y, z, l, t, j), (build.__name__, l, t, j)
+        fresh = integrate(build())
+        # the fresh manifold reads the keys in reverse order, so its memos
+        # fill in another order than the warm one's
+        for key, got in reversed(list(M._composed_memo.items())):
+            slot, pts, p, q = key[0], [dict(k) for k in key[1:4]], key[4], key[5]
+            if slot == "second":
+                assert fresh.composed(*pts, p, q) == got, (build.__name__, key)
+            else:
+                assert fresh.composed_first(*pts, p, q) == got, (build.__name__, key)
+        for x, y in [(a, b), (b, a), (b, c), (c, b), (a, c)]:
+            window = M.product_window(x, y, -4, 3)
+            for n, got in window.slices.items():
+                assert got == M.product(x, y, n) == fresh.product(x, y, n)
+
+
+def test_weak_truncation_pairs_each_sample_with_its_successor():
+    M = integrate(golden.heisenberg())
+    pairs = []
+    bound = M.truncation_bound
+
+    def recording(x, y):
+        pairs.append((x, y))
+        return bound(x, y)
+
+    M.truncation_bound = recording
+    # seed 15 draws the same point second and fifth among its eight samples
+    assert M.check_axioms(8, seed=15, window=(-2, 2))["pass"]
+    checked = pairs[:8]
+    points = [x for x, _ in checked]
+    assert points[1] == points[4] and points[2] != points[5]
+    assert [y for _, y in checked] == points[1:] + points[:1]
