@@ -13,57 +13,22 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .enveloping import EnvelopingAlgebra, UElem, VACUUM, Word
-from .linalg import iadd, kernel_basis, scale
+from .linalg import Sparse, iadd, kernel_basis
 
 Q = Fraction
 
 
-class TensorElem:
+class TensorElem(Sparse):
     """Rational combination of pairs of ordered words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        ts = {}
-        if terms:
-            for k, c in terms.items():
-                c = Q(c)
-                if c != 0:
-                    ts[k] = c
-        self.terms = ts
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        res = TensorElem()
-        res.terms = iadd(dict(self.terms), other.terms)
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElem":
-        res = TensorElem()
-        res.terms = scale(self.terms, c)
-        return res
+    __slots__ = ()
+    terms = Sparse.coeffs
 
     def iadd(self, key, c) -> None:
         iadd(self.terms, {key: c})
 
     def flip(self) -> "TensorElem":
-        res = TensorElem()
-        res.terms = {(b, a): c for (a, b), c in self.terms.items()}
-        return res
-
-    def __repr__(self):
-        return f"TensorElem({self.terms!r})"
+        return self._like({(b, a): c for (a, b), c in self.terms.items()})
 
 
 def _word_splits(word: Word):

@@ -85,6 +85,14 @@ def _uelem_json(basis, u: UElem) -> list:
     return out
 
 
+def _residual_text(pres, residual) -> str | None:
+    if isinstance(residual, LPoly):
+        return render.lpoly_text(pres, residual)
+    if isinstance(residual, LMPoly):
+        return render.lmpoly_text(pres, residual)
+    return None
+
+
 def _report_lines(pres, report) -> list[str]:
     lines = []
     for c in report.checks:
@@ -92,10 +100,9 @@ def _report_lines(pres, report) -> list[str]:
         if not c.passed:
             names = tuple(pres.gen_name(i) for i in c.witness)
             lines.append(f"  witness: {names}")
-            if isinstance(c.residual, LPoly):
-                lines.append("  residual: " + render.lpoly_text(pres, c.residual))
-            elif isinstance(c.residual, LMPoly):
-                lines.append("  residual: " + render.lmpoly_text(pres, c.residual))
+            residual = _residual_text(pres, c.residual)
+            if residual is not None:
+                lines.append("  residual: " + residual)
     return lines
 
 
@@ -105,6 +112,9 @@ def _report_json(pres, report) -> dict:
         entry = {"name": c.name, "pass": c.passed}
         if not c.passed:
             entry["witness"] = [pres.gen_name(i) for i in c.witness]
+            residual = _residual_text(pres, c.residual)
+            if residual is not None:
+                entry["residual"] = residual
         out.append(entry)
     return {"algebra": pres.name, "checks": out, "pass": report.ok}
 
@@ -463,3 +473,7 @@ def main() -> None:
     code, text = run(sys.argv[1:])
     sys.stdout.write(text)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

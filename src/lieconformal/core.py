@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import iadd, scale
+from .linalg import Sparse, SparsePoly, iadd
 
 Q = Fraction
 Symbol = tuple  # (generator index, depth)
@@ -60,52 +60,10 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     return out
 
 
-class CVec:
+class CVec(Sparse):
     """Finite rational combination of divided-power basis symbols."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        cs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Q(v)
-                if v != 0:
-                    cs[k] = v
-        self.coeffs = cs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, CVec) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        return tuple(sorted(self.coeffs.items()))
-
-    def __add__(self, other: "CVec") -> "CVec":
-        res = CVec()
-        res.coeffs = iadd(dict(self.coeffs), other.coeffs)
-        return res
-
-    def __neg__(self) -> "CVec":
-        res = CVec()
-        res.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "CVec") -> "CVec":
-        return self + (-other)
-
-    def scale(self, c) -> "CVec":
-        res = CVec()
-        res.coeffs = scale(self.coeffs, c)
-        return res
+    __slots__ = ()
 
     @classmethod
     def unit(cls, sym: Symbol, c=1) -> "CVec":
@@ -114,91 +72,25 @@ class CVec:
     def max_depth(self) -> int:
         return max((d for (_, d) in self.coeffs), default=0)
 
-    def __repr__(self):
-        return f"CVec({self.coeffs!r})"
-
 
 ZERO_VEC = CVec()
 
 
-class LPoly:
+class LPoly(SparsePoly):
     """Polynomial in one formal variable with CVec coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        cs = {}
-        if coeffs:
-            for n, v in coeffs.items():
-                if isinstance(v, dict):
-                    v = CVec(v)
-                if v:
-                    cs[n] = v
-        self.coeffs = cs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
-
-    def coeff(self, n: int) -> CVec:
-        return self.coeffs.get(n, ZERO_VEC)
-
-    def __eq__(self, other):
-        return isinstance(other, LPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        res = LPoly()
-        res.coeffs = iadd(dict(self.coeffs), other.coeffs)
-        return res
-
-    def __neg__(self) -> "LPoly":
-        res = LPoly()
-        res.coeffs = {n: -v for n, v in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LPoly":
-        c = Q(c)
-        if c == 0:
-            return LPoly()
-        res = LPoly()
-        res.coeffs = {n: v.scale(c) for n, v in self.coeffs.items()}
-        return res
+    __slots__ = ()
+    zero = ZERO_VEC
 
     def shift_degree(self, p: int) -> "LPoly":
-        res = LPoly()
-        res.coeffs = {n + p: v for n, v in self.coeffs.items()}
-        return res
-
-    def add_term(self, n: int, v: CVec) -> None:
-        iadd(self.coeffs, {n: v})
+        return self._like({n + p: v for n, v in self.coeffs.items()})
 
 
-class LMPoly:
-    """Polynomial in two formal variables with CVec coefficients."""
+class LMPoly(SparsePoly):
+    """Polynomial in two formal variables with CVec coefficients, keyed (i, j)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self):
-        self.coeffs: dict = {}
-
-    def add_term(self, i: int, j: int, v: CVec) -> None:
-        iadd(self.coeffs, {(i, j): v})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, LMPoly) and self.coeffs == other.coeffs
+    __slots__ = ()
+    zero = ZERO_VEC
 
 
 @dataclass(frozen=True)
@@ -333,7 +225,7 @@ class LcaPresentation:
             sign = (-1) ** n
             for s in range(n + 1):
                 c = -sign * math.comb(n, s) * math.factorial(s)
-                out.add_term(n - s, self.partial_div(vec, s).scale(c))
+                out.add_term(n - s, self.partial_div(vec, s), c)
         return out
 
     def gen_bracket(self, i: int, j: int) -> LPoly:
@@ -359,7 +251,7 @@ class LcaPresentation:
                             continue
                         # derivative power on the left argument
                         c = scale * c1 * Q((-1) ** d, math.factorial(d))
-                        out.add_term(n + dp - s + d, shifted.scale(c))
+                        out.add_term(n + dp - s + d, shifted, c)
         return out
 
     def nth_product(self, v: CVec, w: CVec, n: int) -> CVec:
@@ -389,7 +281,7 @@ class LcaPresentation:
             for s in range(m + 1):
                 c = math.comb(m, s)
                 for n, vec in poly.coeffs.items():
-                    out.add_term(n + m - s, self.partial_pow(vec, s).scale(c))
+                    out.add_term(n + m - s, self.partial_pow(vec, s), c)
             return out if out else None
         return None
 
@@ -445,19 +337,19 @@ class LcaPresentation:
             inner = self.bracket(vec, c)
             for m, w in inner.coeffs.items():
                 for s in range(m + 1):
-                    out.add_term(n + s, m - s, w.scale(math.comb(m, s)))
+                    out.add_term((n + s, m - s), w, math.comb(m, s))
         # nested bracket with the outer arguments swapped
         ac = self.bracket(a, c)
         for n, vec in ac.coeffs.items():
             outer = self.bracket(b, vec)
             for m, w in outer.coeffs.items():
-                out.add_term(n, m, w)
+                out.add_term((n, m), w)
         # the double bracket both are compared against
         bc = self.bracket(b, c)
         for m, vec in bc.coeffs.items():
             outer = self.bracket(a, vec)
             for n, w in outer.coeffs.items():
-                out.add_term(n, m, -w)
+                out.add_term((n, m), w, -1)
         return out
 
 

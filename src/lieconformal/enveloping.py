@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import CVec, LcaPresentation, three_sum
 from .filtration import RawBasis
-from .linalg import iadd, scale
+from .linalg import Sparse, SparsePoly
 
 Q = Fraction
 Word = tuple
@@ -26,19 +26,11 @@ Word = tuple
 VACUUM: Word = ()
 
 
-class UElem:
+class UElem(Sparse):
     """Finite rational combination of ordered basis words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        ts = {}
-        if terms:
-            for w, c in terms.items():
-                c = Q(c)
-                if c != 0:
-                    ts[w] = c
-        self.terms = ts
+    __slots__ = ()
+    terms = Sparse.coeffs
 
     @classmethod
     def monomial(cls, word: Word, c=1) -> "UElem":
@@ -48,82 +40,15 @@ class UElem:
     def vacuum(cls, c=1) -> "UElem":
         return cls({VACUUM: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, UElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other: "UElem") -> "UElem":
-        res = UElem()
-        res.terms = iadd(dict(self.terms), other.terms)
-        return res
-
-    def __neg__(self) -> "UElem":
-        res = UElem()
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "UElem":
-        res = UElem()
-        res.terms = scale(self.terms, c)
-        return res
-
-    def iadd_scaled(self, other: "UElem", c=1) -> None:
-        iadd(self.terms, other.terms, c)
-
-    def __repr__(self):
-        return f"UElem({self.terms!r})"
-
 
 ZERO_U = UElem()
 
 
-class ULPoly:
+class ULPoly(SparsePoly):
     """Polynomial in the bracket variable with UElem coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        cs = {}
-        if coeffs:
-            for n, v in coeffs.items():
-                if v:
-                    cs[n] = v
-        self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
-
-    def coeff(self, n: int) -> UElem:
-        return self.coeffs.get(n, ZERO_U)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def add_term(self, n: int, v: UElem, c=1) -> None:
-        if not v or c == 0:
-            return
-        cur = self.coeffs.get(n)
-        if cur is None:
-            cur = UElem()
-            self.coeffs[n] = cur
-        cur.iadd_scaled(v, c)
-        if not cur:
-            del self.coeffs[n]
-
-    def __eq__(self, other):
-        return isinstance(other, ULPoly) and self.coeffs == other.coeffs
+    __slots__ = ()
+    zero = ZERO_U
 
 
 class EnvelopingAlgebra:
@@ -142,10 +67,7 @@ class EnvelopingAlgebra:
 
     def embed(self, v: CVec) -> UElem:
         """Conformal vector as a combination of single-letter words."""
-        out = UElem()
-        for key, c in self.basis.expand(v).items():
-            out.iadd_scaled(UElem.monomial((key,)), c)
-        return out
+        return UElem({(key,): c for key, c in self.basis.expand(v).items()})
 
     def letter(self, key) -> UElem:
         return UElem.monomial((key,))
@@ -394,6 +316,4 @@ class EnvelopingAlgebra:
             return self.nth(p, w, outer).terms if p else {}
 
         stops = (self.trunc_bound(v, w), self.trunc_bound(u, w), self.trunc_bound(u, v))
-        res = UElem()
-        res.terms = three_sum(l, t, j, stops, (nested(u, v), nested(v, u), composed))
-        return res
+        return UElem(three_sum(l, t, j, stops, (nested(u, v), nested(v, u), composed)))

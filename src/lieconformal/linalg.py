@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over Q with dict-backed vectors.
 
-Vectors are maps from hashable coordinate labels to nonzero coefficients.
-``iadd`` and ``scale`` are the one add-and-drop-zero kernel that every
-sparse combination in the package (CVec, UElem, TensorElem, law-series
-polynomials, manifold points) is built on.  Labels of an echelon span are
-totally ordered, which makes pivoting deterministic.
+``Sparse`` is the one sparse combination type: CVec, UElem and TensorElem
+are Sparse, and the lambda-polynomials LPoly, ULPoly and LMPoly are
+``SparsePoly`` with vector coefficients.  ``iadd`` and ``scale`` are the
+one add-and-drop-zero kernel underneath, shared with the plain dicts of
+law series and manifold points.  Labels of an echelon span are totally
+ordered, which makes pivoting deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ Q = Fraction
 def iadd(acc: dict, other: dict, c=1) -> dict:
     """acc += c * other in place, dropping zero coefficients; returns acc.
 
-    Values only need ``+`` and truth testing when c is 1, so coefficient
+    Values need ``+``, truth testing and ``* c``, so the Sparse coefficient
     vectors of polynomials add through here too.
     """
     if c == 0:
@@ -47,6 +48,108 @@ def scale(a: dict, c) -> dict:
 def vec_add(a: dict, b: dict, cb=1) -> dict:
     """a + cb*b with zero coefficients dropped."""
     return iadd(dict(a), b, cb)
+
+
+class Sparse:
+    """Finite rational combination ``{label: nonzero coefficient}``.
+
+    The one place that normalizes, adds, negates, scales, compares and
+    hashes sparse combinations.  Elements of different classes never
+    compare equal, even with the same coefficients.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        cs = {}
+        if coeffs:
+            for k, v in coeffs.items():
+                v = Q(v)
+                if v != 0:
+                    cs[k] = v
+        self.coeffs = cs
+
+    def _like(self, coeffs: dict):
+        # a result of the same class around an already normalized dict
+        res = object.__new__(self.__class__)
+        res.coeffs = coeffs
+        return res
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def __add__(self, other):
+        return self._like(iadd(dict(self.coeffs), other.coeffs))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like(scale(self.coeffs, c))
+
+    def __mul__(self, c):
+        # scalar multiple, so combinations can be coefficients in turn
+        return self.scale(c)
+
+    def iadd_scaled(self, other, c=1) -> None:
+        """self += c * other in place."""
+        iadd(self.coeffs, other.coeffs, c)
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}({self.coeffs!r})"
+
+
+class SparsePoly(Sparse):
+    """Sparse polynomial: exponent keys, Sparse coefficients.
+
+    Subclasses name their coefficient class by its zero element ``zero``;
+    plain dict coefficients are converted to it.  Coefficients are values:
+    ``add_term`` replaces the one it adds to by a fresh one, so a
+    coefficient shared with another polynomial or a caller never changes.
+    """
+
+    __slots__ = ()
+    # coefficients may be mutable, so polynomials stay unhashable
+    __hash__ = None
+
+    def __init__(self, coeffs: dict | None = None):
+        cs = {}
+        if coeffs:
+            for n, v in coeffs.items():
+                if isinstance(v, dict):
+                    v = self.zero.__class__(v)
+                if v:
+                    cs[n] = v
+        self.coeffs = cs
+
+    @property
+    def degree(self) -> int:
+        """-1 for the zero polynomial."""
+        return max(self.coeffs, default=-1)
+
+    def coeff(self, n):
+        return self.coeffs.get(n, self.zero)
+
+    def add_term(self, key, v, c=1) -> None:
+        """Add c * v to the coefficient at key."""
+        cur = self.coeffs.get(key, self.zero)
+        fresh = cur._like(iadd(dict(cur.coeffs), v.coeffs, c))
+        if fresh:
+            self.coeffs[key] = fresh
+        else:
+            self.coeffs.pop(key, None)
 
 
 class Echelon:

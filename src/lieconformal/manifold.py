@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .core import CVec, LcaPresentation, three_sum
+from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
@@ -350,7 +350,7 @@ class VertexManifold:
         brackets = {}
         for i in range(ngen):
             for j in range(i, ngen):
-                poly = {}
+                poly = LPoly()
                 top = 0
                 for u in coords[i]:
                     for v in coords[j]:
@@ -362,14 +362,10 @@ class VertexManifold:
                             cell = self.table_entry(((u, 1),), ((v, 1),), n)
                             for pos, c in cell.items():
                                 acc = acc + self.basis.vector(pos).scale(c * cu * cv)
-                    if acc:
-                        poly[n] = acc.scale(Q(1, math.factorial(n)))
+                    poly.add_term(n, acc, Q(1, math.factorial(n)))
                 if poly:
                     brackets[(i, j)] = poly
-        from .core import LPoly
-
-        table = {k: LPoly({n: v.coeffs for n, v in p.items()}) for k, p in brackets.items()}
-        recon = LcaPresentation(pres.name, pres.generators, table)
+        recon = LcaPresentation(pres.name, pres.generators, brackets)
         change = {
             self.basis.label(bv.key): bv.vec for bv in self.basis.issued
         }

@@ -223,32 +223,40 @@ def test_criterion_5_law_axioms():
     midxes = [()]
     for s in range(1, 3):
         midxes.extend(midx_from_word(w) for w in combinations_with_replacement(positions, s))
+    # triples of total norm <= 3, enumerated by norm rather than filtered
+    by_norm: dict = {}
+    for k in midxes:
+        by_norm.setdefault(midx_norm(k), []).append(k)
+    triples = [
+        (k, kp, kpp)
+        for a, b, c in iproduct(by_norm, repeat=3)
+        if a + b + c <= 3
+        for k in by_norm[a]
+        for kp in by_norm[b]
+        for kpp in by_norm[c]
+    ]
     for (p, q) in [(0, 0), (-1, 0), (0, -1), (-2, 1)]:
         for l_key in [(2, 0), (3, 0)]:
             got = comp.composed(l_key, p, q, 0, (1, 2), False)
             expect = {}
-            for k in midxes:
-                for kp in midxes:
-                    for kpp in midxes:
-                        if midx_norm(k) + midx_norm(kp) + midx_norm(kpp) > 3:
-                            continue
-                        u = UElem.monomial(word_from_midx(k))
-                        v = UElem.monomial(word_from_midx(kp))
-                        w = UElem.monomial(word_from_midx(kpp))
-                        inner = U3.nth(v, w, q)
-                        if not inner:
-                            continue
-                        c = U3.nth(u, inner, p).terms.get((l_key,), Q(0))
-                        if c:
-                            mono = tuple(
-                                sorted(
-                                    [((0, kk), e) for kk, e in k]
-                                    + [((1, kk), e) for kk, e in kp]
-                                    + [((2, kk), e) for kk, e in kpp]
-                                )
-                            )
-                            c = c / (midx_factorial(k) * midx_factorial(kp) * midx_factorial(kpp))
-                            expect[mono] = expect.get(mono, Q(0)) + c
+            for k, kp, kpp in triples:
+                u = UElem.monomial(word_from_midx(k))
+                v = UElem.monomial(word_from_midx(kp))
+                w = UElem.monomial(word_from_midx(kpp))
+                inner = U3.nth(v, w, q)
+                if not inner:
+                    continue
+                c = U3.nth(u, inner, p).terms.get((l_key,), Q(0))
+                if c:
+                    mono = tuple(
+                        sorted(
+                            [((0, kk), e) for kk, e in k]
+                            + [((1, kk), e) for kk, e in kp]
+                            + [((2, kk), e) for kk, e in kpp]
+                        )
+                    )
+                    c = c / (midx_factorial(k) * midx_factorial(kp) * midx_factorial(kpp))
+                    expect[mono] = expect.get(mono, Q(0)) + c
             expect = {m: c for m, c in expect.items() if c}
             assert got == expect, (l_key, p, q)
     elapsed = time.time() - t0

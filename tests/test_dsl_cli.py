@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -390,3 +393,33 @@ def test_cli_rejects_bad_values():
     ]:
         code, text = run(argv)
         assert code == want, (argv, text)
+
+
+def _text_residuals(text):
+    return [line.split("residual: ", 1)[1] for line in text.splitlines()
+            if line.startswith("  residual: ")]
+
+
+@pytest.mark.parametrize("name", ["badheis", "badjac"])
+def test_json_check_carries_the_text_residual(tmp_path, name):
+    # badheis fails antisymmetry (LPoly residual), badjac fails Jacobi (LMPoly)
+    path = DATA / "badheis.lca"
+    if name == "badjac":
+        path = tmp_path / "badjac.lca"
+        path.write_text(dsl.emit_algebra(golden.corrupted_jacobi()))
+    code, text = run(["check", str(path)])
+    jcode, jtext = run(["--format", "json", "check", str(path)])
+    assert code == jcode == 1
+    failed = [c for c in json.loads(jtext)["checks"] if not c["pass"]]
+    assert [c["residual"] for c in failed] == _text_residuals(text) != []
+
+
+@pytest.mark.parametrize("module", ["lieconformal", "lieconformal.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["check", str(DATA / "badheis.lca")]
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == run(argv)
+    assert proc.returncode == 1 and "residual: 2*k" in proc.stdout

@@ -4,9 +4,13 @@ import random
 from fractions import Fraction as Q
 
 import golden
+import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from lieconformal.core import CVec
+from lieconformal.bialgebra import TensorElem
+from lieconformal.core import CVec, LMPoly, LPoly
+from lieconformal.enveloping import UElem, ULPoly
 from lieconformal.filtration import AdaptedBasis, LowerCentralSeries
 from lieconformal.linalg import kernel_basis
 
@@ -73,3 +77,81 @@ def test_adapted_expand_reconstructs_on_the_general_path():
         assert recon == v
         x = B.solve(sympy.Matrix([rational(v.coeffs.get(s, Q(0))) for s in symbols]))
         assert {keys[i]: Q(int(c.p), int(c.q)) for i, c in enumerate(x) if c != 0} == coords
+
+
+# -- the sparse combination base under CVec, UElem and TensorElem ----------------
+
+COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)  # zero included
+WORD = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+LABELS = {
+    CVec: st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    UElem: WORD,
+    TensorElem: st.tuples(WORD, WORD),
+}
+
+
+def ref_add(a: dict, b: dict, c=1) -> dict:
+    """a + c*b over plain Fractions, zeros dropped."""
+    out = {k: Q(v) for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, Q(0)) + c * Q(v)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_arithmetic_matches_a_plain_fraction_reference(data):
+    cls = data.draw(st.sampled_from(sorted(LABELS, key=lambda c: c.__name__)))
+    raw_a = data.draw(st.dictionaries(LABELS[cls], COEFF, max_size=6))
+    raw_b = data.draw(st.dictionaries(LABELS[cls], COEFF, max_size=6))
+    c = data.draw(COEFF)
+    a, b = cls(raw_a), cls(raw_b)
+    ra, rb = ref_add({}, raw_a), ref_add({}, raw_b)
+    assert a.coeffs == ra and b.coeffs == rb  # zero coefficients dropped
+    assert bool(a) == (not a.is_zero()) == bool(ra)
+    assert (a + b).coeffs == ref_add(ra, rb)
+    assert (a - b).coeffs == ref_add(ra, rb, -1)
+    assert (-a).coeffs == ref_add({}, ra, -1)
+    assert a.scale(c).coeffs == ref_add({}, ra, c)
+    acc = cls(raw_a)
+    acc.iadd_scaled(b, c)
+    assert acc.coeffs == ref_add(ra, rb, c)
+    assert a.coeffs == ra and b.coeffs == rb  # operands untouched
+    assert a == cls(ra) and type(a + b) is type(a.scale(c)) is cls
+    assert hash(a) == hash(tuple(sorted(a.coeffs.items())))
+    if cls is not CVec:
+        assert a.terms is a.coeffs
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFF, max_size=4))
+def test_classes_with_the_same_coefficients_compare_unequal(raw):
+    elems = [CVec(raw), UElem(raw), TensorElem(raw)]
+    for x in elems:
+        for y in elems:
+            assert (x == y) == (x is y)
+
+
+@pytest.mark.parametrize("poly_cls, key, other, make", [
+    (LPoly, 1, 2, lambda: CVec({(0, 0): 1, (1, 2): Q(1, 2)})),
+    (ULPoly, 1, 2, lambda: UElem({(0,): 1, (0, 1): Q(1, 2)})),
+    (LMPoly, (1, 0), (0, 2), lambda: CVec({(0, 0): 1, (1, 2): Q(1, 2)})),
+])
+def test_add_term_never_stores_the_callers_coefficient(poly_cls, key, other, make):
+    poly = poly_cls()
+    v = make()
+    poly.add_term(key, v)
+    poly.add_term(other, v, 3)
+    before = {n: dict(x.coeffs) for n, x in poly.coeffs.items()}
+    v.iadd_scaled(make(), 2)
+    v.coeffs[next(iter(v.coeffs))] = Q(7)
+    assert {n: dict(x.coeffs) for n, x in poly.coeffs.items()} == before
+    # a coefficient shared with another polynomial is replaced, not mutated
+    shared = poly_cls(poly.coeffs)
+    shared.add_term(key, make(), -1)
+    assert key not in shared.coeffs and poly.coeff(key).coeffs == before[key]
+    half = poly_cls(poly.coeffs)
+    half.iadd_scaled(poly, Q(-1, 2))
+    assert half == poly.scale(Q(1, 2)) != poly
+    assert {n: dict(x.coeffs) for n, x in poly.coeffs.items()} == before
+    with pytest.raises(TypeError):
+        hash(poly)
