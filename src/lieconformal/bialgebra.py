@@ -123,13 +123,13 @@ def check_delta_is_vertex_hom(alg: EnvelopingAlgebra, samples, window) -> dict:
     """Verify the coproduct intertwines all products over the window.
 
     ``samples`` is a list of UElem pairs; ``window`` an inclusive (lo, hi)
-    index range.  Returns a JSON-ready report dict.
+    index range.  Returns a JSON-ready report dict; stops at the first
+    failing entry and fails when no entry was checked.
     """
     from .render import uelem_text
 
     lo, hi = window
     entries = []
-    ok = True
     for u, v in samples:
         du, dv = coproduct(u), coproduct(v)
         for n in range(lo, hi + 1):
@@ -139,7 +139,6 @@ def check_delta_is_vertex_hom(alg: EnvelopingAlgebra, samples, window) -> dict:
             resid = lhs - rhs
             ce = counit(prod) - (counit(u) * counit(v) if n == -1 else Q(0))
             good = resid.is_zero() and ce == 0
-            ok = ok and good
             entries.append(
                 {
                     "left": uelem_text(alg.basis, u),
@@ -152,4 +151,4 @@ def check_delta_is_vertex_hom(alg: EnvelopingAlgebra, samples, window) -> dict:
             )
             if not good:
                 return {"pass": False, "checks": entries}
-    return {"pass": ok, "checks": entries}
+    return {"pass": bool(entries), "checks": entries}

@@ -427,7 +427,7 @@ def _dispatch(args, em: _Emitter) -> int:
             pt = result.slices[n]
             vec = CVec()
             for key, c in pt.items():
-                vec = vec + manifold.basis.vector(key).scale(c)
+                vec.iadd_scaled(manifold.basis.vector(key), c)
             if args.as_float:
                 txt = ", ".join(
                     f"{pres.gen_name(g)}[{d}]={float(c):.12g}"

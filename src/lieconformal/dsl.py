@@ -290,25 +290,13 @@ def _expand(node) -> list:
         for sub in node[1]:
             out.extend(_expand(sub))
         return out
-    if kind == "mul":
+    if kind in ("mul", "pow"):
+        # a power is the product of its base repeated
+        factors = node[1] if kind == "mul" else [node[1]] * node[2]
         out = [(Q(1), 0, [])]
-        for sub in node[1]:
+        for sub in factors:
             expanded = _expand(sub)
-            nxt = []
-            for (c1, p1, s1) in out:
-                for (c2, p2, s2) in expanded:
-                    nxt.append((c1 * c2, p1 + p2, s1 + s2))
-            out = nxt
-        return out
-    if kind == "pow":
-        base = _expand(node[1])
-        out = [(Q(1), 0, [])]
-        for _ in range(node[2]):
-            nxt = []
-            for (c1, p1, s1) in out:
-                for (c2, p2, s2) in base:
-                    nxt.append((c1 * c2, p1 + p2, s1 + s2))
-            out = nxt
+            out = [(c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in out for (c2, p2, s2) in expanded]
         return out
     raise AssertionError(kind)
 

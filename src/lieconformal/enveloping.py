@@ -77,7 +77,7 @@ class EnvelopingAlgebra:
         out = CVec()
         for w, c in u.terms.items():
             if len(w) == 1:
-                out = out + self.basis.vector(w[0]).scale(c)
+                out.iadd_scaled(self.basis.vector(w[0]), c)
         return out
 
     # -- ordered-word rewriting ----------------------------------------------
@@ -144,20 +144,24 @@ class EnvelopingAlgebra:
             out.iadd_scaled(self._partial_word(w), c)
         return out
 
-    def partial_pow(self, u: UElem, times: int) -> UElem:
-        for _ in range(times):
-            u = self.partial(u)
-        return u
-
-    def partial_div(self, u: UElem, times: int) -> UElem:
-        return self.partial_pow(u, times).scale(Q(1, math.factorial(times)))
-
     def divided_powers(self, u: UElem, top: int) -> list:
-        """``[u, ∂u, ∂²u/2!, ..., ∂^top u/top!]``, one ∂ pass per entry."""
+        """``[u, ∂u, ∂²u/2!, ..., ∂^top u/top!]``, one ∂ pass per entry.
+
+        The one ∂-power loop; ``partial_div``, ``partial_pow`` and ``nth``
+        read their powers off it.
+        """
         chain = [u]
         for j in range(1, top + 1):
             chain.append(self.partial(chain[-1]).scale(Q(1, j)))
         return chain
+
+    def partial_div(self, u: UElem, times: int) -> UElem:
+        if times < 0:
+            raise ValueError("negative derivative order")
+        return self.divided_powers(u, times)[times]
+
+    def partial_pow(self, u: UElem, times: int) -> UElem:
+        return self.partial_div(u, times).scale(math.factorial(times))
 
     # -- lambda bracket -----------------------------------------------------------
 
@@ -284,20 +288,22 @@ class EnvelopingAlgebra:
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
         if n >= 0:
             return self.bracket(u, v).coeff(n).scale(math.factorial(n))
-        return self.nop(self.partial_div(u, -n - 1), v)
+        return self.nop(self.divided_powers(u, -n - 1)[-1], v)
 
     def trunc_bound(self, u: UElem, v: UElem) -> int:
         """Exact N with the n-th product zero for all n >= N."""
         return self.bracket(u, v).degree + 1
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
-        """Products for n in [lo, hi] plus the vanishing bound."""
+        """Products for n in [lo, hi] plus the vanishing bound, from one
+        divided-power chain and one bracket."""
         chain = self.divided_powers(u, -lo - 1)
+        br = self.bracket(u, v)
         products = {
-            n: self.nop(chain[-n - 1], v) if n < 0 else self.nth(u, v, n)
+            n: self.nop(chain[-n - 1], v) if n < 0 else br.coeff(n).scale(math.factorial(n))
             for n in range(lo, hi + 1)
         }
-        return products, self.trunc_bound(u, v)
+        return products, br.degree + 1
 
     # -- coefficient Jacobi identity ------------------------------------------------
 

@@ -139,10 +139,8 @@ class LowerCentralSeries:
         """Whether v lies in the j-th series term (j >= 1)."""
         if j <= 1:
             return True
+        # past the end of the chain every term equals the last one
         idx = min(j, len(self.modules)) - 1
-        if j > len(self.modules) and not self.stabilized:
-            # chain already hit zero; deeper terms stay zero
-            idx = len(self.modules) - 1
         return self.modules[idx].contains(vec_to_column(self.pres, v))
 
     def weight(self, v: CVec):
@@ -174,23 +172,11 @@ class BasisVector:
 class RawBasis:
     """Divided-power symbol basis ordered by (generator, depth)."""
 
-    adapted = False
-
     def __init__(self, pres: LcaPresentation):
         self.pres = pres
-        self._vectors: dict = {}
-
-    def ensure_depth(self, cap: int) -> None:
-        pass
-
-    def key_for_symbol(self, sym: Symbol):
-        return sym
 
     def vector(self, key) -> CVec:
         return CVec.unit(key)
-
-    def weight(self, key):
-        return None
 
     def label(self, key) -> str:
         g, d = key
@@ -202,9 +188,6 @@ class RawBasis:
     def keys_up_to_depth(self, cap: int) -> list:
         return sorted(self.pres.symbols_up_to(cap))
 
-    def depth(self, key) -> int:
-        return key[1]
-
 
 class AdaptedBasis:
     """Weight-adapted ordered basis of the depth-bounded slice.
@@ -215,8 +198,6 @@ class AdaptedBasis:
     reordered by (weight, generator, depth); otherwise complements are
     computed stratum by stratum with exact linear algebra.
     """
-
-    adapted = True
 
     def __init__(self, pres: LcaPresentation, series: LowerCentralSeries):
         if not series.nilpotent:

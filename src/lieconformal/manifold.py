@@ -4,9 +4,11 @@ A nilpotent presentation gives the coordinate space a family of exact
 polynomial products, one per integer index: the coefficient on a pair of
 exponent multi-indices is the single-letter part of the corresponding
 enveloping product, divided by the multi-index factorials, and the
-nilpotency degree prunes everything of higher total degree.  Products of
-concrete rational points are finite sums; the identity element is the
-origin.
+nilpotency degree prunes everything of higher total degree.  The
+enveloping words are spelled in adapted basis keys, so that part is read
+off as adapted coordinates, as the coefficient-law extraction reads it.
+Products of concrete rational points are finite sums; the identity
+element is the origin.
 
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
@@ -82,10 +84,10 @@ class VertexManifold:
             else:
                 u = UElem.monomial(word_from_midx(k))
                 v = UElem.monomial(word_from_midx(kp))
-                vec = self.env.pi(self.env.nth(u, v, n))
                 norm = Q(1, midx_factorial(k) * midx_factorial(kp))
                 cached = {
-                    pos: c * norm for pos, c in self.basis.expand(vec).items()
+                    w[0]: c * norm
+                    for w, c in self.env.nth(u, v, n).terms.items() if len(w) == 1
                 }
             self._table[key] = cached
         return cached
@@ -248,7 +250,9 @@ class VertexManifold:
     def check_axioms(self, sample_count: int, seed: int, window) -> dict:
         """Randomized verification of the four product axioms.
 
-        An axiom passes only when at least one sample point was checked.
+        Each axiom stops at its first failing case; the Jacobi entry names
+        that case as its witness.  An axiom passes only when at least one
+        sample point was checked.
         """
         import random
 
@@ -268,70 +272,50 @@ class VertexManifold:
             return out
 
         points = [sample_point() for _ in range(sample_count)]
-        checks = []
+        successors = points[1:] + points[:1]
 
-        # weak truncation through the stored polynomial coefficients
-        trunc_ok = bool(points)
-        for i, a in enumerate(points[:8]):
-            b = points[(i + 1) % len(points)]
-            bound = self.truncation_bound(a, b)
-            weights = self._point_weights(a, b)
-            for n in range(bound, bound + 5):
-                if self._combine(weights, n):
-                    trunc_ok = False
-        checks.append({"axiom": "weak_truncation", "pass": trunc_ok})
+        def unit_case(a, weights, n) -> bool:
+            # with the origin as one factor only the (-1)-product survives
+            return self._combine(weights, n) == (a if n == -1 else {})
 
-        # identity element on the left
-        left_ok = bool(points)
-        for a in points:
-            weights = self._point_weights({}, a)
-            for n in range(lo, hi + 1):
-                expect = a if n == -1 else {}
-                if self._combine(weights, n) != expect:
-                    left_ok = False
-        checks.append({"axiom": "left_identity", "pass": left_ok})
+        cases = {
+            # weak truncation through the stored polynomial coefficients,
+            # each of the first eight samples against its successor
+            "weak_truncation": (
+                not self._combine(weights, n)
+                for a, b in zip(points[:8], successors)
+                for bound, weights in [(self.truncation_bound(a, b), self._point_weights(a, b))]
+                for n in range(bound, bound + 5)
+            ),
+            # identity element on the left
+            "left_identity": (
+                unit_case(a, weights, n)
+                for a in points for weights in [self._point_weights({}, a)]
+                for n in range(lo, hi + 1)
+            ),
+            # creation against the identity element
+            "creation": (
+                unit_case(a, weights, n)
+                for a in points for weights in [self._point_weights(a, {})]
+                for n in [*range(0, hi + 1), -1]
+            ),
+        }
+        checks = [{"axiom": name, "pass": bool(points) and all(c)} for name, c in cases.items()]
 
-        # creation against the identity element
-        create_ok = bool(points)
-        for a in points:
-            weights = self._point_weights(a, {})
-            for n in range(0, hi + 1):
-                if self._combine(weights, n):
-                    create_ok = False
-            if self._combine(weights, -1) != a:
-                create_ok = False
-        checks.append({"axiom": "creation", "pass": create_ok})
-
-        jac_ok = bool(points)
-        witness = None
-        triples = [
-            (points[i % len(points)], points[(i + 1) % len(points)], points[(i + 2) % len(points)])
-            for i in range(min(6, sample_count))
-        ]
-        for (a, b, c) in triples:
-            for l in (-1, 0, 1):
-                for t in (-1, 0, 1):
-                    for j in (-1, 0, 1):
-                        r = self.jacobi_residual(a, b, c, l, t, j)
-                        if r:
-                            jac_ok = False
-                            witness = {
-                                "ltj": [l, t, j],
-                                "points": [
-                                    {self.basis.label(k): str(v) for k, v in p.items()}
-                                    for p in (a, b, c)
-                                ],
-                            }
-                            break
-                    if not jac_ok:
-                        break
-                if not jac_ok:
-                    break
-            if not jac_ok:
-                break
-        entry = {"axiom": "jacobi", "pass": jac_ok}
-        if witness:
-            entry["witness"] = witness
+        # every (l, t, j) in {-1, 0, 1}^3 on each of the first six sample triples
+        triples = list(zip(points, successors, points[2:] + points[:2]))[:6]
+        failure = next(
+            ((ltj, abc) for abc in triples for ltj in product((-1, 0, 1), repeat=3)
+             if self.jacobi_residual(*abc, *ltj)),
+            None,
+        )
+        entry = {"axiom": "jacobi", "pass": bool(points) and failure is None}
+        if failure:
+            ltj, abc = failure
+            entry["witness"] = {
+                "ltj": list(ltj),
+                "points": [{self.basis.label(k): str(v) for k, v in p.items()} for p in abc],
+            }
         checks.append(entry)
 
         return {"pass": all(c["pass"] for c in checks), "checks": checks}
@@ -361,7 +345,7 @@ class VertexManifold:
                         for v, cv in coords[j].items():
                             cell = self.table_entry(((u, 1),), ((v, 1),), n)
                             for pos, c in cell.items():
-                                acc = acc + self.basis.vector(pos).scale(c * cu * cv)
+                                acc.iadd_scaled(self.basis.vector(pos), c * cu * cv)
                     poly.add_term(n, acc, Q(1, math.factorial(n)))
                 if poly:
                     brackets[(i, j)] = poly

@@ -1,7 +1,9 @@
 """Canonical text rendering of algebra values.
 
-Term order is fixed (generator order, then depth, then variable degree)
-so golden files and command output are byte-stable across runs.
+Vectors and their one- and two-variable polynomials render through one
+term loop over (variable prefix, vector) pairs.  Term order is fixed
+(variable degrees, then generator order, then depth) so golden files and
+command output are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from .core import CVec, LMPoly, LPoly, LcaPresentation
 Q = Fraction
 
 
-def frac(c: Q) -> str:
-    return str(c)
-
-
 def _coeff_prefix(c: Q, body: str) -> str:
     if body == "":
-        return frac(c)
+        return str(c)
     if c == 1:
         return body
     if c == -1:
@@ -42,68 +40,51 @@ def _join(parts: list[str]) -> str:
     return out
 
 
-def vector_text(pres: LcaPresentation, v: CVec) -> str:
-    parts = []
-    for sym in sorted(v.coeffs):
-        c = v.coeffs[sym]
-        g, d = sym
-        # fold the divided-power normalization into the coefficient
-        parts.append(_coeff_prefix(c / math.factorial(d) if d else c, _dpow(pres, sym)))
-    return _join(parts)
+def _power(var: str, n: int) -> str:
+    """Factor prefix ``var*`` or ``var^n*``; empty for n = 0."""
+    if n == 0:
+        return ""
+    if n == 1:
+        return f"{var}*"
+    return f"{var}^{n}*"
 
 
 def _dpow(pres, sym) -> str:
     g, d = sym
-    name = pres.gen_name(g)
-    if d == 0:
-        return name
-    if d == 1:
-        return f"D*{name}"
-    return f"D^{d}*{name}"
+    return _power("D", d) + pres.gen_name(g)
+
+
+def _terms_text(pres: LcaPresentation, terms) -> str:
+    """Sum over (variable prefix, vector) terms, in the order given."""
+    parts = []
+    for prefix, vec in terms:
+        for sym, c in sorted(vec.coeffs.items()):
+            d = sym[1]
+            # fold the divided-power normalization into the coefficient
+            c = c / math.factorial(d) if d else c
+            parts.append(_coeff_prefix(c, prefix + _dpow(pres, sym)))
+    return _join(parts)
+
+
+def vector_text(pres: LcaPresentation, v: CVec) -> str:
+    return _terms_text(pres, [("", v)])
 
 
 def vector_coord_text(pres: LcaPresentation, v: CVec) -> str:
     """Coordinate form ``g[d]=c`` used for points."""
-    parts = []
-    for (g, d) in sorted(v.coeffs):
-        parts.append(f"{pres.gen_name(g)}[{d}]={frac(v.coeffs[(g, d)])}")
+    parts = [f"{pres.gen_name(g)}[{d}]={c}" for (g, d), c in sorted(v.coeffs.items())]
     return ", ".join(parts) if parts else "0"
 
 
 def lpoly_text(pres: LcaPresentation, poly: LPoly) -> str:
-    parts = []
-    for n in sorted(poly.coeffs):
-        vec = poly.coeffs[n]
-        for sym in sorted(vec.coeffs):
-            c = vec.coeffs[sym]
-            g, d = sym
-            body = _dpow(pres, sym)
-            if n == 1:
-                body = "lambda*" + body
-            elif n > 1:
-                body = f"lambda^{n}*" + body
-            parts.append(_coeff_prefix(c / math.factorial(d) if d else c, body))
-    return _join(parts)
+    return _terms_text(pres, ((_power("lambda", n), poly.coeffs[n]) for n in sorted(poly.coeffs)))
 
 
 def lmpoly_text(pres: LcaPresentation, poly: LMPoly) -> str:
-    parts = []
-    for (i, j) in sorted(poly.coeffs):
-        vec = poly.coeffs[(i, j)]
-        for sym in sorted(vec.coeffs):
-            c = vec.coeffs[sym]
-            g, d = sym
-            body = _dpow(pres, sym)
-            if j == 1:
-                body = "mu*" + body
-            elif j > 1:
-                body = f"mu^{j}*" + body
-            if i == 1:
-                body = "lambda*" + body
-            elif i > 1:
-                body = f"lambda^{i}*" + body
-            parts.append(_coeff_prefix(c / math.factorial(d) if d else c, body))
-    return _join(parts)
+    return _terms_text(pres, (
+        (_power("lambda", i) + _power("mu", j), poly.coeffs[(i, j)])
+        for (i, j) in sorted(poly.coeffs)
+    ))
 
 
 def word_text(basis, word) -> str:

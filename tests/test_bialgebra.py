@@ -154,6 +154,14 @@ def test_delta_hom_known_cases():
     assert report["pass"]
 
 
+def test_delta_hom_fails_when_nothing_is_checked():
+    U = EnvelopingAlgebra(golden.heisenberg())
+    a = U.letter((0, 0))
+    assert check_delta_is_vertex_hom(U, [], (-2, 2)) == {"pass": False, "checks": []}
+    # a reversed window holds no index
+    assert check_delta_is_vertex_hom(U, [(a, a)], (2, -2)) == {"pass": False, "checks": []}
+
+
 def test_delta_hom_report_shape():
     U = EnvelopingAlgebra(golden.heisenberg())
     a = U.letter((0, 0))

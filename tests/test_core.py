@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import golden
 from oracles import oracle_bracket, oracle_lie_bracket
 
-from lieconformal.core import CVec, LPoly
+from lieconformal.core import CVec, LMPoly, LPoly
 
 
 def rand_vec(rng, pres, depth=2):
@@ -141,6 +141,44 @@ def test_axiom_reports():
     assert not jac.passed and jac.residual is not None
     tor = golden.corrupted_torsion().check_axioms().get("sesquilinearity")
     assert not tor.passed
+
+
+def test_axiom_reports_pinned():
+    # (name, passed, witness, residual) of every axiom: the first failing
+    # case in generator order, recorded before the checks were rewritten
+    from pathlib import Path
+
+    from lieconformal import dsl
+
+    text = (Path(__file__).parent / "data" / "badheis.lca").read_text()
+    antisym = [
+        ("sesquilinearity", True, None, None),
+        ("antisymmetry", False, (0, 0), LPoly({0: {(1, 0): 2}})),
+        ("jacobi", True, None, None),
+    ]
+    pinned = {
+        "badheis": antisym,
+        "badheis.lca": antisym,
+        "badjac": [
+            ("sesquilinearity", True, None, None),
+            ("antisymmetry", True, None, None),
+            ("jacobi", False, (0, 1, 2), LMPoly({(0, 0): {(2, 0): -1}})),
+        ],
+        "badtor": [
+            ("sesquilinearity", False, (0, 1), LPoly({1: {(0, 0): 1}, 0: {(0, 1): 1}})),
+            ("antisymmetry", True, None, None),
+            ("jacobi", True, None, None),
+        ],
+    }
+    presentations = {
+        "badheis": golden.corrupted_heisenberg(),
+        "badheis.lca": dsl.load_presentation(text)[0],
+        "badjac": golden.corrupted_jacobi(),
+        "badtor": golden.corrupted_torsion(),
+    }
+    for name, pres in presentations.items():
+        got = [(c.name, c.passed, c.witness, c.residual) for c in pres.check_axioms().checks]
+        assert got == pinned[name], name
 
 
 def test_jacobi_residual_on_random_triples():

@@ -287,3 +287,19 @@ def test_n3_deep_samples_fail_honestly_at_fixed_depth():
     rep = check_law_jacobi(T, [(1, 0, -1)], 3)
     assert not rep["pass"]
     assert any(c["residual_monomials"] > 0 for c in rep["checks"] if not c["pass"])
+
+
+def test_sampled_law_checks_fail_when_nothing_is_checked():
+    # a check that examined nothing must say so and must not pass
+    T = heis_table(depth=1, window=(-4, 4))
+    assert check_law_jacobi(T, [], 2) == {"pass": False, "checks": []}
+    # the windows share no index, so no entry is compared
+    far = heis_table(depth=1, window=(5, 8))
+    assert check_law_hom({}, T, far) == {"pass": False, "checks": []}
+
+
+def test_law_hom_stops_at_first_failing_entry():
+    T = heis_table()
+    bad = {key: {((key, 1),): Q(2)} for key in T.positions}
+    passes = [c["pass"] for c in check_law_hom(bad, T, T)["checks"]]
+    assert passes == [True] * (len(passes) - 1) + [False]

@@ -301,3 +301,68 @@ def test_weak_truncation_pairs_each_sample_with_its_successor():
     points = [x for x, _ in checked]
     assert points[1] == points[4] and points[2] != points[5]
     assert [y for _, y in checked] == points[1:] + points[:1]
+
+
+def test_table_cells_match_projected_enveloping_products():
+    # a cell reads the one-letter words of the enveloping product as adapted
+    # coordinates; the reference projects the product to the algebra and
+    # expands it in the adapted basis (the general path on mixed)
+    from itertools import combinations_with_replacement
+
+    from lieconformal.lawtable import midx_factorial, midx_from_word, midx_norm, word_from_midx
+
+    for build in [golden.heisenberg, golden.mixed, golden.n3_current]:
+        M = integrate(build())
+        env = M.env
+        keys = M.basis.keys_up_to_depth(1)
+        midxes = [
+            midx_from_word(w)
+            for s in range(M.N + 1)
+            for w in combinations_with_replacement(keys, s)
+        ]
+        nonzero = 0
+        for k in midxes:
+            for kp in midxes:
+                if midx_norm(k) + midx_norm(kp) > M.N:
+                    continue
+                u = UElem.monomial(word_from_midx(k))
+                v = UElem.monomial(word_from_midx(kp))
+                norm = Q(1, midx_factorial(k) * midx_factorial(kp))
+                for n in range(-4, 4):
+                    vec = env.pi(env.nth(u, v, n))
+                    want = {pos: c * norm for pos, c in M.basis.expand(vec).items()}
+                    assert M.table_entry(k, kp, n) == want, (build.__name__, k, kp, n)
+                    nonzero += bool(want)
+        assert nonzero, build.__name__
+
+
+def test_fault_injection_reports_pinned():
+    # whole reports for two corrupted cells, recorded before the checks
+    # were rewritten: which axioms fail, and the first Jacobi witness
+    M0 = integrate(golden.heisenberg())
+    a0 = M0.basis.key_for_symbol((0, 0))
+    a1 = M0.basis.key_for_symbol((0, 1))
+    k0 = M0.basis.key_for_symbol((1, 0))
+    points = [
+        {"a[0]": "-1", "a[2]": "-1/2"},
+        {"a[1]": "-2", "k[0]": "-2/3"},
+        {"a[0]": "-1", "a[2]": "-2", "k[0]": "-4"},
+    ]
+    cases = [
+        ((((a1, 1),), ((a0, 1),), 2), {k0: Q(5)}, True, [1, -1, 1]),
+        ((((a0, 1),), (), -1), {a0: Q(2)}, False, [-1, -1, -1]),
+    ]
+    for key, cell, creation, ltj in cases:
+        M = integrate(golden.heisenberg())
+        M.table_entry(*key)
+        M._table[key] = cell
+        assert M.check_axioms(8, seed=5, window=(-4, 4)) == {
+            "pass": False,
+            "checks": [
+                {"axiom": "weak_truncation", "pass": True},
+                {"axiom": "left_identity", "pass": True},
+                {"axiom": "creation", "pass": creation},
+                {"axiom": "jacobi", "pass": False,
+                 "witness": {"ltj": ltj, "points": points}},
+            ],
+        }
