@@ -52,12 +52,17 @@ def counit(u: UElem) -> Q:
     return u.terms.get(VACUUM, Q(0))
 
 
-def is_primitive(u: UElem) -> bool:
-    expected = TensorElem()
+def _primitive_residual(u: UElem) -> TensorElem:
+    """coproduct(u) - u⊗1 - 1⊗u; zero exactly when u is primitive."""
+    out = coproduct(u)
     for w, c in u.terms.items():
-        expected.iadd((w, VACUUM), c)
-        expected.iadd((VACUUM, w), c)
-    return coproduct(u) == expected
+        out.iadd((w, VACUUM), -c)
+        out.iadd((VACUUM, w), -c)
+    return out
+
+
+def is_primitive(u: UElem) -> bool:
+    return not _primitive_residual(u)
 
 
 def primitives_up_to(alg: EnvelopingAlgebra, max_len: int, depth: int) -> list[UElem]:
@@ -66,12 +71,7 @@ def primitives_up_to(alg: EnvelopingAlgebra, max_len: int, depth: int) -> list[U
     words = [VACUUM]
     for length in range(1, max_len + 1):
         words.extend(tuple(w) for w in combinations_with_replacement(keys, length))
-    columns = []
-    for w in words:
-        resid = coproduct(UElem.monomial(w))
-        resid.iadd((w, VACUUM), Q(-1))
-        resid.iadd((VACUUM, w), Q(-1))
-        columns.append(resid.terms)
+    columns = [_primitive_residual(UElem.monomial(w)).terms for w in words]
     basis = []
     for combo in kernel_basis(columns):
         basis.append(UElem({words[i]: c for i, c in combo.items()}))

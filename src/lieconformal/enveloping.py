@@ -8,7 +8,10 @@ time, and the remaining integer-indexed products come from derivative
 shifts of the word product.
 
 All operations are pure; the caches keyed by words are idempotent and
-may be shared across threads or dropped at any time.
+may be shared across threads or dropped at any time.  The divided powers
+``∂^j w / j!`` of each word w are kept as one chain per word, which a
+deeper index replaces by a longer tuple and never mutates; that cache
+grows with the deepest index ever asked of each word.
 """
 
 from __future__ import annotations
@@ -125,40 +128,40 @@ class EnvelopingAlgebra:
 
     # -- translation operator ---------------------------------------------------
 
-    def _partial_word(self, word: Word) -> UElem:
+    def _dpow(self, word: Word, j: int) -> UElem:
+        """``∂^j word / j!`` off the word's kept chain ``(∂w, ∂²w/2!, ...)``.
+
+        The one ∂-power path: a deeper j extends the chain by one ∂ pass
+        per missing power, storing each longer tuple in the old one's place.
+        """
+        if j == 0:
+            return UElem.monomial(word)
         memo = self._partial_memo
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        out = UElem()
-        for i, key in enumerate(word):
-            dvec = self.pres.partial(self.basis.vector(key))
-            for k2, c in self.basis.expand(dvec).items():
-                out.iadd_scaled(self.straighten(word[:i] + (k2,) + word[i + 1 :]), c)
-        memo[word] = out
-        return out
+        chain = memo.get(word)
+        if chain is None:
+            first = UElem()
+            for i, key in enumerate(word):
+                dvec = self.pres.partial(self.basis.vector(key))
+                for k2, c in self.basis.expand(dvec).items():
+                    first.iadd_scaled(self.straighten(word[:i] + (k2,) + word[i + 1 :]), c)
+            chain = memo[word] = (first,)
+        while len(chain) < j:
+            chain = memo[word] = chain + (self.partial(chain[-1]).scale(Q(1, len(chain) + 1)),)
+        return chain[j - 1]
 
     def partial(self, u: UElem) -> UElem:
         out = UElem()
         for w, c in u.terms.items():
-            out.iadd_scaled(self._partial_word(w), c)
+            out.iadd_scaled(self._dpow(w, 1), c)
         return out
-
-    def divided_powers(self, u: UElem, top: int) -> list:
-        """``[u, ∂u, ∂²u/2!, ..., ∂^top u/top!]``, one ∂ pass per entry.
-
-        The one ∂-power loop; ``partial_div``, ``partial_pow`` and ``nth``
-        read their powers off it.
-        """
-        chain = [u]
-        for j in range(1, top + 1):
-            chain.append(self.partial(chain[-1]).scale(Q(1, j)))
-        return chain
 
     def partial_div(self, u: UElem, times: int) -> UElem:
         if times < 0:
             raise ValueError("negative derivative order")
-        return self.divided_powers(u, times)[times]
+        out = UElem()
+        for w, c in u.terms.items():
+            out.iadd_scaled(self._dpow(w, times), c)
+        return out
 
     def partial_pow(self, u: UElem, times: int) -> UElem:
         return self.partial_div(u, times).scale(math.factorial(times))
@@ -217,23 +220,20 @@ class EnvelopingAlgebra:
     def _right_peel(self, wu: Word, wv: Word) -> ULPoly:
         """Bracket of a longer word with anything, peeling the head letter."""
         a, rest = wu[0], wu[1:]
-        a_elem = UElem.monomial((a,))
         rest_elem = UElem.monomial(rest)
         out = ULPoly()
         # derivative-shifted head against the tail bracket; the shift carries
         # the full derivative power with a plain binomial weight, read off the
-        # divided-power chain as comb(n, s) ∂^s = perm(n, s) ∂^s/s! (dropping
-        # the s! fails the coefficient Jacobi suite)
+        # divided powers as comb(n, s) ∂^s = perm(n, s) ∂^s/s! (dropping the
+        # s! fails the coefficient Jacobi suite)
         bw = self._bracket_words(rest, wv)
-        chain = self.divided_powers(a_elem, bw.degree)
         for n, q in bw.coeffs.items():
             for s in range(n + 1):
-                out.add_term(n - s, self.nop(chain[s], q), math.perm(n, s))
+                out.add_term(n - s, self.nop(self._dpow((a,), s), q), math.perm(n, s))
         av = self._bracket_words((a,), wv)
-        chain = self.divided_powers(rest_elem, av.degree)
         for n, p in av.coeffs.items():
             for s in range(n + 1):
-                out.add_term(n - s, self.nop(chain[s], p), math.perm(n, s))
+                out.add_term(n - s, self.nop(self._dpow(rest, s), p), math.perm(n, s))
         # integral term with the substituted variable
         for n, p in av.coeffs.items():
             inner = self.bracket(rest_elem, p)
@@ -266,41 +266,40 @@ class EnvelopingAlgebra:
             res = self.straighten(wu + wv)
         else:
             a, rest = wu[0], wu[1:]
-            a_elem = UElem.monomial((a,))
-            rest_elem = UElem.monomial(rest)
             res = UElem()
-            self._nop_into(res, a_elem, self._nop_words(rest, wv), 1)
+            self._nop_into(res, UElem.monomial((a,)), self._nop_words(rest, wv), 1)
             wv_poly = self._bracket_words(rest, wv)
             av_poly = self._bracket_words((a,), wv)
-            a_chain = self.divided_powers(a_elem, wv_poly.degree + 1)
-            rest_chain = self.divided_powers(rest_elem, av_poly.degree + 1)
             for m in range(max(wv_poly.degree, av_poly.degree) + 1):
                 fact = math.factorial(m)
                 rm = wv_poly.coeff(m)
                 if rm:
-                    self._nop_into(res, a_chain[m + 1], rm, fact)
+                    self._nop_into(res, self._dpow((a,), m + 1), rm, fact)
                 am = av_poly.coeff(m)
                 if am:
-                    self._nop_into(res, rest_chain[m + 1], am, fact)
+                    self._nop_into(res, self._dpow(rest, m + 1), am, fact)
         memo[key] = res
         return res
 
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
         if n >= 0:
             return self.bracket(u, v).coeff(n).scale(math.factorial(n))
-        return self.nop(self.divided_powers(u, -n - 1)[-1], v)
+        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
+        out = UElem()
+        for w, c in u.terms.items():
+            self._nop_into(out, self._dpow(w, -n - 1), v, c)
+        return out
 
     def trunc_bound(self, u: UElem, v: UElem) -> int:
         """Exact N with the n-th product zero for all n >= N."""
         return self.bracket(u, v).degree + 1
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
-        """Products for n in [lo, hi] plus the vanishing bound, from one
-        divided-power chain and one bracket."""
-        chain = self.divided_powers(u, -lo - 1)
+        """Products for n in [lo, hi] plus the vanishing bound; the
+        nonnegative ones and the bound come from one bracket."""
         br = self.bracket(u, v)
         products = {
-            n: self.nop(chain[-n - 1], v) if n < 0 else br.coeff(n).scale(math.factorial(n))
+            n: self.nth(u, v, n) if n < 0 else br.coeff(n).scale(math.factorial(n))
             for n in range(lo, hi + 1)
         }
         return products, br.degree + 1

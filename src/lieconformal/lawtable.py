@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
 from .core import three_sum
@@ -216,6 +216,21 @@ class LawTable:
         return table
 
 
+@lru_cache(maxsize=1)
+def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
+    # one pair's words and normalization; extraction reads every index of
+    # a pair in a row, so one entry spares rebuilding them per cell
+    u = UElem.monomial(word_from_midx(k))
+    v = UElem.monomial(word_from_midx(kp))
+    return u, v, Q(1, midx_factorial(k) * midx_factorial(kp))
+
+
+def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
+    """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter."""
+    u, v, norm = _cell_pair(k, kp)
+    return {w[0]: c * norm for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}
+
+
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
     """Fill the table from the enveloping products over the stated ranges."""
     basis = env.basis
@@ -235,28 +250,14 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
         ends.append(len(midxes))
     for k in midxes:
         dk = midx_norm(k)
-        u = UElem.monomial(word_from_midx(k))
-        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
-        chain = env.divided_powers(u, -lo - 1)
         for kp in midxes[: ends[degree - dk]]:
-            v = UElem.monomial(word_from_midx(kp))
-            norm = Q(1, midx_factorial(k) * midx_factorial(kp))
-            poly = env.bracket(u, v)
-            bound = poly.degree + 1
+            u, v, _ = _cell_pair(k, kp)
+            bound = env.trunc_bound(u, v)
             table.pair_bounds[(k, kp)] = bound
-            for n in range(lo, hi + 1):
-                if n >= bound:
-                    break
-                if n >= 0:
-                    prod = poly.coeff(n).scale(math.factorial(n))
-                else:
-                    prod = env.nop(chain[-n - 1], v)
-                for word, c in prod.terms.items():
-                    if len(word) != 1:
-                        continue
-                    l = word[0]
+            for n in range(lo, min(hi, bound - 1) + 1):
+                for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
-                        table.add_entry(l, n, k, kp, c * norm)
+                        table.add_entry(l, n, k, kp, c)
                     else:
                         table.overflow_degrees.add(dk + midx_norm(kp))
     return table
@@ -433,7 +434,7 @@ def _guard_table(table: LawTable, cap: int) -> None:
         )
 
 
-def check_law_jacobi(table: LawTable, samples, cap: int, out_positions=None) -> dict:
+def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     """Coefficient identity of the law at sampled integer triples.
 
     Verifies, for every output position and every monomial of total
@@ -442,11 +443,10 @@ def check_law_jacobi(table: LawTable, samples, cap: int, out_positions=None) -> 
     """
     _guard_table(table, cap)
     comp = _Composer(table, cap)
-    positions = out_positions if out_positions is not None else table.positions
     entries = []
     stops = (comp.qmax_second + 1, comp.qmax_second + 1, comp.qmax_first + 1)
     for (l, t, j) in samples:
-        for pos in positions:
+        for pos in table.positions:
             # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
             terms = (
                 partial(comp.composed, pos, direct_slot=0, inner_slots=(1, 2),
@@ -483,10 +483,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
         if EMPTY in poly and poly[EMPTY] != 0:
             raise ValueError("law homomorphisms have zero constant term")
     cap = min(src.degree, dst.degree)
-    if not src.complete_above:
-        raise TruncationInsufficient(
-            "source window too small to certify vanishing above its top"
-        )
+    _guard_table(src, cap)
     comp = _Composer(src, cap)
     lo = max(src.window[0], dst.window[0])
     hi = min(src.window[1], dst.window[1])

@@ -28,7 +28,7 @@ from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
-from .lawtable import convolve, midx_from_word, midx_norm, midx_factorial, word_from_midx
+from .lawtable import convolve, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx
 from .linalg import iadd
 
 Q = Fraction
@@ -82,13 +82,7 @@ class VertexManifold:
             if midx_norm(k) + midx_norm(kp) > self.N:
                 cached = {}
             else:
-                u = UElem.monomial(word_from_midx(k))
-                v = UElem.monomial(word_from_midx(kp))
-                norm = Q(1, midx_factorial(k) * midx_factorial(kp))
-                cached = {
-                    w[0]: c * norm
-                    for w, c in self.env.nth(u, v, n).terms.items() if len(w) == 1
-                }
+                cached = law_cell(self.env, k, kp, n)
             self._table[key] = cached
         return cached
 
@@ -251,8 +245,8 @@ class VertexManifold:
         """Randomized verification of the four product axioms.
 
         Each axiom stops at its first failing case; the Jacobi entry names
-        that case as its witness.  An axiom passes only when at least one
-        sample point was checked.
+        that case as its witness.  An axiom passes only when it checked at
+        least one case and none failed.
         """
         import random
 
@@ -278,45 +272,50 @@ class VertexManifold:
             # with the origin as one factor only the (-1)-product survives
             return self._combine(weights, n) == (a if n == -1 else {})
 
+        triples = list(zip(points, successors, points[2:] + points[:2]))[:6]
         cases = {
             # weak truncation through the stored polynomial coefficients,
             # each of the first eight samples against its successor
             "weak_truncation": (
-                not self._combine(weights, n)
+                (None, not self._combine(weights, n))
                 for a, b in zip(points[:8], successors)
                 for bound, weights in [(self.truncation_bound(a, b), self._point_weights(a, b))]
                 for n in range(bound, bound + 5)
             ),
             # identity element on the left
             "left_identity": (
-                unit_case(a, weights, n)
+                (None, unit_case(a, weights, n))
                 for a in points for weights in [self._point_weights({}, a)]
                 for n in range(lo, hi + 1)
             ),
             # creation against the identity element
             "creation": (
-                unit_case(a, weights, n)
+                (None, unit_case(a, weights, n))
                 for a in points for weights in [self._point_weights(a, {})]
                 for n in [*range(0, hi + 1), -1]
             ),
+            # every (l, t, j) in {-1, 0, 1}^3 on each of the first six sample triples
+            "jacobi": (
+                ((ltj, abc), not self.jacobi_residual(*abc, *ltj))
+                for abc in triples for ltj in product((-1, 0, 1), repeat=3)
+            ),
         }
-        checks = [{"axiom": name, "pass": bool(points) and all(c)} for name, c in cases.items()]
-
-        # every (l, t, j) in {-1, 0, 1}^3 on each of the first six sample triples
-        triples = list(zip(points, successors, points[2:] + points[:2]))[:6]
-        failure = next(
-            ((ltj, abc) for abc in triples for ltj in product((-1, 0, 1), repeat=3)
-             if self.jacobi_residual(*abc, *ltj)),
-            None,
-        )
-        entry = {"axiom": "jacobi", "pass": bool(points) and failure is None}
-        if failure:
-            ltj, abc = failure
-            entry["witness"] = {
-                "ltj": list(ltj),
-                "points": [{self.basis.label(k): str(v) for k, v in p.items()} for p in abc],
-            }
-        checks.append(entry)
+        checks = []
+        for name, outcomes in cases.items():
+            # an axiom passes only when it checked a case and none failed
+            entry, failure = {"axiom": name, "pass": False}, None
+            for case, good in outcomes:
+                entry["pass"] = good
+                if not good:
+                    failure = case
+                    break
+            if failure:
+                ltj, abc = failure
+                entry["witness"] = {
+                    "ltj": list(ltj),
+                    "points": [{self.basis.label(k): str(v) for k, v in p.items()} for p in abc],
+                }
+            checks.append(entry)
 
         return {"pass": all(c["pass"] for c in checks), "checks": checks}
 

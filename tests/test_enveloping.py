@@ -165,12 +165,11 @@ class TestTranslation:
             for _ in range(6):
                 u = rand_elem(rng, keys)
                 top = rng.randint(0, 5)
-                chain = U.divided_powers(u, top)
-                assert len(chain) == top + 1 and chain[0] == u
                 # reference: j single ∂ passes, then one division by j!
                 expect = u
                 for j in range(top + 1):
-                    assert chain[j] == expect.scale(Fraction(1, math.factorial(j))), (name, u, j)
+                    got = U.partial_div(u, j)
+                    assert got == expect.scale(Fraction(1, math.factorial(j))), (name, u, j)
                     expect = U.partial(expect)
 
 
@@ -273,10 +272,8 @@ class TestIndexedProducts:
         assert products[0].is_zero()
 
     def test_window_reads_one_chain(self):
-        # with the ordered products of the chain's words already memoized,
-        # a window makes one ∂ pass per index below -1, not one per index
-        # and power; a cold window also pays the chains inside _nop_words,
-        # one per distinct word pair, which the nop memo keeps across calls
+        # every word keeps its divided-power chain, so a window repeated
+        # on a warm algebra makes no ∂ pass at all
         counts = []
         for lo in (-8, -16):
             U = alg_of(golden.heisenberg)
@@ -288,7 +285,29 @@ class TestIndexedProducts:
             U.partial = lambda u: calls.append(u) or inner(u)
             assert U.y_window(aa, a, lo, 0) == cold
             counts.append(len(calls))
-        assert counts == [7, 15]
+        assert counts == [0, 0]
+
+    def test_cold_window_extends_each_chain_once(self):
+        # a cold window builds each word's chain once, shared by the window
+        # itself, the bracket peels and the ordered-product corrections;
+        # rebuilding the chains per call took 179 / 1,013 / 6,697 passes
+        counts = []
+        for lo in (-8, -16, -32):
+            U = alg_of(golden.heisenberg)
+            a = U.letter((0, 0))
+            aa = U.mul(a, a)
+            calls = []
+            inner = U.partial
+            U.partial = lambda u: calls.append(u) or inner(u)
+            products, _ = U.y_window(aa, a, lo, 0)
+            counts.append(len(calls))
+            for n in range(lo, 0):
+                expect = aa
+                for _ in range(-n - 1):
+                    expect = inner(expect)
+                expect = expect.scale(Fraction(1, math.factorial(-n - 1)))
+                assert products[n] == U.nop(expect, a), (lo, n)
+        assert counts == [42, 150, 558]
 
     def test_abelian_window_all_zero(self):
         U = alg_of(golden.abelian2)

@@ -251,6 +251,14 @@ def test_law_hom_cases():
         check_law_hom({T.positions[0]: {EMPTY: Q(1)}}, T, T)
 
 
+def test_law_hom_guards_an_incomplete_source():
+    # the homomorphism check guards its source table as the Jacobi check does
+    T = heis_table()
+    Tsmall = heis_table(window=(-2, 1))
+    with pytest.raises(TruncationInsufficient, match="table window too small"):
+        check_law_hom({}, Tsmall, T)
+
+
 def test_n3_jacobi_degree_three():
     n3 = golden.n3_current()
     U = EnvelopingAlgebra(n3)

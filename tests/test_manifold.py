@@ -259,6 +259,21 @@ def test_inner_series_convolved_once_per_pair(monkeypatch):
     assert calls[0] <= 70_000, calls[0]
 
 
+def test_slow_triple_extends_each_chain_once():
+    # the table cells of one triple read kept divided-power chains; a chain
+    # rebuilt per cell made 4,544 ∂ passes over these 27 residuals
+    M = integrate(golden.n3_current())
+    calls = []
+    inner = M.env.partial
+    M.env.partial = lambda u: calls.append(u) or inner(u)
+    a, b, c = _n3_slow_triple(M)
+    for l in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
+    assert len(calls) <= 500, len(calls)
+
+
 def test_memos_survive_points_in_swapped_roles():
     for build in [golden.heisenberg, golden.n3_current]:
         M = integrate(build())
@@ -301,6 +316,23 @@ def test_weak_truncation_pairs_each_sample_with_its_successor():
     points = [x for x, _ in checked]
     assert points[1] == points[4] and points[2] != points[5]
     assert [y for _, y in checked] == points[1:] + points[:1]
+
+
+def test_axiom_without_a_checked_case_fails():
+    # a reversed window leaves the left-identity axiom no index to compare;
+    # creation still checks its (-1)-product, the other two their samples
+    M = integrate(golden.heisenberg())
+    report = M.check_axioms(5, seed=0, window=(3, -3))
+    assert report == {
+        "pass": False,
+        "checks": [
+            {"axiom": "weak_truncation", "pass": True},
+            {"axiom": "left_identity", "pass": False},
+            {"axiom": "creation", "pass": True},
+            {"axiom": "jacobi", "pass": True},
+        ],
+    }
+    assert not any(c["pass"] for c in M.check_axioms(0, seed=0, window=(-2, 2))["checks"])
 
 
 def test_table_cells_match_projected_enveloping_products():
