@@ -349,6 +349,6 @@ def build_presentation(name: str, generators, brackets=None) -> LcaPresentation:
         key = (index[ln], index[rn])
         conv = {}
         for deg, vec in poly.items():
-            conv[deg] = {(index[gn], d): Q(c) for (gn, d), c in vec.items()}
+            conv[deg] = {(index[gn], d): c for (gn, d), c in vec.items()}
         table[key] = LPoly(conv)
     return LcaPresentation(name, specs, table)

@@ -282,10 +282,15 @@ class EnvelopingAlgebra:
         return res
 
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
-        if n >= 0:
-            return self.bracket(u, v).coeff(n).scale(math.factorial(n))
-        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
         out = UElem()
+        if n >= 0:
+            # n! times the λ^n coefficient, read off each word pair's memo
+            fact = math.factorial(n)
+            for wu, cu in u.terms.items():
+                for wv, cv in v.terms.items():
+                    out.iadd_scaled(self._bracket_words(wu, wv).coeff(n), fact * cu * cv)
+            return out
+        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
         for w, c in u.terms.items():
             self._nop_into(out, self._dpow(w, -n - 1), v, c)
         return out

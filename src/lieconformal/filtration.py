@@ -28,7 +28,7 @@ def vec_to_column(pres: LcaPresentation, v: CVec) -> tuple:
     ngen = len(pres.generators)
     per_gen = [{} for _ in range(ngen)]
     for (g, d), c in v.coeffs.items():
-        per_gen[g][d] = per_gen[g].get(d, Q(0)) + c / math.factorial(d)
+        per_gen[g][d] = per_gen[g].get(d, Q(0)) + Q(c, math.factorial(d))
     cols = []
     for entries in per_gen:
         deg = max(entries, default=-1)

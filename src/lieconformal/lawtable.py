@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
-from .linalg import iadd
+from .linalg import iadd, scale
 
 Q = Fraction
 
@@ -91,7 +91,7 @@ def convolve(factors: tuple, q: int, series, maxn, window, cap: int, memo: dict)
     Results are kept in ``memo`` under (factors, q).
     """
     if not factors:
-        return {(): Q(1)} if q == -1 else {}
+        return {(): 1} if q == -1 else {}
     key = (factors, q)
     cached = memo.get(key)
     if cached is not None:
@@ -138,12 +138,9 @@ class LawTable:
     def add_entry(self, l, n: int, k: MIdx, kp: MIdx, c: Q) -> None:
         if c == 0:
             return
-        cell = self.entries.setdefault((l, n), {})
-        cell[(k, kp)] = cell.get((k, kp), Q(0)) + c
-        if cell[(k, kp)] == 0:
-            del cell[(k, kp)]
-            if not cell:
-                del self.entries[(l, n)]
+        cell = iadd(self.entries.setdefault((l, n), {}), {(k, kp): c})
+        if not cell:
+            del self.entries[(l, n)]
 
     def coefficient(self, l, n: int, k: MIdx, kp: MIdx) -> Q:
         return self.entries.get((l, n), {}).get((k, kp), Q(0))
@@ -228,7 +225,7 @@ def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
 def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter."""
     u, v, norm = _cell_pair(k, kp)
-    return {w[0]: c * norm for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}
+    return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
 
 
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
@@ -411,7 +408,7 @@ class _Composer:
             inner = self.conv(factors, inner_n, inner_slots)
             if not inner:
                 continue
-            direct_poly = {tuple(_slot_monomial(direct, direct_slot)): Q(1)}
+            direct_poly = {tuple(_slot_monomial(direct, direct_slot)): 1}
             iadd(out, _poly_mul(direct_poly, inner, self.cap), c)
         return out
 

@@ -1,5 +1,12 @@
 """Exact sparse linear algebra over Q with dict-backed vectors.
 
+Coefficients are exact: an ``int`` when the value is integral and a
+``fractions.Fraction`` otherwise, never a float.  ``exact`` is the one
+place that normalizes a coefficient to that form; the ``Sparse``
+constructor, ``iadd`` and ``scale`` pass every value they store through
+it, so integral work runs on machine integers.  An ``int`` and the
+``Fraction`` of the same value compare and hash equal.
+
 ``Sparse`` is the one sparse combination type: CVec, UElem and TensorElem
 are Sparse, and the lambda-polynomials LPoly, ULPoly and LMPoly are
 ``SparsePoly`` with vector coefficients.  ``iadd`` and ``scale`` are the
@@ -12,8 +19,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from numbers import Number, Rational
 
 Q = Fraction
+
+
+def exact(v):
+    """v as an exact coefficient: an int when integral, else a Fraction.
+
+    Raises TypeError on a float, any other inexact number or a string.  A
+    value that is not a number, such as the Sparse coefficient vector of a
+    polynomial, passes through unchanged.
+    """
+    t = type(v)
+    if t is int:
+        return v
+    if t is Fraction:
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, Rational):
+        return exact(Fraction(v))
+    if isinstance(v, (Number, str)):
+        raise TypeError(f"not an exact coefficient: {v!r}; use an int or a Fraction")
+    return v
 
 
 def iadd(acc: dict, other: dict, c=1) -> dict:
@@ -30,7 +57,7 @@ def iadd(acc: dict, other: dict, c=1) -> dict:
         if not unit:
             v = v * c
         old = get(k)
-        nv = v if old is None else old + v
+        nv = exact(v if old is None else old + v)
         if nv:
             acc[k] = nv
         else:
@@ -39,10 +66,10 @@ def iadd(acc: dict, other: dict, c=1) -> dict:
 
 
 def scale(a: dict, c) -> dict:
-    c = Q(c)
+    c = exact(c)
     if c == 0:
         return {}
-    return {k: v * c for k, v in a.items()}
+    return {k: exact(v * c) for k, v in a.items()}
 
 
 def vec_add(a: dict, b: dict, cb=1) -> dict:
@@ -64,7 +91,7 @@ class Sparse:
         cs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Q(v)
+                v = exact(v)
                 if v != 0:
                     cs[k] = v
         self.coeffs = cs

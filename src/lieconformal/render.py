@@ -61,7 +61,7 @@ def _terms_text(pres: LcaPresentation, terms) -> str:
         for sym, c in sorted(vec.coeffs.items()):
             d = sym[1]
             # fold the divided-power normalization into the coefficient
-            c = c / math.factorial(d) if d else c
+            c = Q(c, math.factorial(d)) if d else c
             parts.append(_coeff_prefix(c, prefix + _dpow(pres, sym)))
     return _join(parts)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import golden
 import pytest
 
 from lieconformal import dsl, filtration
-from lieconformal.cli import run
+from lieconformal.cli import WINDOW_LIMIT, run
 from lieconformal.core import CVec, LPoly
 from lieconformal.manifold import VertexManifold
 
@@ -393,6 +394,23 @@ def test_cli_rejects_bad_values():
     ]:
         code, text = run(argv)
         assert code == want, (argv, text)
+
+
+def test_windows_beyond_the_limit_exit_2_at_once():
+    heis = str(DATA / "heisenberg.lca")
+    yprod = ["yprod", heis, "--left", ":a a:", "--right", "a"]
+    start = time.monotonic()
+    code, text = run([*yprod, "--window=-100000..-99999"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and text.startswith("invalid argument: window -100000..-99999")
+    assert text.count("\n") == 1 and "Traceback" not in text
+    lim = WINDOW_LIMIT
+    for window, want in [(f"{-lim}..{lim}", 0), (f"{-lim - 1}..0", 2), (f"0..{2 * lim + 1}", 2)]:
+        assert run([*yprod, f"--window={window}"])[0] == want, window
+    for argv in (["eval", heis, "--a", "a[0]=1", "--b", "a[0]=1"],
+                 ["fvl", heis, "--deg", "1", "--depth", "0"],
+                 ["verify-manifold", heis, "--samples", "1"]):
+        assert run([*argv, f"--window={-lim - 1}..0"])[0] == 2, argv
 
 
 def _text_residuals(text):

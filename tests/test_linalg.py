@@ -1,18 +1,28 @@
-"""Exact echelon computations checked against sympy as an independent oracle."""
+"""Exact echelon computations checked against sympy as an independent oracle,
+and the integer-first normalization of every stored coefficient."""
 
+import json
 import random
+import re
 from fractions import Fraction as Q
+from pathlib import Path
 
 import golden
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from lieconformal import build_presentation, dsl
 from lieconformal.bialgebra import TensorElem
+from lieconformal.cli import run
 from lieconformal.core import CVec, LMPoly, LPoly
-from lieconformal.enveloping import UElem, ULPoly
+from lieconformal.enveloping import EnvelopingAlgebra, UElem, ULPoly
 from lieconformal.filtration import AdaptedBasis, LowerCentralSeries
-from lieconformal.linalg import kernel_basis
+from lieconformal.lawtable import extract_law
+from lieconformal.linalg import Sparse, kernel_basis, scale
+from lieconformal.manifold import integrate
+
+DATA = Path(__file__).parent / "data"
 
 
 def rational(c):
@@ -81,7 +91,8 @@ def test_adapted_expand_reconstructs_on_the_general_path():
 
 # -- the sparse combination base under CVec, UElem and TensorElem ----------------
 
-COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)  # zero included
+# ints and Fractions mixed, integral Fractions such as 4/2 included; zero included
+COEFF = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 WORD = st.lists(st.integers(0, 2), max_size=3).map(tuple)
 LABELS = {
     CVec: st.tuples(st.integers(0, 2), st.integers(0, 3)),
@@ -96,6 +107,11 @@ def ref_add(a: dict, b: dict, c=1) -> dict:
     for k, v in b.items():
         out[k] = out.get(k, Q(0)) + c * Q(v)
     return {k: v for k, v in out.items() if v != 0}
+
+
+def exact_form(coeffs: dict) -> bool:
+    """Every coefficient an int exactly when it is integral, else a Fraction."""
+    return all(type(c) is (int if Q(c).denominator == 1 else Q) for c in coeffs.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,6 +132,8 @@ def test_sparse_arithmetic_matches_a_plain_fraction_reference(data):
     acc = cls(raw_a)
     acc.iadd_scaled(b, c)
     assert acc.coeffs == ref_add(ra, rb, c)
+    for res in (a, b, a + b, a - b, -a, a.scale(c), acc):
+        assert exact_form(res.coeffs), res
     assert a.coeffs == ra and b.coeffs == rb  # operands untouched
     assert a == cls(ra) and type(a + b) is type(a.scale(c)) is cls
     assert hash(a) == hash(tuple(sorted(a.coeffs.items())))
@@ -155,3 +173,67 @@ def test_add_term_never_stores_the_callers_coefficient(poly_cls, key, other, mak
     assert {n: dict(x.coeffs) for n, x in poly.coeffs.items()} == before
     with pytest.raises(TypeError):
         hash(poly)
+
+
+# -- no float, and no integral Fraction, is ever stored ----------------------------
+
+def _leaves(x):
+    """Coefficients inside combinations, polynomials and containers of them."""
+    if isinstance(x, Sparse):
+        x = x.coeffs
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def _assert_exact(values, where):
+    n = 0
+    for c in _leaves(values):
+        assert type(c) in (int, Q), (where, c)
+        assert type(c) is int or c.denominator != 1, (where, c)
+        n += 1
+    return n
+
+
+def test_no_float_or_integral_fraction_is_stored():
+    for name in ("heisenberg", "n3current"):
+        pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))
+        env = EnvelopingAlgebra(pres)
+        table = extract_law(env, 2, 2, (-8, 8))
+        # straighten, ∂ chains, word brackets, nop and Lie brackets
+        memos = [v for k, v in vars(env).items() if k.endswith("_memo")]
+        assert len(memos) == 5 and _assert_exact(memos, (name, "memos")) > 0
+        assert _assert_exact(table.entries, (name, "entries")) > 0
+    # manifold cells and accumulated point products
+    M = integrate(golden.mixed())
+    assert M.check_axioms(3, seed=1, window=(-2, 2))["pass"]
+    assert _assert_exact([M._table, M._composed_memo], "manifold") > 0
+    # every JSON payload of the recorded session: numbers in exact form only
+    transcript = json.loads((DATA / "cli_transcript.json").read_text(encoding="utf-8"))
+    payloads = 0
+    for entry in transcript:
+        if "json" not in entry["argv"]:
+            continue
+        argv = [str(DATA / a) if a.endswith(".lca") else a for a in entry["argv"]]
+        code, text = run(argv)
+        assert code == entry["exit"]
+        for x in _leaves(json.loads(text)):
+            assert not isinstance(x, float), (entry["argv"], x)
+            if isinstance(x, str) and re.fullmatch(r"[-+0-9./eE]+", x):
+                assert re.fullmatch(r"-?\d+(/\d+)?", x), (entry["argv"], x)
+        payloads += 1
+    assert payloads == 10
+    # a float coefficient is refused at the normalization point
+    for bad in (0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            CVec({(0, 0): bad})
+    with pytest.raises(TypeError):
+        scale({(0, 0): 1}, 0.5)
+    with pytest.raises(TypeError):
+        UElem({(0,): 1}).iadd_scaled(UElem({(0,): 1}), 0.5)
+    with pytest.raises(TypeError):
+        build_presentation("h", [("a", None), ("k", 1)], {("a", "a"): {1: {("k", 0): 0.5}}})
