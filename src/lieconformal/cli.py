@@ -64,6 +64,30 @@ def _check_window(window) -> None:
         )
 
 
+# Largest --max-len and --depth `primitives` takes, and most --samples
+# `verify-manifold` takes.  The span has one word per multiset of at most
+# --max-len basis letters of depth at most --depth.  Cold, on one core of a
+# shared 2-core x86-64 host: `primitives n3current.lca --max-len 5 --depth 3`
+# takes 14 s and `heisenberg.lca --max-len 8 --depth 4` 4 s, while
+# `--max-len 12 --depth 6` is still running after 15 s; `verify-manifold
+# heisenberg.lca --samples 100` takes 0.3 s.
+MAX_LEN_LIMIT = 5
+DEPTH_LIMIT = 3
+SAMPLES_LIMIT = 1000
+
+
+def _check_sizes(args) -> None:
+    limits = {
+        "primitives": (("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)),
+        "verify-manifold": (("samples", SAMPLES_LIMIT),),
+    }
+    for dest, limit in limits.get(args.command, ()):
+        value = getattr(args, dest)
+        if value > limit:
+            option = "--" + dest.replace("_", "-")
+            raise ValueError(f"{option} {value} is beyond the limit {limit}")
+
+
 def _size(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -293,6 +317,7 @@ def _dispatch(args, em: _Emitter) -> int:
     cmd = args.command
     if getattr(args, "window", None) is not None:
         _check_window(args.window)
+    _check_sizes(args)
     pres, warnings = _load(args.file)
     for w in warnings:
         em.text(f"warning: {w}")

@@ -196,16 +196,12 @@ class LcaPresentation:
             raise ValueError("negative derivative order")
         if times == 0:
             return v
-        out = {}
-        for (g, d), c in v.coeffs.items():
-            nd = d + times
-            t = self.generators[g].torsion
-            if t is not None and nd >= t:
-                continue
-            coeff = c * math.comb(nd, times)
-            key = (g, nd)
-            out[key] = out.get(key, 0) + coeff
-        return CVec(out)
+        gens = self.generators
+        return CVec({
+            (g, d + times): c * math.comb(d + times, times)
+            for (g, d), c in v.coeffs.items()
+            if gens[g].torsion is None or d + times < gens[g].torsion
+        })
 
     def partial(self, v: CVec) -> CVec:
         return self.partial_div(v, 1)
@@ -258,7 +254,9 @@ class LcaPresentation:
     def nth_product(self, v: CVec, w: CVec, n: int) -> CVec:
         if n < 0:
             raise ValueError("negative products live in the enveloping algebra")
-        return self.bracket(v, w).coeff(n).scale(math.factorial(n))
+        # n! only for a nonzero coefficient: past the bracket's degree it is 0
+        vec = self.bracket(v, w).coeff(n)
+        return vec.scale(math.factorial(n)) if vec else CVec()
 
     def lie_bracket(self, v: CVec, w: CVec) -> CVec:
         """Bracket of the underlying Lie algebra (definite lambda integral)."""

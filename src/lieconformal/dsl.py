@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GeneratorSpec, LPoly, LcaPresentation
+from .linalg import iadd
 
 Q = Fraction
 
@@ -302,7 +303,10 @@ def _expand(node) -> list:
 
 
 def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
-    """Expression to {lambda degree: {(gen, depth): coeff}} plus warnings."""
+    """Expression to {lambda degree: {(gen, depth): coeff}} plus warnings.
+
+    An inner dict may be empty where its terms cancel; LPoly and CVec drop it.
+    """
     poly: dict = {}
     warnings = []
     for (coeff, lpow, syms) in _expand(expr):
@@ -345,16 +349,9 @@ def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
                 )
             )
             continue
-        vec = poly.setdefault(lpow, {})
-        key = (g, dcount)
         # full derivative power in divided-power coordinates
-        vec[key] = vec.get(key, Q(0)) + coeff * math.factorial(dcount)
-    cleaned = {}
-    for lpow, vec in poly.items():
-        vec = {k: c for k, c in vec.items() if c != 0}
-        if vec:
-            cleaned[lpow] = vec
-    return cleaned, warnings
+        iadd(poly.setdefault(lpow, {}), {(g, dcount): coeff * math.factorial(dcount)})
+    return poly, warnings
 
 
 def lower(ast: AlgebraFile):
@@ -382,8 +379,9 @@ def lower(ast: AlgebraFile):
             )
         poly, warns = _lower_expr(decl.expr, gen_index, torsion, decl.span)
         warnings.extend(warns)
+        poly = LPoly(poly)
         if poly:
-            table[(i, j)] = LPoly(poly)
+            table[(i, j)] = poly
     specs = [GeneratorSpec(g.name, g.torsion) for g in ast.generators]
     return LcaPresentation(ast.name, specs, table), warnings
 
@@ -473,7 +471,5 @@ def parse_point(text: str, pres: LcaPresentation) -> dict:
             )
         lhs, rhs = piece.split("=", 1)
         sym = _parse_letter(lhs.strip(), pres)
-        val = Q(rhs.strip())
-        if val != 0:
-            out[sym] = out.get(sym, Q(0)) + val
-    return {k: v for k, v in out.items() if v != 0}
+        iadd(out, {sym: Q(rhs.strip())})
+    return out

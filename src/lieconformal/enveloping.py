@@ -284,11 +284,13 @@ class EnvelopingAlgebra:
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
         out = UElem()
         if n >= 0:
-            # n! times the λ^n coefficient, read off each word pair's memo
-            fact = math.factorial(n)
+            # n! times the λ^n coefficient, read off each word pair's memo;
+            # n! only for a nonzero coefficient, so a large n costs nothing
             for wu, cu in u.terms.items():
                 for wv, cv in v.terms.items():
-                    out.iadd_scaled(self._bracket_words(wu, wv).coeff(n), fact * cu * cv)
+                    r = self._bracket_words(wu, wv).coeff(n)
+                    if r:
+                        out.iadd_scaled(r, math.factorial(n) * cu * cv)
             return out
         # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
         for w, c in u.terms.items():

@@ -25,28 +25,20 @@ _SERIES_CAP = 100
 
 def vec_to_column(pres: LcaPresentation, v: CVec) -> tuple:
     """Conformal vector as a column over the polynomial ring."""
-    ngen = len(pres.generators)
-    per_gen = [{} for _ in range(ngen)]
+    per_gen = [{} for _ in pres.generators]
     for (g, d), c in v.coeffs.items():
-        per_gen[g][d] = per_gen[g].get(d, Q(0)) + Q(c, math.factorial(d))
-    cols = []
-    for entries in per_gen:
-        deg = max(entries, default=-1)
-        cols.append(UPoly([entries.get(i, Q(0)) for i in range(deg + 1)]))
-    return tuple(cols)
+        per_gen[g][d] = Q(c, math.factorial(d))
+    return tuple(UPoly(entries) for entries in per_gen)
 
 
 def column_to_vec(pres: LcaPresentation, col) -> CVec:
-    out = {}
-    for g, poly in enumerate(col):
-        t = pres.generators[g].torsion
-        for d, c in enumerate(poly.coeffs):
-            if c == 0:
-                continue
-            if t is not None and d >= t:
-                continue
-            out[(g, d)] = out.get((g, d), Q(0)) + c * math.factorial(d)
-    return CVec(out)
+    gens = pres.generators
+    return CVec({
+        (g, d): c * math.factorial(d)
+        for g, poly in enumerate(col)
+        for d, c in poly.coeffs.items()
+        if gens[g].torsion is None or d < gens[g].torsion
+    })
 
 
 def relation_columns(pres: LcaPresentation) -> list[tuple]:
@@ -263,12 +255,7 @@ class AdaptedBasis:
             for sym in symbols:
                 rem = module.reduce(vec_to_column(pres, CVec.unit(sym)))
                 cols.append(
-                    {
-                        (g, d): c
-                        for g, poly in enumerate(rem)
-                        for d, c in enumerate(poly.coeffs)
-                        if c != 0
-                    }
+                    {(g, d): c for g, poly in enumerate(rem) for d, c in poly.coeffs.items()}
                 )
             combos = kernel_basis(cols)
             vecs = []

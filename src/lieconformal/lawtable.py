@@ -60,23 +60,21 @@ def midx_factorial(m: MIdx) -> int:
     return out
 
 
-def _poly_mul(p1: dict, p2: dict, cap: int) -> dict:
-    """Product of slotted polynomials, dropping degree above cap."""
-    out: dict = {}
+def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, c=1) -> dict:
+    """out += c * p1 * p2 for slotted polynomials, in place, dropping
+    terms of degree above cap; returns out."""
     for m1, c1 in p1.items():
-        d1 = sum(e for _, e in m1)
+        room = cap - sum(e for _, e in m1)
+        row: dict = {}
         for m2, c2 in p2.items():
-            if d1 + sum(e for _, e in m2) > cap:
+            if sum(e for _, e in m2) > room:
                 continue
             merged: dict = dict(m1)
             for v, e in m2:
                 merged[v] = merged.get(v, 0) + e
-            key = tuple(sorted(merged.items()))
-            nc = out.get(key, 0) + c1 * c2
-            if nc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = nc
+            # distinct m2 give distinct products with m1
+            row[tuple(sorted(merged.items()))] = c2
+        iadd(out, row, c * c1)
     return out
 
 
@@ -106,7 +104,7 @@ def convolve(factors: tuple, q: int, series, maxn, window, cap: int, memo: dict)
         if head:
             tail = convolve(rest, q - m - 1, series, maxn, window, cap, memo)
             if tail:
-                iadd(out, _poly_mul(head, tail, cap))
+                _poly_madd(out, head, tail, cap)
     memo[key] = out
     return out
 
@@ -409,7 +407,7 @@ class _Composer:
             if not inner:
                 continue
             direct_poly = {tuple(_slot_monomial(direct, direct_slot)): 1}
-            iadd(out, _poly_mul(direct_poly, inner, self.cap), c)
+            _poly_madd(out, direct_poly, inner, self.cap, c)
         return out
 
     def max_outer_index(self) -> int:
@@ -487,12 +485,12 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
     entries = []
 
     def alpha_poly(pos, slot):
-        out = {}
-        for m, c in alpha.get(pos, {}).items():
-            if midx_norm(m) > cap:
-                continue
-            iadd(out, {tuple(_slot_monomial(m, slot)): Q(c)})
-        return out
+        # distinct multi-indices give distinct slotted monomials
+        return iadd({}, {
+            tuple(_slot_monomial(m, slot)): c
+            for m, c in alpha.get(pos, {}).items()
+            if midx_norm(m) <= cap
+        })
 
     for dpos in dst.positions:
         apoly = alpha.get(dpos, {})
@@ -501,16 +499,16 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
             lhs: dict = {}
             for m, c in apoly.items():
                 factors = word_from_midx(m)
-                iadd(lhs, comp.conv(factors, n, (0, 1)), Q(c))
+                iadd(lhs, comp.conv(factors, n, (0, 1)), c)
             # destination law with substituted arguments
             rhs: dict = {}
             for (k, kp), c in dst.series_entry(dpos, n).items():
                 if midx_norm(k) + midx_norm(kp) > cap:
                     continue
-                poly = {(): Q(1)}
+                poly = {(): 1}
                 for slot, m in ((0, k), (1, kp)):
                     for p in word_from_midx(m):
-                        poly = _poly_mul(poly, alpha_poly(p, slot), cap)
+                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap)
                 iadd(rhs, poly, c)
             resid = iadd(dict(lhs), rhs, -1)
             good = not resid

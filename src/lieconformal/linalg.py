@@ -7,12 +7,14 @@ constructor, ``iadd`` and ``scale`` pass every value they store through
 it, so integral work runs on machine integers.  An ``int`` and the
 ``Fraction`` of the same value compare and hash equal.
 
-``Sparse`` is the one sparse combination type: CVec, UElem and TensorElem
-are Sparse, and the lambda-polynomials LPoly, ULPoly and LMPoly are
-``SparsePoly`` with vector coefficients.  ``iadd`` and ``scale`` are the
-one add-and-drop-zero kernel underneath, shared with the plain dicts of
-law series and manifold points.  Labels of an echelon span are totally
-ordered, which makes pivoting deterministic.
+``Sparse`` is the one sparse combination type: CVec, UElem, TensorElem and
+the polynomials UPoly of the series modules are Sparse, and the
+lambda-polynomials LPoly, ULPoly and LMPoly are ``SparsePoly`` with vector
+coefficients.  ``iadd`` is the only place that adds coefficients; with
+``scale`` it is the one add-and-drop-zero kernel underneath, shared with
+the plain dicts of law series, slotted polynomials and manifold points.
+Labels of an echelon span are totally ordered, which makes pivoting
+deterministic.
 """
 
 from __future__ import annotations

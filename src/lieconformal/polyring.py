@@ -1,10 +1,12 @@
 """Univariate polynomials over Q and column Hermite forms of Q[t]-modules.
 
 The polynomial variable plays the role of the derivation acting on a
-finitely generated module.  Submodules of Q[t]^n are represented by a list
-of generating columns kept in a canonical column echelon form (monic
-pivots, off-pivot entries in pivot rows reduced), which makes membership
-and equality tests exact and deterministic.
+finitely generated module; a polynomial is a ``linalg.Sparse`` keyed by
+degree, so its coefficients are exact ints or Fractions.  Submodules of
+Q[t]^n are represented by a list of generating columns kept in a
+canonical column echelon form (monic pivots, off-pivot entries in pivot
+rows reduced), which makes membership and equality tests exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,117 +14,69 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import Sparse, iadd
+
 Q = Fraction
 
 
-class UPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+class UPoly(Sparse):
+    """Univariate polynomial over Q: a Sparse combination keyed by degree.
 
-    Coefficients are stored lowest degree first with no trailing zeros,
-    so two equal polynomials always compare equal structurally.
+    Built from its coefficients lowest degree first, or from a
+    ``{degree: coefficient}`` dict.  Sum, difference, negation, scaling,
+    equality and hashing are the Sparse ones.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Q] = ()):
-        cs = [Q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable | dict = ()):
+        super().__init__(coeffs if isinstance(coeffs, dict) else dict(enumerate(coeffs)))
 
     @classmethod
     def const(cls, c) -> "UPoly":
-        return cls((Q(c),))
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, c, degree: int) -> "UPoly":
-        c = Q(c)
-        if c == 0:
-            return cls()
-        return cls((Q(0),) * degree + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls({degree: c})
 
     @property
     def degree(self) -> int:
         """Degree, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(self.coeffs, default=-1)
 
-    def leading(self) -> Q:
-        if not self.coeffs:
-            return Q(0)
-        return self.coeffs[-1]
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
+    def leading(self):
+        return self.coeffs.get(self.degree, 0)
 
     def __mul__(self, other):
-        if isinstance(other, UPoly):
-            if not self.coeffs or not other.coeffs:
-                return UPoly()
-            out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UPoly(out)
-        return self.scale(Q(other))
+        if not isinstance(other, UPoly):
+            return self.scale(other)
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            # distinct degrees j give distinct i + j
+            iadd(out, {i + j: b for j, b in other.coeffs.items()}, a)
+        return self._like(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "UPoly":
-        c = Q(c)
-        if c == 0:
-            return UPoly()
-        return UPoly(tuple(a * c for a in self.coeffs))
 
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UPoly(), self
-        quo = [Q(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            if c != 0:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UPoly(quo), UPoly(rem)
+        db = other.degree
+        lead = Q(other.coeffs[db])
+        quo: dict = {}
+        rem = dict(self.coeffs)
+        while rem and (dr := max(rem)) >= db:
+            # cancels the top term of the remainder
+            c = quo[dr - db] = rem[dr] / lead
+            iadd(rem, {dr - db + j: b for j, b in other.coeffs.items()}, -c)
+        return UPoly(quo), self._like(rem)
 
     def __repr__(self):
         if not self.coeffs:
             return "UPoly(0)"
         parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for d, c in sorted(self.coeffs.items()):
             if d == 0:
                 parts.append(str(c))
             elif d == 1:
@@ -132,7 +86,6 @@ class UPoly:
         return "UPoly(" + " + ".join(parts) + ")"
 
 
-ZERO = UPoly()
 ONE = UPoly.const(1)
 
 Column = tuple  # tuple[UPoly, ...], one entry per module generator
@@ -220,7 +173,8 @@ class PolyModule:
 
     def canonical_key(self):
         return tuple(
-            (r, tuple(p.coeffs for p in self._basis[r])) for r in sorted(self._basis)
+            (r, tuple(tuple(sorted(p.coeffs.items())) for p in self._basis[r]))
+            for r in sorted(self._basis)
         )
 
     def __eq__(self, other):

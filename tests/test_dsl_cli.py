@@ -10,8 +10,9 @@ import golden
 import pytest
 
 from lieconformal import dsl, filtration
-from lieconformal.cli import WINDOW_LIMIT, run
+from lieconformal.cli import DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
 from lieconformal.core import CVec, LPoly
+from lieconformal.enveloping import EnvelopingAlgebra, UElem
 from lieconformal.manifold import VertexManifold
 
 DATA = Path(__file__).parent / "data"
@@ -391,9 +392,35 @@ def test_cli_rejects_bad_values():
         (["verify-manifold", heis, "--samples", "-1"], 2),
         # a suite that examined no point does not pass
         (["verify-manifold", heis, "--samples", "0"], 1),
+        # sizes beyond the limits exit 2 with one line, before any work
+        (["primitives", heis, "--max-len", "12", "--depth", "6"], 2),
+        (["primitives", heis, "--max-len", str(MAX_LEN_LIMIT + 1), "--depth", "1"], 2),
+        (["primitives", heis, "--max-len", "2", "--depth", str(DEPTH_LIMIT + 1)], 2),
+        (["primitives", heis, "--max-len", str(MAX_LEN_LIMIT), "--depth", str(DEPTH_LIMIT)], 0),
+        (["verify-manifold", heis, "--samples", "100000000"], 2),
+        (["verify-manifold", heis, "--samples", str(SAMPLES_LIMIT + 1)], 2),
     ]:
+        start = time.monotonic()
         code, text = run(argv)
         assert code == want, (argv, text)
+        if "beyond the limit" in text:
+            assert time.monotonic() - start < 1, argv
+            assert text.startswith("invalid argument: --") and text.count("\n") == 1, text
+
+
+def test_nth_of_a_vanishing_coefficient_returns_at_once():
+    # n! is never formed for a λ^n coefficient past the bracket's degree
+    heis = str(DATA / "heisenberg.lca")
+    start = time.monotonic()
+    code, text = run(["nth", heis, "--left", "a", "--right", "a", "--n", "1000000"])
+    assert time.monotonic() - start < 1
+    assert (code, text) == (0, "0\n")
+    pres, _ = dsl.load_presentation((DATA / "heisenberg.lca").read_text(encoding="utf-8"))
+    env = EnvelopingAlgebra(pres)
+    a = UElem.monomial(((0, 0),))
+    start = time.monotonic()
+    assert not env.nth(a, a, 1000000) and env.nth(a, a, 1)
+    assert time.monotonic() - start < 1
 
 
 def test_windows_beyond_the_limit_exit_2_at_once():

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lieconformal import build_presentation, dsl
+from lieconformal import build_presentation, dsl, lawtable
 from lieconformal.bialgebra import TensorElem
 from lieconformal.cli import run
 from lieconformal.core import CVec, LMPoly, LPoly
@@ -199,7 +199,7 @@ def _assert_exact(values, where):
     return n
 
 
-def test_no_float_or_integral_fraction_is_stored():
+def test_no_float_or_integral_fraction_is_stored(monkeypatch):
     for name in ("heisenberg", "n3current"):
         pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))
         env = EnvelopingAlgebra(pres)
@@ -208,6 +208,29 @@ def test_no_float_or_integral_fraction_is_stored():
         memos = [v for k, v in vars(env).items() if k.endswith("_memo")]
         assert len(memos) == 5 and _assert_exact(memos, (name, "memos")) > 0
         assert _assert_exact(table.entries, (name, "entries")) > 0
+    # lower central series bases over Q[∂] and the adapted basis vectors of
+    # every shipped algebra; mixed takes the general stratum path
+    for name in ("heisenberg", "virasoro", "abelian1", "abelian2", "n3current", "mixed"):
+        pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))
+        series = LowerCentralSeries(pres)
+        bases = [m.basis_columns() for m in series.modules]
+        assert _assert_exact(bases, (name, "series")) > 0
+        if series.nilpotent:
+            basis = AdaptedBasis(pres, series)
+            basis.ensure_depth(2)
+            assert basis.graded == (name != "mixed")
+            assert _assert_exact([bv.vec for bv in basis.issued], (name, "basis")) > 0
+    # the composer's convolution memo after one Jacobi check of the law
+    composers = []
+
+    class Recording(lawtable._Composer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            composers.append(self)
+
+    monkeypatch.setattr(lawtable, "_Composer", Recording)
+    assert lawtable.check_law_jacobi(table, [(0, 0, 0), (-1, 0, 1)], 2)["pass"]
+    assert _assert_exact([composers[0]._conv_memo], "convolution") > 0
     # manifold cells and accumulated point products
     M = integrate(golden.mixed())
     assert M.check_axioms(3, seed=1, window=(-2, 2))["pass"]

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as Q
 
+import sympy
+
 from lieconformal.polyring import ONE, PolyModule, UPoly
 
 
@@ -11,9 +13,9 @@ def rand_poly(rng, deg=3):
 def test_upoly_arithmetic():
     a = UPoly([1, 2, 3])
     b = UPoly([0, 1])
-    assert (a + b).coeffs == (Q(1), Q(3), Q(3))
+    assert a + b == UPoly([Q(1), Q(3), Q(3)])
     assert (a - a).is_zero()
-    assert (a * b).coeffs == (Q(0), Q(1), Q(2), Q(3))
+    assert a * b == UPoly([Q(0), Q(1), Q(2), Q(3)])
     assert a.degree == 2 and b.degree == 1
     assert UPoly().degree == -1
 
@@ -28,6 +30,40 @@ def test_upoly_divmod_random():
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree or r.is_zero()
+
+
+def _sympy_coeffs(poly) -> dict:
+    return {d: Q(int(c.p), int(c.q)) for (d,), c in poly.as_dict().items()}
+
+
+def test_upoly_divmod_matches_sympy():
+    # an oracle independent of the sparse kernel: sympy's division over QQ
+    t = sympy.Symbol("t")
+    rng = random.Random(5)
+
+    def sparse(top):
+        # a few terms at random degrees, so zero gaps are the rule
+        return UPoly({rng.randint(0, top): Q(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 4))})
+
+    divisors = [UPoly.monomial(1, m) for m in (1, 2, 7, 30)]  # torsion relations t^m
+    divisors += [UPoly({0: -3, 5: 1}), UPoly({0: Q(1, 2), 3: 2, 9: Q(-5, 3)})]
+    cases = [(sparse(40), b) for b in divisors for _ in range(5)]
+    cases += [(rand_poly(rng, 6), rand_poly(rng, 3)) for _ in range(60)]
+    cases += [(sparse(60), sparse(20)) for _ in range(60)]
+    checked = 0
+    for a, b in cases:
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        A, B = (sympy.Poly({(d,): sympy.Rational(c.numerator, c.denominator)
+                            for d, c in p.coeffs.items()}, t, domain="QQ") for p in (a, b))
+        sq, sr = sympy.div(A, B, t)
+        assert q.coeffs == _sympy_coeffs(sq) and r.coeffs == _sympy_coeffs(sr), (a, b)
+        for c in (*q.coeffs.values(), *r.coeffs.values()):
+            assert type(c) is int or c.denominator != 1, (a, b, c)
+        checked += 1
+    assert checked > 100
 
 
 def test_module_membership_and_equality():
