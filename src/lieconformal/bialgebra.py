@@ -3,17 +3,17 @@
 The coproduct splits an ordered word over all position subsets; both
 halves of a split stay ordered, so no rewriting is involved and the
 subset expansion is an independent cross-check path against the product
-machinery.  Primitive elements are found by an exact kernel computation
-over a bounded word span.
+machinery.  Primitive elements of a bounded word span are found one word
+at a time, by testing each word's own coproduct residual for zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .enveloping import EnvelopingAlgebra, UElem, VACUUM, Word
-from .linalg import Sparse, iadd, kernel_basis
+from .linalg import Sparse, iadd
 
 Q = Fraction
 
@@ -67,15 +67,14 @@ def is_primitive(u: UElem) -> bool:
 
 def primitives_up_to(alg: EnvelopingAlgebra, max_len: int, depth: int) -> list[UElem]:
     """Basis of the primitive part of the bounded word span."""
+    # Every split of an ordered word carries exactly that word's letters, so
+    # the residuals of distinct words have disjoint supports.  A combination
+    # of words is then primitive only when each of its words is, and the
+    # primitive words alone span the kernel of the residual map.
     keys = alg.basis.keys_up_to_depth(depth)
-    words = [VACUUM]
-    for length in range(1, max_len + 1):
-        words.extend(tuple(w) for w in combinations_with_replacement(keys, length))
-    columns = [_primitive_residual(UElem.monomial(w)).terms for w in words]
-    basis = []
-    for combo in kernel_basis(columns):
-        basis.append(UElem({words[i]: c for i, c in combo.items()}))
-    return basis
+    lengths = range(1, max_len + 1)
+    words = chain([VACUUM], *(combinations_with_replacement(keys, n) for n in lengths))
+    return [u for u in map(UElem.monomial, words) if is_primitive(u)]
 
 
 def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int) -> TensorElem:

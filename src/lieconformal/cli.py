@@ -68,9 +68,9 @@ def _check_window(window) -> None:
 # `verify-manifold` takes.  The span has one word per multiset of at most
 # --max-len basis letters of depth at most --depth.  Cold, on one core of a
 # shared 2-core x86-64 host: `primitives n3current.lca --max-len 5 --depth 3`
-# takes 14 s and `heisenberg.lca --max-len 8 --depth 4` 4 s, while
-# `--max-len 12 --depth 6` is still running after 15 s; `verify-manifold
-# heisenberg.lca --samples 100` takes 0.3 s.
+# takes 8 s with a 22 MB peak and `heisenberg.lca --max-len 8 --depth 4` 3 s,
+# while `--max-len 12 --depth 6` is still running after 20 s; `verify-manifold
+# heisenberg.lca --samples 100` takes 0.2 s.
 MAX_LEN_LIMIT = 5
 DEPTH_LIMIT = 3
 SAMPLES_LIMIT = 1000
@@ -106,10 +106,12 @@ def _maybe_file(arg: str) -> str:
     if arg.startswith("@"):
         with open(arg[1:], "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if isinstance(doc, dict) and "coords" in doc:
-            return ", ".join(f"{k}={v}" for k, v in sorted(doc["coords"].items()))
-        if isinstance(doc, dict) and "word" in doc:
-            return ":" + " ".join(doc["word"]) + ":" if doc["word"] else "1"
+        doc = doc if isinstance(doc, dict) else {}
+        coords, word = doc.get("coords"), doc.get("word")
+        if isinstance(coords, dict):
+            return ", ".join(f"{k}={v}" for k, v in sorted(coords.items()))
+        if isinstance(word, list) and all(isinstance(x, str) for x in word):
+            return ":" + " ".join(word) + ":" if word else "1"
         raise dsl.DslError(
             dsl.Diagnostic(f"unrecognized JSON argument in {arg[1:]!r}", dsl.SourceSpan(0, 0, 1, 1))
         )
@@ -286,7 +288,7 @@ def run(argv) -> tuple[int, str]:
         code = _dispatch(args, em)
     except dsl.DslError as exc:
         return EXIT_USAGE, "\n".join(str(d) for d in exc.diagnostics) + "\n"
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return EXIT_USAGE, f"cannot open {exc.filename!r}\n"
     except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         return EXIT_USAGE, f"invalid argument: {exc}\n"

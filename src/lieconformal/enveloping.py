@@ -302,14 +302,8 @@ class EnvelopingAlgebra:
         return self.bracket(u, v).degree + 1
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
-        """Products for n in [lo, hi] plus the vanishing bound; the
-        nonnegative ones and the bound come from one bracket."""
-        br = self.bracket(u, v)
-        products = {
-            n: self.nth(u, v, n) if n < 0 else br.coeff(n).scale(math.factorial(n))
-            for n in range(lo, hi + 1)
-        }
-        return products, br.degree + 1
+        """Products for n in [lo, hi] plus the vanishing bound."""
+        return {n: self.nth(u, v, n) for n in range(lo, hi + 1)}, self.trunc_bound(u, v)
 
     # -- coefficient Jacobi identity ------------------------------------------------
 

@@ -1,10 +1,15 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import golden
+import pytest
 
+from lieconformal import dsl
 from lieconformal.bialgebra import (
     TensorElem,
+    _primitive_residual,
     check_delta_is_vertex_hom,
     coproduct,
     counit,
@@ -14,6 +19,9 @@ from lieconformal.bialgebra import (
     tensor_nth,
 )
 from lieconformal.enveloping import EnvelopingAlgebra, UElem, VACUUM
+from lieconformal.linalg import kernel_basis
+
+DATA = Path(__file__).parent / "data"
 
 
 def words_up_to(keys, max_len):
@@ -67,6 +75,44 @@ def test_primitives_match_algebra_slice():
             assert got == sorted((s,) for s in slice_syms)
             for p in prims:
                 assert is_primitive(p)
+
+
+def kernel_primitives(U, max_len, depth):
+    """Reference: the kernel of the residual map over the whole word span."""
+    words = words_up_to(U.basis.keys_up_to_depth(depth), max_len)
+    columns = [_primitive_residual(UElem.monomial(w)).terms for w in words]
+    return [UElem({words[i]: c for i, c in combo.items()}) for combo in kernel_basis(columns)]
+
+
+# every algebra in tests/data that parses, nilpotent (heisenberg, mixed,
+# n3current, abelian) or not (virasoro), and badheis, which fails antisymmetry
+LOADABLE = sorted(p.stem for p in DATA.glob("*.lca") if p.stem != "badsyntax")
+
+
+@pytest.mark.parametrize("name", LOADABLE)
+def test_streamed_primitives_equal_the_kernel_basis(name):
+    pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))
+    U = EnvelopingAlgebra(pres)
+    for max_len in range(4):
+        for depth in range(3):
+            assert primitives_up_to(U, max_len, depth) == kernel_primitives(U, max_len, depth)
+    # the residuals of distinct words have disjoint supports, so the kernel
+    # splits into one block per word
+    supports = [set(_primitive_residual(UElem.monomial(w)).terms)
+                for w in words_up_to(U.basis.keys_up_to_depth(2), 3)]
+    assert len(set().union(*supports)) == sum(map(len, supports))
+
+
+def test_primitives_hold_no_column_matrix():
+    U = EnvelopingAlgebra(golden.n3_current())
+    tracemalloc.start()
+    try:
+        prims = primitives_up_to(U, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prims) == 20
+    assert peak < 1 << 20, peak
 
 
 def test_tensor_nth_examples():

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import golden
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lieconformal import dsl, filtration
 from lieconformal.cli import DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
@@ -374,7 +377,7 @@ def test_outside_basis_exits_4_without_traceback(monkeypatch):
     assert "Traceback" not in text
 
 
-def test_cli_rejects_bad_values():
+def test_cli_rejects_bad_values(tmp_path):
     code, text = run(["nth", str(DATA / "heisenberg.lca"), "--left", "a",
                       "--right", "a", "--n", "-1"])
     assert code == 2 and "invalid argument" in text
@@ -406,6 +409,18 @@ def test_cli_rejects_bad_values():
         if "beyond the limit" in text:
             assert time.monotonic() - start < 1, argv
             assert text.startswith("invalid argument: --") and text.count("\n") == 1, text
+    # unreadable files and malformed @FILE arguments exit 2 with one line
+    (tmp_path / "w.json").write_text(json.dumps({"word": [1, 2]}))
+    (tmp_path / "c.json").write_text(json.dumps({"coords": [1]}))
+    for argv, want in [
+        (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
+        (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
+        (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],
+         f"1:1: unrecognized JSON argument in {str(tmp_path / 'w.json')!r}\n"),
+        (["eval", heis, "--a", f"@{tmp_path / 'c.json'}", "--b", "0", "--window=-1..1"],
+         f"1:1: unrecognized JSON argument in {str(tmp_path / 'c.json')!r}\n"),
+    ]:
+        assert run(argv) == (2, want), argv
 
 
 def test_nth_of_a_vanishing_coefficient_returns_at_once():
@@ -468,3 +483,100 @@ def test_python_dash_m_runs_the_command_line(module):
                           text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == run(argv)
     assert proc.returncode == 1 and "residual: 2*k" in proc.stdout
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+NAMES = ["a", "b", "k", "L", "C", "x", "y", "z", "w1", "w2", "q"]
+RATIONAL = st.sampled_from(["1", "-1", "3/2", "0", "1/0", "x", "2.5"])
+
+
+def _grammar(names):
+    """Letter, word, vector and point strategies over generator names."""
+    name = st.sampled_from(names)
+    letter = st.builds(lambda g, d: g if d is None else f"{g}[{d}]",
+                       name, st.none() | st.integers(0, 2))
+    word = st.one_of(
+        st.just("1"), letter,
+        st.lists(letter, min_size=1, max_size=3).map(lambda ls: ":" + " ".join(ls) + ":"),
+    )
+    term = st.builds(lambda c, d, g: c + d + g, st.sampled_from(["", "3*", "(1/2)*", "lambda*"]),
+                     st.sampled_from(["", "D*", "D^2*"]), name)
+    vector = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    point = st.just("0") | st.lists(st.builds(lambda l, r: f"{l}={r}", letter, RATIONAL),
+                                    min_size=1, max_size=3).map(", ".join)
+    return letter, word, vector, point
+
+
+SCALAR = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(NAMES) | RATIONAL
+JUNK = st.recursive(
+    SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["coords", "word", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+WINDOW = st.builds(lambda lo, width: f"--window={lo}..{lo + width}",
+                   st.integers(-3, 1), st.integers(-1, 3))
+SIZE = st.integers(-1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(tmp_path, data):
+    draw = data.draw
+    files = sorted(str(p) for p in DATA.glob("*.lca"))
+    file = draw(st.sampled_from([*files, str(tmp_path), str(tmp_path / "missing.lca")]))
+    gens = re.findall(r"(\w+):", Path(file).read_text()) if file in files else []
+    letter, word, vector, point = _grammar(draw(st.sampled_from([gens, NAMES])) or NAMES)
+    docs = itertools.count()
+
+    def arg(plain, key, value):
+        # a plain argument, or @FILE holding the JSON form {key: value}, a
+        # malformed one, a directory or nothing
+        kind = draw(st.sampled_from(["json", "plain", "dir", "missing"]))
+        if kind == "plain":
+            return draw(plain)
+        if kind == "json":
+            path = tmp_path / f"arg{next(docs)}.json"
+            doc = st.builds(lambda v: {key: v}, JUNK | value) | JUNK
+            path.write_text(json.dumps(draw(doc)))
+            return f"@{path}"
+        return "@" + str(tmp_path if kind == "dir" else tmp_path / "missing.json")
+
+    def word_arg():
+        return arg(word, "word", st.lists(letter | SCALAR, max_size=3))
+
+    def point_arg():
+        return arg(point, "coords", st.dictionaries(letter, RATIONAL | SCALAR, max_size=3))
+
+    options = {
+        "check": lambda: [],
+        "bracket": lambda: ["--left", draw(vector), "--right", draw(vector)],
+        "nth": lambda: ["--left", draw(vector), "--right", draw(vector),
+                        "--n", str(draw(st.integers(-2, 6)))],
+        "nop": lambda: ["--left", word_arg(), "--right", word_arg()],
+        "yprod": lambda: ["--left", word_arg(), "--right", word_arg(), draw(WINDOW)],
+        "coproduct": lambda: ["--elem", word_arg()],
+        "primitives": lambda: [
+            "--max-len", str(draw(st.integers(-1, 3) | st.just(MAX_LEN_LIMIT + 1))),
+            "--depth", str(draw(st.integers(-1, 2))),
+        ],
+        "fvl": lambda: ["--deg", str(draw(SIZE)), "--depth", str(draw(st.integers(-1, 1))),
+                        draw(WINDOW), *draw(st.sampled_from([[], ["--check-identities"]])),
+                        *draw(st.sampled_from([[], ["--check-jacobi", "1"]]))],
+        "integrate": lambda: [],
+        "eval": lambda: ["--a", point_arg(), "--b", point_arg(), draw(WINDOW),
+                         *draw(st.sampled_from([[], ["--float"]]))],
+        "verify-manifold": lambda: ["--samples", str(draw(SIZE)), draw(WINDOW)],
+        "roundtrip": lambda: [],
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    flags = draw(st.sampled_from([[], ["--format", "json"], ["--seed", "5"]]))
+    argv = [*flags, command, file, *options[command]()]
+    start = time.monotonic()
+    code, text = run(argv)
+    # every drawn size is small: the slowest call takes about 0.1 s
+    assert time.monotonic() - start < 10, argv
+    assert 0 <= code <= 4, (argv, text)
+    assert "Traceback" not in text, argv
