@@ -102,20 +102,22 @@ def _load(path: str):
     return pres, warnings
 
 
-def _maybe_file(arg: str) -> str:
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc = doc if isinstance(doc, dict) else {}
-        coords, word = doc.get("coords"), doc.get("word")
-        if isinstance(coords, dict):
-            return ", ".join(f"{k}={v}" for k, v in sorted(coords.items()))
-        if isinstance(word, list) and all(isinstance(x, str) for x in word):
-            return ":" + " ".join(word) + ":" if word else "1"
-        raise dsl.DslError(
-            dsl.Diagnostic(f"unrecognized JSON argument in {arg[1:]!r}", dsl.SourceSpan(0, 0, 1, 1))
-        )
-    return arg
+def _parse_arg(arg: str, pres, key: str):
+    """A word (``key`` "word") or point ("coords") as text, or @FILE holding
+    {"word": [letter, ...]} or {"coords": {letter: number or string}}."""
+    if not arg.startswith("@"):
+        return (dsl.parse_word if key == "word" else dsl.parse_point)(arg, pres)
+    with open(arg[1:], "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if key == "word" and isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return tuple(sorted(dsl._parse_letter(x, pres) for x in value))
+    if key == "coords" and isinstance(value, dict) and all(
+            isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in value.values()):
+        return dsl.point_from_pairs(((k, str(v)) for k, v in sorted(value.items())), pres)
+    raise dsl.DslError(
+        dsl.Diagnostic(f"unrecognized JSON argument in {arg[1:]!r}", dsl.SourceSpan(0, 0, 1, 1))
+    )
 
 
 def _vector_json(pres, v: CVec) -> dict:
@@ -355,16 +357,16 @@ def _dispatch(args, em: _Emitter) -> int:
     alg = EnvelopingAlgebra(pres)
 
     if cmd == "nop":
-        left = UElem.monomial(dsl.parse_word(_maybe_file(args.left), pres))
-        right = UElem.monomial(dsl.parse_word(_maybe_file(args.right), pres))
+        left = UElem.monomial(_parse_arg(args.left, pres, "word"))
+        right = UElem.monomial(_parse_arg(args.right, pres, "word"))
         out = alg.nop(left, right)
         em.text(render.uelem_text(alg.basis, out))
         em.payload({"element": _uelem_json(alg.basis, out)})
         return EXIT_OK
 
     if cmd == "yprod":
-        left = UElem.monomial(dsl.parse_word(_maybe_file(args.left), pres))
-        right = UElem.monomial(dsl.parse_word(_maybe_file(args.right), pres))
+        left = UElem.monomial(_parse_arg(args.left, pres, "word"))
+        right = UElem.monomial(_parse_arg(args.right, pres, "word"))
         lo, hi = args.window
         products, bound = alg.y_window(left, right, lo, hi)
         for n in range(lo, hi + 1):
@@ -379,7 +381,7 @@ def _dispatch(args, em: _Emitter) -> int:
         return EXIT_OK
 
     if cmd == "coproduct":
-        elem = UElem.monomial(dsl.parse_word(_maybe_file(args.elem), pres))
+        elem = UElem.monomial(_parse_arg(args.elem, pres, "word"))
         tens = coproduct(elem)
         parts = []
         for (a, b) in sorted(tens.terms):
@@ -463,8 +465,8 @@ def _dispatch(args, em: _Emitter) -> int:
         return EXIT_OK
 
     if cmd == "eval":
-        a_vec = CVec(dsl.parse_point(_maybe_file(args.a), pres))
-        b_vec = CVec(dsl.parse_point(_maybe_file(args.b), pres))
+        a_vec = CVec(_parse_arg(args.a, pres, "coords"))
+        b_vec = CVec(_parse_arg(args.b, pres, "coords"))
         a = manifold.basis.expand(a_vec)
         b = manifold.basis.expand(b_vec)
         lo, hi = args.window

@@ -460,16 +460,21 @@ def parse_word(text: str, pres: LcaPresentation) -> tuple:
 def parse_point(text: str, pres: LcaPresentation) -> dict:
     """Assignments ``a[0]=3/2`` separated by commas; ``0`` is the origin."""
     text = text.strip()
-    out: dict = {}
-    if text in ("", "0"):
-        return out
-    for piece in text.split(","):
-        piece = piece.strip()
-        if "=" not in piece:
+    pairs = [] if text in ("", "0") else [piece.split("=", 1) for piece in text.split(",")]
+    for pair in pairs:
+        if len(pair) < 2:
             raise DslError(
-                Diagnostic(f"expected coordinate assignment, found {piece!r}", SourceSpan(0, 0, 1, 1))
+                Diagnostic(f"expected coordinate assignment, found {pair[0].strip()!r}", SourceSpan(0, 0, 1, 1))
             )
-        lhs, rhs = piece.split("=", 1)
-        sym = _parse_letter(lhs.strip(), pres)
-        iadd(out, {sym: Q(rhs.strip())})
-    return out
+    return point_from_pairs(pairs, pres)
+
+
+def point_from_pairs(pairs, pres: LcaPresentation) -> dict:
+    """Point of (letter, value) text pairs; a coordinate given twice is an error."""
+    out: dict = {}
+    for tok, value in pairs:
+        sym = _parse_letter(tok.strip(), pres)
+        if sym in out:
+            raise DslError(Diagnostic(f"coordinate {tok.strip()!r} given twice", SourceSpan(0, 0, 1, 1)))
+        out[sym] = Q(value.strip())
+    return iadd({}, out)

@@ -78,35 +78,40 @@ def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, c=1) -> dict:
     return out
 
 
-def convolve(factors: tuple, q: int, series, maxn, window, cap: int, memo: dict) -> dict:
-    """x-coefficient q of the product of the series of ``factors``.
+def word_top(word: tuple, maxn) -> int:
+    """Top index of the product series of ``word``; -1 for the empty word."""
+    return sum(maxn(f) + 1 for f in word) - 1
+
+
+def word_series(word: tuple, series, maxn, lo: int, cap: int, memo: dict) -> dict:
+    """Product series {q: polynomial} of the series of the letters of ``word``.
 
     Series f has x-coefficients ``series(f, m)``, slotted polynomials that
     vanish for m > ``maxn(f)``; the product of r series takes coefficient q
-    from the index tuples with m_1 + ... + m_r + r - 1 = q.  Polynomial
-    terms of total degree above ``cap`` are dropped.  An index the sum
-    needs below the low end of ``window`` raises TruncationInsufficient.
-    Results are kept in ``memo`` under (factors, q).
+    from the index tuples with m_1 + ... + m_r + r - 1 = q.  Kept are the
+    nonzero coefficients from the floor, the least q that needs no series
+    index below ``lo``, to the top; terms of degree above ``cap`` drop.
+    A word is its prefix times its last letter's series, kept in ``memo``.
     """
-    if not factors:
-        return {(): 1} if q == -1 else {}
-    key = (factors, q)
-    cached = memo.get(key)
+    if not word:
+        return {-1: {(): 1}}
+    cached = memo.get(word)
     if cached is not None:
         return cached
-    first, rest = factors[0], factors[1:]
-    m = q - 1 - (sum(maxn(p) for p in rest) + len(rest) - 1) if rest else q
-    if m < window[0]:
-        raise TruncationInsufficient(f"composition needs index {m} below window {window}")
+    prefix, last = word[:-1], word[-1]
+    top = word_top(word, maxn)
+    floor = lo + top - min(map(maxn, word))
+    tails = word_series(prefix, series, maxn, lo, cap, memo).items()
     out: dict = {}
-    for m in range(m, maxn(first) + 1):
-        head = series(first, m)
+    # the prefix stops at top - maxn(last) - 1, so m >= floor - that - 1 >= lo
+    for m in range(floor + maxn(last) - top, maxn(last) + 1):
+        head = series(last, m)
         if head:
-            tail = convolve(rest, q - m - 1, series, maxn, window, cap, memo)
-            if tail:
-                _poly_madd(out, head, tail, cap)
-    memo[key] = out
-    return out
+            for t, tail in tails:
+                if t + m + 1 >= floor:
+                    _poly_madd(out.setdefault(t + m + 1, {}), tail, head, cap)
+    cached = memo[word] = {t: p for t, p in out.items() if p}
+    return cached
 
 
 def _slot_monomial(m: MIdx, slot: int) -> tuple:
@@ -337,27 +342,13 @@ class _Composer:
                 if n > self._maxn.get(l, self.lo - 1):
                     self._maxn[l] = n
         self._conv_memo: dict = {}
-        # certified stops for composed inner series: the largest index at
-        # which any substituted multi-index seen in the stored cells can
-        # still contribute, per substitution side
-        self.qmax_second = -1
-        self.qmax_first = -1
-        for (_l, _n), cell in table.entries.items():
-            for (k, kp) in cell:
-                if midx_norm(k) + midx_norm(kp) > cap:
-                    continue
-                self.qmax_first = max(self.qmax_first, self._conv_bound(k))
-                self.qmax_second = max(self.qmax_second, self._conv_bound(kp))
-
-    def _conv_bound(self, m: MIdx) -> int:
-        if not m:
-            return -1
-        total = 0
-        size = 0
-        for pos, e in m:
-            total += self.maxn(pos) * e
-            size += e
-        return total + size - 1
+        # certified stops for composed inner series: the top index of the
+        # product series of any multi-index substituted from the kept
+        # cells, per substitution side
+        kept = [pair for cell in table.entries.values() for pair in cell
+                if midx_norm(pair[0]) + midx_norm(pair[1]) <= cap]
+        self.qmax_first = max((word_top(word_from_midx(k), self.maxn) for k, _ in kept), default=-1)
+        self.qmax_second = max((word_top(word_from_midx(kp), self.maxn) for _, kp in kept), default=-1)
 
     def maxn(self, pos) -> int:
         return self._maxn.get(pos, self.lo - 1)
@@ -376,12 +367,18 @@ class _Composer:
             if midx_norm(k) + midx_norm(kp) <= self.cap
         }
 
-    def conv(self, factors: tuple, q: int, slots) -> dict:
+    def conv(self, word: tuple, q: int, slots) -> dict:
         """x-coefficient q of the product of position series."""
-        return convolve(
-            factors, q, partial(self.base_series, slots), self.maxn,
-            self.table.window, self.cap, self._conv_memo.setdefault(slots, {}),
-        )
+        # the least index of a position series that coefficient q needs
+        need = q - word_top(word, self.maxn) + min(map(self.maxn, word)) if word else self.lo
+        if need < self.lo:
+            raise TruncationInsufficient(
+                f"composition needs index {need} below window {self.table.window}"
+            )
+        return word_series(
+            word, partial(self.base_series, slots), self.maxn, self.lo, self.cap,
+            self._conv_memo.setdefault(slots, {}),
+        ).get(q, {})
 
     def composed(self, l, outer_n: int, inner_n: int, direct_slot: int,
                  inner_slots, substitute_first: bool) -> dict:
@@ -402,12 +399,9 @@ class _Composer:
             direct, subst = (kp, k) if substitute_first else (k, kp)
             if midx_norm(direct) + midx_norm(subst) > self.cap:
                 continue
-            factors = word_from_midx(subst)
-            inner = self.conv(factors, inner_n, inner_slots)
-            if not inner:
-                continue
-            direct_poly = {tuple(_slot_monomial(direct, direct_slot)): 1}
-            _poly_madd(out, direct_poly, inner, self.cap, c)
+            inner = self.conv(word_from_midx(subst), inner_n, inner_slots)
+            if inner:
+                _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
         return out
 
     def max_outer_index(self) -> int:
@@ -419,6 +413,8 @@ def _guard_table(table: LawTable, cap: int) -> None:
     # not table-decidable (missing deep-argument cells would surface as a
     # nonzero residual, not a false pass) and is cross-checked against the
     # enveloping products in the test suite.
+    if cap < 1:
+        raise ValueError(f"check degree {cap} compares nothing; it must be at least 1")
     if cap > table.degree:
         raise TruncationInsufficient(
             f"check degree {cap} exceeds table degree {table.degree}"
@@ -498,8 +494,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
             # alpha applied to the source law series
             lhs: dict = {}
             for m, c in apoly.items():
-                factors = word_from_midx(m)
-                iadd(lhs, comp.conv(factors, n, (0, 1)), c)
+                iadd(lhs, comp.conv(word_from_midx(m), n, (0, 1)), c)
             # destination law with substituted arguments
             rhs: dict = {}
             for (k, kp), c in dst.series_entry(dpos, n).items():

@@ -13,9 +13,9 @@ element is the origin.
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
 as idempotent inserts.  The same holds for the inner series memo: the
-x^q coefficients of the product series of a point pair, kept per (pair,
-q) for the manifold's life because every outer index and outer point of
-a composed product reads the same ones.
+coefficients of the product series of a point pair, kept per pair for
+the manifold's life because every outer index and outer point of a
+composed product reads the same ones.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
-from .lawtable import convolve, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx
+from .lawtable import law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series
 from .linalg import iadd
 
 Q = Fraction
@@ -177,35 +177,31 @@ class VertexManifold:
 
         The multi-indices m run over the support of the series with norm
         1..N, plus () when q = -1, in order of norm: all that `composed` and
-        `composed_first` read, whatever their outer point and index.  They
-        are computed once per (b, c, q) and kept for the manifold's life;
-        zero coefficients are not stored.  The coordinates of the series
-        enter the shared convolution as degree-0 polynomials, with one memo
-        for all the multi-indices.
+        `composed_first` read, whatever their outer point and index.  One
+        fill per pair files every q from its own up; only a lower q fills
+        again, from a deeper window.  Zero coefficients are not stored.  The
+        series coordinates enter `word_series` as degree-0 polynomials, and
+        no word product outlives its fill.
         """
-        key = (point_key(b), point_key(c), q)
-        cached = self._inner_memo.get(key)
-        if cached is not None:
-            return cached
-        n_bc = self.truncation_bound(b, c)
-        window = (q + 1 - self.N * max(n_bc, 1), n_bc - 1)
-        weights = self._point_weights(b, c)
-        heads: dict = {}
-        for m in range(window[0], n_bc):
-            for pos, v in self._combine(weights, m).items():
-                heads[pos, m] = {(): v}
-        supp = sorted({pos for pos, _ in heads})
-        memo: dict = {}
-        cached = []
-        for s in range(self.N + 1):
-            for word in combinations_with_replacement(supp, s):
-                prod = convolve(word, q, lambda pos, m: heads.get((pos, m)),
-                                lambda pos: n_bc - 1, window, 0, memo)
-                coeff = prod.get((), 0)
-                if coeff:
-                    cached.append((midx_from_word(word), s, coeff))
-        self._inner_memo[key] = cached
-        return cached
+        key = (point_key(b), point_key(c))
+        filled = self._inner_memo.get(key)
+        if filled is None or q < filled[0]:
+            n_bc = self.truncation_bound(b, c)
+            lo = q + 1 - self.N * max(n_bc, 1)
+            weights = self._point_weights(b, c)
+            heads = {(pos, m): {(): v} for m in range(lo, n_bc)
+                     for pos, v in self._combine(weights, m).items()}
+            supp = sorted({pos for pos, _ in heads})
+            memo: dict = {}
+            filled = self._inner_memo[key] = (q, {})
+            for s in range(self.N + 1):
+                for word in combinations_with_replacement(supp, s):
+                    midx = midx_from_word(word)
+                    for t, poly in word_series(word, lambda pos, m: heads.get((pos, m)),
+                                               lambda pos: n_bc - 1, lo, 0, memo).items():
+                        if t >= q:
+                            filled[1].setdefault(t, []).append((midx, s, poly[()]))
+        return filled[1].get(q, [])
 
     def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of a with the (b, c) product series."""

@@ -412,7 +412,29 @@ def test_cli_rejects_bad_values(tmp_path):
     # unreadable files and malformed @FILE arguments exit 2 with one line
     (tmp_path / "w.json").write_text(json.dumps({"word": [1, 2]}))
     (tmp_path / "c.json").write_text(json.dumps({"coords": [1]}))
+    # JSON keys and values are read as given, never re-split as text
+    (tmp_path / "split.json").write_text(json.dumps({"coords": {"a[0]=1, a[0]": 2}}))
+    (tmp_path / "space.json").write_text(json.dumps({"word": ["a a"]}))
+    (tmp_path / "null.json").write_text(json.dumps({"coords": {"a[0]": None}}))
+    (tmp_path / "twice.json").write_text(json.dumps({"coords": {"a": 1, "a[0]": 2}}))
+    fvl = ["fvl", heis, "--deg", "2", "--depth", "1", "--window=-4..4", "--check-jacobi"]
     for argv, want in [
+        # a Jacobi check below degree 1 would compare only empty polynomials
+        ([*fvl, "0"], "invalid argument: check degree 0 compares nothing; it must be at least 1\n"),
+        ([*fvl, "-1"], "invalid argument: check degree -1 compares nothing; it must be at least 1\n"),
+        # a coordinate given twice is rejected, not summed
+        (["eval", heis, "--a", "a[0]=1, a[0]=2", "--b", "a[0]=1", "--window=1..1"],
+         "1:1: coordinate 'a[0]' given twice\n"),
+        (["eval", heis, "--a", "a=1, a[0]=2", "--b", "a[0]=1", "--window=1..1"],
+         "1:1: coordinate 'a[0]' given twice\n"),
+        (["eval", heis, "--a", f"@{tmp_path / 'twice.json'}", "--b", "0", "--window=1..1"],
+         "1:1: coordinate 'a[0]' given twice\n"),
+        (["eval", heis, "--a", f"@{tmp_path / 'split.json'}", "--b", "0", "--window=1..1"],
+         "invalid argument: invalid literal for int() with base 10: '0]=1, a[0'\n"),
+        (["nop", heis, "--left", f"@{tmp_path / 'space.json'}", "--right", "a"],
+         "1:1: unknown generator 'a a'\n"),
+        (["eval", heis, "--a", f"@{tmp_path / 'null.json'}", "--b", "0", "--window=1..1"],
+         f"1:1: unrecognized JSON argument in {str(tmp_path / 'null.json')!r}\n"),
         (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],
@@ -421,6 +443,23 @@ def test_cli_rejects_bad_values(tmp_path):
          f"1:1: unrecognized JSON argument in {str(tmp_path / 'c.json')!r}\n"),
     ]:
         assert run(argv) == (2, want), argv
+
+
+def test_json_arguments_read_like_their_text_forms(tmp_path):
+    # numbers, fractions as strings and decimals read as exact rationals
+    heis = str(DATA / "heisenberg.lca")
+    (tmp_path / "p.json").write_text(json.dumps({"coords": {"a[0]": 0.5, "k": "3/2"}}))
+    (tmp_path / "w.json").write_text(json.dumps({"word": ["a[1]", "a"]}))
+    (tmp_path / "one.json").write_text(json.dumps({"word": []}))
+    for from_file, as_text in [
+        (["eval", heis, "--a", f"@{tmp_path / 'p.json'}", "--b", "a[0]=1", "--window=-2..1"],
+         ["eval", heis, "--a", "a[0]=1/2, k=3/2", "--b", "a[0]=1", "--window=-2..1"]),
+        (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],
+         ["nop", heis, "--left", ":a a[1]:", "--right", "a"]),
+        (["nop", heis, "--left", f"@{tmp_path / 'one.json'}", "--right", "a"],
+         ["nop", heis, "--left", "1", "--right", "a"]),
+    ]:
+        assert run(from_file) == run(as_text) and run(as_text)[0] == 0, as_text
 
 
 def test_nth_of_a_vanishing_coefficient_returns_at_once():

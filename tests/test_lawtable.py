@@ -1,6 +1,8 @@
 import json
+import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from functools import partial
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import golden
@@ -13,6 +15,7 @@ from lieconformal.lawtable import (
     EMPTY,
     LawTable,
     _Composer,
+    _poly_madd,
     check_convergence_bound,
     check_identities,
     check_law_hom,
@@ -22,6 +25,8 @@ from lieconformal.lawtable import (
     midx_from_word,
     midx_norm,
     word_from_midx,
+    word_series,
+    word_top,
 )
 
 A0, A1, A2, K0 = (0, 0), (0, 1), (0, 2), (1, 0)
@@ -301,6 +306,12 @@ def test_sampled_law_checks_fail_when_nothing_is_checked():
     # a check that examined nothing must say so and must not pass
     T = heis_table(depth=1, window=(-4, 4))
     assert check_law_jacobi(T, [], 2) == {"pass": False, "checks": []}
+    # below degree 1 every composed polynomial is empty, so nothing is compared
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_law_jacobi(T, [(0, 0, 0)], cap)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_law_hom({}, heis_table(degree=0, depth=1, window=(-4, 4)), T)
     # the windows share no index, so no entry is compared
     far = heis_table(depth=1, window=(5, 8))
     assert check_law_hom({}, T, far) == {"pass": False, "checks": []}
@@ -311,3 +322,132 @@ def test_law_hom_stops_at_first_failing_entry():
     bad = {key: {((key, 1),): Q(2)} for key in T.positions}
     passes = [c["pass"] for c in check_law_hom(bad, T, T)["checks"]]
     assert passes == [True] * (len(passes) - 1) + [False]
+
+
+def _convolve(factors, q, series, maxn, window, cap, memo):
+    """Coefficient q of the product of the series of ``factors``, recursing
+    on the first factor: the reference for `word_series`."""
+    if not factors:
+        return {(): 1} if q == -1 else {}
+    key = (factors, q)
+    if key in memo:
+        return memo[key]
+    first, rest = factors[0], factors[1:]
+    m = q - 1 - (sum(maxn(p) for p in rest) + len(rest) - 1) if rest else q
+    if m < window[0]:
+        raise TruncationInsufficient(f"composition needs index {m} below window {window}")
+    out = {}
+    for m in range(m, maxn(first) + 1):
+        head = series(first, m)
+        if head:
+            tail = _convolve(rest, q - m - 1, series, maxn, window, cap, memo)
+            if tail:
+                _poly_madd(out, head, tail, cap)
+    memo[key] = out
+    return out
+
+
+def _brute_force(word, q, coeffs, lo, maxn):
+    """Coefficient q of a product of scalar series, summed over index tuples."""
+    total = Q(0)
+    for ms in product(*(range(lo, maxn[f] + 1) for f in word)):
+        if sum(ms) + len(word) - 1 == q:
+            term = Q(1)
+            for f, m in zip(word, ms):
+                term *= coeffs.get((f, m), 0)
+            total += term
+    return total
+
+
+def test_word_series_matches_recursive_convolution_and_brute_force():
+    # seeded scalar series; as in the composer, maxn(f) is the top nonzero
+    # index of f's series, or lo - 1 for a zero series
+    rng = random.Random(12)
+    for _ in range(40):
+        lo = rng.randint(-4, 1)
+        maxn = {f: rng.randint(lo - 1, lo + 4) for f in "abc"}
+        coeffs = {(f, m): Q(rng.randint(-3, 3), rng.randint(1, 3))
+                  for f in "abc" for m in range(lo, maxn[f] + 1)}
+        coeffs = {fm: c for fm, c in coeffs.items() if c or fm[1] == maxn[fm[0]]}
+        for f in "abc":
+            coeffs[f, maxn[f]] = coeffs.get((f, maxn[f])) or Q(1)
+
+        def series(f, m):
+            assert lo <= m <= maxn[f], (f, m)
+            return {(): coeffs[f, m]} if coeffs.get((f, m)) else None
+
+        memo = {}
+        for s in range(4):
+            for word in combinations_with_replacement("abc", s):
+                got = word_series(word, series, maxn.get, lo, 0, memo)
+                top = word_top(word, maxn.get)
+                # the empty word never raises
+                floor = lo + top - min(map(maxn.get, word)) if word else lo - 8
+                for q in range(lo - 8, top + 3):
+                    try:
+                        want = _convolve(word, q, series, maxn.get, (lo, None), 0, {}).get((), 0)
+                    except TruncationInsufficient:
+                        assert q < floor, (word, q)
+                        continue
+                    assert q >= floor, (word, q)
+                    assert got.get(q, {}).get((), 0) == want, (word, q)
+                    if word:
+                        assert want == _brute_force(word, q, coeffs, lo, maxn), (word, q)
+                assert all(floor <= q <= top and p for q, p in got.items()), word
+
+
+def _random_table(rng, lo, hi, positions):
+    """A law table of seeded cells over the given positions."""
+    table = LawTable("random", 3, 1, (lo, hi), positions)
+    table.labels = {k: str(k) for k in positions}
+    midxes = [EMPTY] + [midx_from_word(w) for s in (1, 2)
+                        for w in combinations_with_replacement(positions, s)]
+    for l in positions:
+        for n in range(lo, rng.randint(lo - 1, hi) + 1):
+            for _ in range(rng.randint(0, 3)):
+                k, kp = rng.choice(midxes), rng.choice(midxes)
+                table.add_entry(l, n, k, kp, Q(rng.randint(-3, 3), rng.randint(1, 2)))
+    return table
+
+
+def test_composer_conv_matches_recursive_convolution():
+    # every coefficient and every raise/no-raise decision of the composer
+    # on seeded slotted tables, the empty word and q < -1 included
+    rng = random.Random(7)
+    positions = [(0, 0), (1, 0), (2, 0)]
+    raised = compared = 0
+    for _ in range(12):
+        lo = rng.randint(-5, -1)
+        table = _random_table(rng, lo, lo + 6, positions)
+        for cap in (1, 2, 3):
+            comp = _Composer(table, cap)
+            for slots in ((0, 1), (1, 2)):
+                series = partial(comp.base_series, slots)
+                for s in range(4):
+                    for word in combinations_with_replacement(positions, s):
+                        for q in range(lo - 4, lo + 12):
+                            try:
+                                want = _convolve(word, q, series, comp.maxn, table.window, cap, {})
+                            except TruncationInsufficient:
+                                with pytest.raises(TruncationInsufficient):
+                                    comp.conv(word, q, slots)
+                                raised += 1
+                                continue
+                            assert comp.conv(word, q, slots) == want, (cap, slots, word, q)
+                            compared += 1
+    assert raised > 1000 and compared > 1000, (raised, compared)
+    # a real table too, at each cap it certifies
+    T = heis_table(degree=3, depth=1, window=(-5, 5))
+    for cap in (1, 2, 3):
+        comp = _Composer(T, cap)
+        series = partial(comp.base_series, (1, 2))
+        for s in range(3):
+            for word in combinations_with_replacement(T.positions, s):
+                for q in range(-8, 8):
+                    try:
+                        want = _convolve(word, q, series, comp.maxn, T.window, cap, {})
+                    except TruncationInsufficient:
+                        with pytest.raises(TruncationInsufficient):
+                            comp.conv(word, q, (1, 2))
+                        continue
+                    assert comp.conv(word, q, (1, 2)) == want, (cap, word, q)

@@ -7,7 +7,7 @@ import pytest
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
 from lieconformal.linalg import vec_add as point_add
-from lieconformal.manifold import integrate
+from lieconformal.manifold import integrate, point_key
 
 
 def rand_point(rng, M, depth=1, bound=4):
@@ -238,25 +238,30 @@ def _n3_slow_triple(M):
 
 
 def test_inner_series_convolved_once_per_pair(monkeypatch):
-    # the (b, c) series and its convolutions do not depend on the outer
-    # index or point; rebuilding them per outer index made 215,505 calls
+    # the (b, c) series and its word products do not depend on the outer
+    # index or point, and one fill at the lowest q serves every higher q:
+    # 9,180 word products here, where a fill per (pair, q) made 27 fills
+    # and 31,370 convolutions
     import lieconformal.manifold as manifold
 
-    calls = [0]
-    convolve = manifold.convolve
+    calls = []
+    word_series = manifold.word_series
 
-    def counting(*args):
-        calls[0] += 1
-        return convolve(*args)
+    def counting(word, *args):
+        calls.append(word)
+        return word_series(word, *args)
 
-    monkeypatch.setattr(manifold, "convolve", counting)
+    monkeypatch.setattr(manifold, "word_series", counting)
     M = integrate(golden.n3_current())
     a, b, c = _n3_slow_triple(M)
     for l in (-1, 0, 1):
         for t in (-1, 0, 1):
             for j in (-1, 0, 1):
                 assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
-    assert calls[0] <= 70_000, calls[0]
+    # one fill per point pair, each starting from the empty word
+    pairs = {(point_key(x), point_key(y)) for x, y in [(b, c), (a, c), (a, b)]}
+    assert set(M._inner_memo) == pairs and calls.count(()) == 3
+    assert len(calls) <= 10_000, len(calls)
 
 
 def test_slow_triple_extends_each_chain_once():
