@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Sparse, SparsePoly, iadd
+from .linalg import Echelon, Sparse, SparsePoly, exact, iadd
 
 Q = Fraction
 Symbol = tuple  # (generator index, depth)
@@ -180,6 +180,36 @@ class LcaPresentation:
             for d in range(top + 1):
                 out.append((g, d))
         return out
+
+    def conformal_weights(self) -> tuple | None:
+        """Rational weights Δ_g grading the brackets, or None when none exist.
+
+        Every term λ^n ∂^d g_k of a stored [g_i λ g_j] needs
+        Δ_k + d = Δ_i + Δ_j - n - 1; then u_(n) v of homogeneous enveloping
+        elements weighs Δu + Δv - n - 1.  Each free parameter of the solution
+        is set to a distinct non-integer 1/97^t, which keeps apart the weights
+        of words that the grading tells apart.
+        """
+        one = len(self.generators)  # label of the constant, after every Δ
+        ech = Echelon()
+        for (i, j), poly in self.brackets.items():
+            for n, vec in poly.coeffs.items():
+                for k, d in vec.coeffs:
+                    eq = iadd(iadd({k: 1, one: d + n + 1}, {i: 1}, -1), {j: 1}, -1)
+                    row = ech.insert(eq)
+                    if row is not None and min(row) == one:
+                        return None  # 0 = nonzero: the equations contradict
+        # rows are Δ_p + Σ_{h > p} c_h Δ_h = 0, so solve from the last label down
+        value = {one: 1}
+        free = 0
+        for g in reversed(range(one)):
+            row = ech.rows.get(g)
+            if row is None:
+                free += 1
+                value[g] = Fraction(1, 97 ** free)
+            else:
+                value[g] = exact(-sum(c * value[h] for h, c in row.items() if h != g))
+        return tuple(value[g] for g in range(one))
 
     def __eq__(self, other):
         return (

@@ -428,18 +428,20 @@ def parse_vector(text: str, pres: LcaPresentation):
 
 
 def _parse_letter(tok: str, pres: LcaPresentation):
-    name, depth = tok, 0
+    name, depth = tok, "0"
     if "[" in tok:
         if not tok.endswith("]"):
             raise DslError(Diagnostic(f"malformed basis letter {tok!r}", SourceSpan(0, 0, 1, 1)))
-        name, rest = tok.split("[", 1)
-        depth = int(rest[:-1])
+        name, depth = tok[:-1].split("[", 1)
     try:
         g = pres.gen_index(name)
     except KeyError:
         raise DslError(Diagnostic(f"unknown generator {name!r}", SourceSpan(0, 0, 1, 1)))
-    sym = (g, depth)
-    if not pres.symbol_valid(sym):
+    try:
+        sym = (g, int(depth))
+    except ValueError:
+        sym = None
+    if sym is None or not pres.symbol_valid(sym):
         raise DslError(Diagnostic(f"invalid depth for generator {name!r}", SourceSpan(0, 0, 1, 1)))
     return sym
 

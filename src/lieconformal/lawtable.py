@@ -11,6 +11,13 @@ Monomial bookkeeping: a multi-index is a sorted tuple of (basis key,
 positive exponent) pairs; composed-series polynomials live over slotted
 variables (slot, basis key) with slots numbering the argument groups.
 
+On a graded presentation (``LcaPresentation.conformal_weights``) the cell
+(k, k', n) can only hold letters of weight W(k) + W(k') - n - 1, so
+extraction skips a cell when no in-depth position has that weight, unless
+an out-of-depth letter has it and the cell's degree has shown no overflow
+yet; the table is the one that computing every cell gives.  Without a
+grading every cell is computed.
+
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
 reduction independent of completion order.
@@ -27,6 +34,7 @@ from itertools import combinations_with_replacement
 from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
+from .filtration import RawBasis
 from .linalg import iadd, scale
 
 Q = Fraction
@@ -231,8 +239,51 @@ def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
 
 
+def _cell_skipper(env: EnvelopingAlgebra, depth: int, positions, midxes):
+    """``skip(k, k', n, overflowed)``: whether a cell cannot change the table.
+
+    A cell of weight w = W(k) + W(k') - n - 1 is skippable when no in-depth
+    position weighs w, and either no out-of-depth letter does or its degree
+    has overflowed already.  None when the presentation has no grading or
+    a basis letter is not one symbol.  Weights are scaled to ints.
+    """
+    delta = env.pres.conformal_weights()
+    basis = env.basis
+    if delta is None or not (isinstance(basis, RawBasis) or basis.graded):
+        return None
+    scale_d = math.lcm(*(Q(x).denominator for x in delta))
+    gen_w = [int(x * scale_d) for x in delta]
+    torsion = [g.torsion for g in env.pres.generators]
+
+    def key_weight(key) -> int:
+        ((g, d),) = basis.vector(key).coeffs
+        return gen_w[g] + scale_d * d
+
+    pos_w = {key_weight(key) for key in positions}
+    weight = {m: sum(e * key_weight(key) for key, e in m) for m in midxes}
+
+    def deep(w: int) -> bool:
+        # some letter (g, d) with depth < d < torsion weighs w
+        for wg, t in zip(gen_w, torsion):
+            d, r = divmod(w - wg, scale_d)
+            if not r and d > depth and (t is None or d < t):
+                return True
+        return False
+
+    def skip(k: MIdx, kp: MIdx, n: int, overflowed: bool) -> bool:
+        w = weight[k] + weight[kp] - scale_d * (n + 1)
+        return w not in pos_w and (overflowed or not deep(w))
+
+    return skip
+
+
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
-    """Fill the table from the enveloping products over the stated ranges."""
+    """Fill the table from the enveloping products over the stated ranges.
+
+    Each pair's indices are walked downward, so a degree's overflow shows
+    at its shallowest cell, and on a graded presentation the deeper cells
+    that cannot change the table are skipped.
+    """
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
     table = LawTable(env.pres.name, degree, depth, window, positions)
@@ -248,18 +299,22 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             midx_from_word(w) for w in combinations_with_replacement(positions, size)
         )
         ends.append(len(midxes))
+    skip = _cell_skipper(env, depth, positions, midxes)
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
             u, v, _ = _cell_pair(k, kp)
             bound = env.trunc_bound(u, v)
             table.pair_bounds[(k, kp)] = bound
-            for n in range(lo, min(hi, bound - 1) + 1):
+            deg = dk + midx_norm(kp)
+            for n in range(min(hi, bound - 1), lo - 1, -1):
+                if skip and skip(k, kp, n, deg in table.overflow_degrees):
+                    continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
                         table.add_entry(l, n, k, kp, c)
                     else:
-                        table.overflow_degrees.add(dk + midx_norm(kp))
+                        table.overflow_degrees.add(deg)
     return table
 
 

@@ -430,7 +430,10 @@ def test_cli_rejects_bad_values(tmp_path):
         (["eval", heis, "--a", f"@{tmp_path / 'twice.json'}", "--b", "0", "--window=1..1"],
          "1:1: coordinate 'a[0]' given twice\n"),
         (["eval", heis, "--a", f"@{tmp_path / 'split.json'}", "--b", "0", "--window=1..1"],
-         "invalid argument: invalid literal for int() with base 10: '0]=1, a[0'\n"),
+         "1:1: invalid depth for generator 'a'\n"),
+        # a depth that is not an integer gets the diagnostic of a negative one
+        (["eval", heis, "--a", "a[x]=1", "--b", "0", "--window=1..1"],
+         "1:1: invalid depth for generator 'a'\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'space.json'}", "--right", "a"],
          "1:1: unknown generator 'a a'\n"),
         (["eval", heis, "--a", f"@{tmp_path / 'null.json'}", "--b", "0", "--window=1..1"],
@@ -492,6 +495,28 @@ def test_windows_beyond_the_limit_exit_2_at_once():
                  ["fvl", heis, "--deg", "1", "--depth", "0"],
                  ["verify-manifold", heis, "--samples", "1"]):
         assert run([*argv, f"--window={-lim - 1}..0"])[0] == 2, argv
+
+
+def test_deep_fvl_window_skips_the_cells_that_cannot_land_in_depth(tmp_path):
+    # every entry of this table sits at n >= -2, and the conformal weight of
+    # each deeper cell matches no depth-1 position, so -32..0 keeps the
+    # entries and overflow degrees of -3..0; computing every cell would take
+    # 18 s and 320 MB, skipping them takes about 0.1 s on a 2-core x86-64 host
+    n3 = str(DATA / "n3current.lca")
+    docs = {}
+    for window in ("-32..0", "-3..0"):
+        out = tmp_path / f"{window}.json"
+        start = time.process_time()
+        code, text = run(["fvl", n3, "--deg", "3", "--depth", "1", f"--window={window}",
+                          "--format", "json", "--out", str(out)])
+        assert code == 0, text
+        if window == "-32..0":
+            assert time.process_time() - start < 3
+        docs[window] = json.loads(out.read_text())
+    deep, shallow = docs["-32..0"], docs["-3..0"]
+    assert len(deep["entries"]) == 43 and deep["overflow_degrees"] == [1, 2, 3]
+    for key in ("entries", "overflow_degrees", "bounds"):
+        assert deep[key] == shallow[key], key
 
 
 def _text_residuals(text):

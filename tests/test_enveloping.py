@@ -443,3 +443,61 @@ class TestDepthBudget:
                         got = sum(d for (_, d) in word)
                         assert got >= total - max(n, 0), (
                             build.__name__, wu, wv, n, word)
+
+
+# every algebra in tests/data that parses, badheis (which fails antisymmetry)
+# included; all of them are graded
+PARSEABLE = sorted(p.stem for p in DATA.glob("*.lca") if p.stem != "badsyntax")
+# gradings worked out by hand; a multiple of the central charge has weight 0
+HAND_WEIGHTS = {"n3current": (1, 1, 1, 1, 1), "virasoro": (2, 0)}
+
+
+def _assert_homogeneous_products(U, delta):
+    """Every n-th product of words of length <= 2, n in -4..3, has the weight
+    W(u) + W(v) - n - 1; the letters go to depth 1 on up to three generators
+    and stay at depth 0 on more."""
+
+    def weight(word):
+        return sum(delta[g] + d for g, d in word)
+
+    letters = U.basis.keys_up_to_depth(1 if len(delta) <= 3 else 0)
+    words = [()] + [(a,) for a in letters] + [
+        (a, b) for i, a in enumerate(letters) for b in letters[i:]
+    ]
+    nonzero = 0
+    for wu in words:
+        for wv in words:
+            u, v = UElem.monomial(wu), UElem.monomial(wv)
+            for n in range(-4, 4):
+                want = weight(wu) + weight(wv) - n - 1
+                got = U.nth(u, v, n)
+                assert all(weight(w) == want for w in got.terms), (wu, wv, n)
+                nonzero += bool(got)
+    return nonzero
+
+
+@pytest.mark.parametrize("name", PARSEABLE)
+def test_products_are_homogeneous_in_the_conformal_weight(name):
+    pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text())
+    delta = pres.conformal_weights()
+    assert delta is not None and len(delta) == len(pres.generators)
+    # the solved weights satisfy every term of every bracket, the transposed
+    # ones included, recomputed from the bracket extension
+    ngen = len(pres.generators)
+    terms = 0
+    for i in range(ngen):
+        for j in range(ngen):
+            poly = pres.bracket(CVec.unit((i, 0)), CVec.unit((j, 0)))
+            for n, vec in poly.coeffs.items():
+                for k, d in vec.coeffs:
+                    assert delta[k] + d == delta[i] + delta[j] - n - 1, (i, j, n, k, d)
+                    terms += 1
+    assert terms or not pres.brackets
+    # free parameters are non-integers, so a letter and a word of two
+    # letters of an abelian algebra never weigh the same
+    if not pres.brackets:
+        assert all(Fraction(x).denominator > 1 for x in delta)
+    U = EnvelopingAlgebra(pres)
+    assert _assert_homogeneous_products(U, delta) > 0
+    if name in HAND_WEIGHTS:
+        assert _assert_homogeneous_products(EnvelopingAlgebra(pres), HAND_WEIGHTS[name]) > 0

@@ -192,10 +192,31 @@ def _reference_table(env, degree, depth, window):
 
 @pytest.mark.parametrize("name", ["heisenberg", "mixed", "virasoro", "n3current"])
 def test_extraction_matches_cellwise_products(name):
+    # the cells skipped by weight change neither an entry nor an overflow
     text = (Path(__file__).parent / "data" / f"{name}.lca").read_text()
     pres, _ = dsl.load_presentation(text)
-    got = extract_law(EnvelopingAlgebra(pres), 2, 1, (-6, 6)).to_json()
-    assert got == _reference_table(EnvelopingAlgebra(pres), 2, 1, (-6, 6)).to_json()
+    assert pres.conformal_weights() is not None
+    got = extract_law(EnvelopingAlgebra(pres), 3, 2, (-8, 8)).to_json()
+    want = _reference_table(EnvelopingAlgebra(pres), 3, 2, (-8, 8)).to_json()
+    assert got["overflow_degrees"] == want["overflow_degrees"]
+    assert got == want
+
+
+UNGRADED = """algebra ungraded {
+  generators { a: free; k: torsion(1); }
+  bracket [a, a] = lambda*k + lambda^3*k;
+}"""
+
+
+def test_ungraded_extraction_computes_every_cell():
+    # the two terms force Δ_k = 2Δ_a - 2 and Δ_k = 2Δ_a - 4 at once
+    pres, _ = dsl.load_presentation(UNGRADED)
+    assert pres.check_axioms().ok
+    assert pres.conformal_weights() is None
+    got = extract_law(EnvelopingAlgebra(pres), 3, 1, (-6, 6))
+    want = _reference_table(EnvelopingAlgebra(pres), 3, 1, (-6, 6))
+    assert got.to_json() == want.to_json()
+    assert got.overflow_degrees and any(n == 3 for _l, n in got.entries)
 
 
 def test_extraction_builds_one_chain_per_left_index():
