@@ -9,6 +9,7 @@ certify a check or a vector falls outside the issued basis slice.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -40,13 +41,14 @@ EXIT_TRUNCATION = 4
 
 # Deepest window a command takes: LO >= -WINDOW_LIMIT and HI - LO <= 2 * WINDOW_LIMIT.
 # The work grows steeply with the depth.  Cold, on one core of a shared 2-core
-# x86-64 host: `eval` of two three-letter n3current points takes 0.45 s at
-# --window=-16..0, 2.5 s at -32..0 and 17 s at -64..0, while a window at
-# -100000 does not finish.  `fvl` skips the cells of a graded presentation
-# that cannot land in depth, so `fvl n3current.lca --deg 3 --depth 1` takes
-# 0.1 s at -16..0 and at -32..0; on an ungraded presentation every cell is
-# computed, which for the same table would take 3.2 s and 77 MB at -16..0
-# and 20 s and 323 MB at -32..0.
+# x86-64 host: `eval` of two three-letter n3current points, which skips the
+# product cells whose conformal weight no letter has, takes 0.13 s at
+# --window=-16..0, 0.55-0.75 s and 31 MB at -32..0 and 5 s and 100 MB at
+# -64..0, while a window at -100000 does not finish.  `fvl` skips the cells
+# of a graded presentation that cannot land in depth, so
+# `fvl n3current.lca --deg 3 --depth 1` takes 0.1 s at -16..0 and at -32..0;
+# on an ungraded presentation every cell is computed, which for the same
+# table would take 3.2 s and 77 MB at -16..0 and 20 s and 323 MB at -32..0.
 WINDOW_LIMIT = 32
 
 
@@ -186,10 +188,12 @@ class _Emitter:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the global flags set nothing when absent, so the subcommand's copy of a
-    # flag does not overwrite one given before the subcommand; run() passes
-    # the defaults in the namespace
+    # built once, by the first run(): parsing leaves the parsers unchanged.
+    # The global flags set nothing when absent, so the subcommand's copy of a
+    # flag does not overwrite one given before the subcommand; each run()
+    # passes the defaults in a namespace of its own
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -235,17 +235,22 @@ def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
 
 def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter."""
+    if k == EMPTY and n != -1:
+        # the vacuum's only nonzero product is its (-1)-product
+        return {}
     u, v, norm = _cell_pair(k, kp)
     return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
 
 
-def _cell_skipper(env: EnvelopingAlgebra, depth: int, positions, midxes):
+def _cell_skipper(env: EnvelopingAlgebra, depth: int, positions):
     """``skip(k, k', n, overflowed)``: whether a cell cannot change the table.
 
     A cell of weight w = W(k) + W(k') - n - 1 is skippable when no in-depth
     position weighs w, and either no out-of-depth letter does or its degree
-    has overflowed already.  None when the presentation has no grading or
-    a basis letter is not one symbol.  Weights are scaled to ints.
+    has overflowed already.  With depth -1 and no positions, that is when
+    no letter of any depth weighs w, so the cell is zero.  None when the
+    presentation has no grading or a basis letter is not one symbol.
+    Weights are scaled to ints; a multi-index's is kept once asked for.
     """
     delta = env.pres.conformal_weights()
     basis = env.basis
@@ -260,7 +265,13 @@ def _cell_skipper(env: EnvelopingAlgebra, depth: int, positions, midxes):
         return gen_w[g] + scale_d * d
 
     pos_w = {key_weight(key) for key in positions}
-    weight = {m: sum(e * key_weight(key) for key, e in m) for m in midxes}
+
+    class Weights(dict):
+        def __missing__(self, m: MIdx) -> int:
+            w = self[m] = sum(e * key_weight(key) for key, e in m)
+            return w
+
+    weight = Weights()
 
     def deep(w: int) -> bool:
         # some letter (g, d) with depth < d < torsion weighs w
@@ -299,7 +310,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             midx_from_word(w) for w in combinations_with_replacement(positions, size)
         )
         ends.append(len(midxes))
-    skip = _cell_skipper(env, depth, positions, midxes)
+    skip = _cell_skipper(env, depth, positions)
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:

@@ -10,12 +10,19 @@ off as adapted coordinates, as the coefficient-law extraction reads it.
 Products of concrete rational points are finite sums; the identity
 element is the origin.
 
+On a graded presentation with a graded adapted basis, u_(n) v weighs
+Δu + Δv - n - 1, so a cell whose weight no letter of any depth has is
+zero and is stored as such without computing the enveloping product.
+An ungraded basis computes every cell.
+
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
-as idempotent inserts.  The same holds for the inner series memo: the
-coefficients of the product series of a point pair, kept per pair for
-the manifold's life because every outer index and outer point of a
-composed product reads the same ones.
+as idempotent inserts.  The same holds for the other memos, all kept for
+the manifold's life and never released: the truncation bound per joint
+support of two points, the powers p^m per point, and the inner series
+memo, the coefficients of the product series of a point pair, kept per
+pair because every outer index and outer point of a composed product
+reads the same ones.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
-from .lawtable import law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series
+from .lawtable import (
+    _cell_skipper, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
+)
 from .linalg import iadd
 
 Q = Fraction
@@ -60,9 +69,12 @@ class VertexManifold:
         self.N = series.nilpotency_degree
         self._table: dict = {}
         self._bounds: dict = {}
+        self._support_bounds: dict = {}
+        self._powers_memo: dict = {}
+        # on a graded presentation, whether no letter weighs a cell's weight
+        self._weightless = _cell_skipper(env, -1, ())
         self._composed_memo: dict = {}
         self._inner_memo: dict = {}
-        self._monomial_memo: dict = {}
 
     # -- table cells ------------------------------------------------------
 
@@ -79,24 +91,12 @@ class VertexManifold:
         key = (k, kp, n)
         cached = self._table.get(key)
         if cached is None:
-            if midx_norm(k) + midx_norm(kp) > self.N:
+            if midx_norm(k) + midx_norm(kp) > self.N or (
+                    self._weightless and self._weightless(k, kp, n, False)):
                 cached = {}
             else:
                 cached = law_cell(self.env, k, kp, n)
             self._table[key] = cached
-        return cached
-
-    def _monomials(self, supp) -> list:
-        """(multi-index, norm) over the support with norm 0..N, by norm."""
-        key = tuple(sorted(supp))
-        cached = self._monomial_memo.get(key)
-        if cached is None:
-            cached = [
-                (midx_from_word(w), s)
-                for s in range(self.N + 1)
-                for w in combinations_with_replacement(key, s)
-            ]
-            self._monomial_memo[key] = cached
         return cached
 
     # -- products of points ----------------------------------------------------
@@ -112,13 +112,20 @@ class VertexManifold:
         return out
 
     def _powers(self, p: Point) -> list:
-        """(m, |m|, p^m) over the multi-indices of the point's support, nonzero only."""
-        out = []
-        for m, s in self._monomials(p.keys()):
-            c = self._power(p, m)
-            if c:
-                out.append((m, s, c))
-        return out
+        """(m, |m|, p^m) over the multi-indices of the point's support with
+        norm 0..N, by norm, nonzero only."""
+        key = point_key(p)
+        cached = self._powers_memo.get(key)
+        if cached is None:
+            cached = self._powers_memo[key] = []
+            supp = sorted(p)
+            for s in range(self.N + 1):
+                for w in combinations_with_replacement(supp, s):
+                    m = midx_from_word(w)
+                    c = self._power(p, m)
+                    if c:
+                        cached.append((m, s, c))
+        return cached
 
     def _weights(self, left: list, right: list) -> list:
         """(k, k', w * w') over the exponent pairs of total degree 1..N.
@@ -150,11 +157,18 @@ class VertexManifold:
         return self._combine(self._point_weights(a, b), n)
 
     def truncation_bound(self, a: Point, b: Point) -> int:
-        """Index with all higher products of the two points zero."""
-        unit = self._powers(dict.fromkeys(set(a) | set(b), 1))
-        bound = 0
-        for k, kp, _ in self._weights(unit, unit):
-            bound = max(bound, self.pair_bound(k, kp))
+        """Index with all higher products of the two points zero.
+
+        It reads only the joint support, so it is kept per support.
+        """
+        supp = frozenset(a).union(b)
+        bound = self._support_bounds.get(supp)
+        if bound is None:
+            unit = self._powers(dict.fromkeys(supp, 1))
+            bound = 0
+            for k, kp, _ in self._weights(unit, unit):
+                bound = max(bound, self.pair_bound(k, kp))
+            self._support_bounds[supp] = bound
         return bound
 
     def product_window(self, a: Point, b: Point, lo: int, hi: int) -> ProductResult:

@@ -21,6 +21,7 @@ from lieconformal.lawtable import (
     check_law_hom,
     check_law_jacobi,
     extract_law,
+    law_cell,
     midx_factorial,
     midx_from_word,
     midx_norm,
@@ -232,6 +233,32 @@ def test_extraction_builds_one_chain_per_left_index():
         extract_law(env, 2, 1, (lo, 4))
         counts.append(len(calls))
     assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+def test_vacuum_cells_build_no_chain():
+    # vacuum_(n) v is zero for n != -1, so the deep (vacuum, k') cells
+    # read no ∂ chain of the empty word and a deeper window makes no
+    # more ∂ passes (7 at -8..4 and 15 at -16..4 when they were computed)
+    counts = []
+    for lo in (-8, -16):
+        env = EnvelopingAlgebra(golden.heisenberg())
+        calls = []
+        inner = env.partial
+        env.partial = lambda u: calls.append(u) or inner(u)
+        table = extract_law(env, 2, 1, (lo, 4))
+        counts.append(len(calls))
+        assert all(n == -1 for (_, n), cell in table.entries.items()
+                   for k, _ in cell if k == EMPTY)
+    assert counts[0] == counts[1], counts
+    # the cells still read as the enveloping products do
+    env = EnvelopingAlgebra(golden.heisenberg())
+    for kp in [EMPTY, ((A1, 1),), midx_from_word((A0, A1))]:
+        v = UElem.monomial(word_from_midx(kp))
+        for n in range(-6, 3):
+            want = {w[0]: c for w, c in env.nth(UElem.vacuum(), v, n).terms.items()
+                    if len(w) == 1}
+            assert law_cell(env, EMPTY, kp, n) == want, (kp, n)
+    assert law_cell(env, EMPTY, ((A1, 1),), -1) == {A1: 1}
 
 
 def test_monotone_reextraction():

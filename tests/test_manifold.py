@@ -340,24 +340,34 @@ def test_axiom_without_a_checked_case_fails():
     assert not any(c["pass"] for c in M.check_axioms(0, seed=0, window=(-2, 2))["checks"])
 
 
-def test_table_cells_match_projected_enveloping_products():
+def test_table_cells_match_projected_enveloping_products(monkeypatch):
     # a cell reads the one-letter words of the enveloping product as adapted
     # coordinates; the reference projects the product to the algebra and
-    # expands it in the adapted basis (the general path on mixed)
+    # expands it in the adapted basis (the general path on mixed).  On the
+    # graded algebras most cells are skipped by conformal weight, and skipped
+    # cells must equal the reference too; mixed has conformal weights but an
+    # ungraded basis, whose letters mix symbols, so every cell is computed
     from itertools import combinations_with_replacement
 
+    import lieconformal.manifold as manifold
     from lieconformal.lawtable import midx_factorial, midx_from_word, midx_norm, word_from_midx
 
-    for build in [golden.heisenberg, golden.mixed, golden.n3_current]:
+    calls = []
+    law_cell = manifold.law_cell
+    monkeypatch.setattr(manifold, "law_cell", lambda *args: calls.append(args) or law_cell(*args))
+    for build, depth, window in [(golden.heisenberg, 2, range(-6, 5)),
+                                 (golden.mixed, 1, range(-4, 4)),
+                                 (golden.n3_current, 2, range(-6, 5))]:
         M = integrate(build())
         env = M.env
-        keys = M.basis.keys_up_to_depth(1)
+        keys = M.basis.keys_up_to_depth(depth)
         midxes = [
             midx_from_word(w)
             for s in range(M.N + 1)
             for w in combinations_with_replacement(keys, s)
         ]
-        nonzero = 0
+        calls.clear()
+        cells = nonzero = 0
         for k in midxes:
             for kp in midxes:
                 if midx_norm(k) + midx_norm(kp) > M.N:
@@ -365,12 +375,73 @@ def test_table_cells_match_projected_enveloping_products():
                 u = UElem.monomial(word_from_midx(k))
                 v = UElem.monomial(word_from_midx(kp))
                 norm = Q(1, midx_factorial(k) * midx_factorial(kp))
-                for n in range(-4, 4):
+                for n in window:
                     vec = env.pi(env.nth(u, v, n))
                     want = {pos: c * norm for pos, c in M.basis.expand(vec).items()}
                     assert M.table_entry(k, kp, n) == want, (build.__name__, k, kp, n)
+                    cells += 1
                     nonzero += bool(want)
         assert nonzero, build.__name__
+        assert len(M._table) == cells, build.__name__
+        if build is golden.mixed:
+            assert M.pres.conformal_weights() is not None and not M.basis.graded
+            assert len(calls) == cells
+        else:
+            # 62 of 495 cells on heisenberg, 3,806 of 60,016 on n3current
+            assert nonzero <= len(calls) <= cells // 7, (build.__name__, len(calls), cells)
+
+
+def test_slow_triple_skips_weightless_cells(monkeypatch):
+    # 3,063 distinct cells are read over these 27 residuals; all but 96 have
+    # a conformal weight no letter has, so they are stored as zero unread
+    import lieconformal.manifold as manifold
+
+    calls = []
+    law_cell = manifold.law_cell
+    monkeypatch.setattr(manifold, "law_cell", lambda *args: calls.append(args) or law_cell(*args))
+    M = integrate(golden.n3_current())
+    a, b, c = _n3_slow_triple(M)
+    for l in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
+    assert len(M._table) == 3063
+    assert len(calls) <= 120, len(calls)
+
+
+def test_truncation_bound_reads_only_the_support():
+    rng = random.Random(12)
+    for build in [golden.heisenberg, golden.n3_current, golden.mixed]:
+        M = integrate(build())
+        fresh = integrate(build())
+        for _ in range(15):
+            a, b = rand_point(rng, M, 2), rand_point(rng, M, 2)
+            bound = M.truncation_bound(a, b)
+            assert M.truncation_bound(b, a) == bound
+            # other nonzero values on the same support
+            a2 = {pos: 3 * v + 1 if 3 * v + 1 else Q(5) for pos, v in a.items()}
+            assert M.truncation_bound(a2, b) == bound
+            assert M.truncation_bound({**a, **b}, {}) == bound
+            assert fresh.truncation_bound(a2, b) == bound, build.__name__
+        # the memo is keyed by support, apart from the cell-pair bounds
+        assert all(isinstance(key, frozenset) for key in M._support_bounds)
+        assert not any(isinstance(key, frozenset) for key in M._bounds)
+
+
+def test_point_powers_are_kept_per_point():
+    from collections import Counter
+    from itertools import combinations_with_replacement
+
+    M = integrate(golden.n3_current())
+    a, b, _ = _n3_slow_triple(M)
+    powers = M._powers(a)
+    assert M._powers(dict(reversed(list(a.items())))) is powers
+    assert M._powers(b) is not powers
+    # one entry per multi-index of norm 0..N over the support, by norm
+    want = [(tuple(sorted(Counter(w).items())), s) for s in range(M.N + 1)
+            for w in combinations_with_replacement(sorted(b), s)]
+    assert [(m, s) for m, s, _ in M._powers(b)] == want
+    assert all(c == M._power(b, m) != 0 for m, _, c in M._powers(b))
 
 
 def test_fault_injection_reports_pinned():
