@@ -102,9 +102,7 @@ def _size(text: str) -> int:
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    pres, warnings = dsl.load_presentation(text)
-    return pres, warnings
+        return dsl.load_presentation(fh.read())
 
 
 def _parse_arg(arg: str, pres, key: str):
@@ -299,7 +297,7 @@ def run(argv) -> tuple[int, str]:
         return EXIT_USAGE, "\n".join(str(d) for d in exc.diagnostics) + "\n"
     except OSError as exc:
         return EXIT_USAGE, f"cannot open {exc.filename!r}\n"
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         return EXIT_USAGE, f"invalid argument: {exc}\n"
     except NotNilpotent as exc:
         return EXIT_NOT_NILPOTENT, _not_nilpotent_text(exc)

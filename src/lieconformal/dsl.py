@@ -17,6 +17,7 @@ it to act from the left on the generator of its monomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,6 +272,18 @@ def parse_algebra(text: str) -> AlgebraFile:
     return Parser(text).parse_algebra()
 
 
+def _nesting_bounded(parse):
+    """``parse(text, ...)`` reporting nesting past the recursion limit as a diagnostic."""
+    @functools.wraps(parse)
+    def bounded(text: str, *args):
+        try:
+            return parse(text, *args)
+        except RecursionError:
+            span = SourceSpan(0, len(text), 1, 1)
+            raise DslError(Diagnostic("expression nested too deeply", span)) from None
+    return bounded
+
+
 # -- lowering ------------------------------------------------------------------
 
 # a monomial during expansion: (coefficient, lambda power, ordered symbol list)
@@ -297,9 +310,20 @@ def _expand(node) -> list:
         out = [(Q(1), 0, [])]
         for sub in factors:
             expanded = _expand(sub)
-            out = [(c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in out for (c2, p2, s2) in expanded]
+            out = _merge((c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in out for (c2, p2, s2) in expanded)
         return out
     raise AssertionError(kind)
+
+
+def _merge(monomials) -> list:
+    """Like monomials summed, keyed by lambda power and symbol names in
+    order, with the spans of their first occurrence; zero sums drop."""
+    out: dict = {}
+    for c, p, syms in monomials:
+        key = (p, tuple(name for name, _ in syms))
+        total, _, first = out.get(key, (0, p, syms))
+        out[key] = (total + c, p, first)
+    return [m for m in out.values() if m[0]]
 
 
 def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
@@ -317,10 +341,9 @@ def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
         dcount = 0
         gen = None
         gen_span = span
-        seen_gen = False
         for (name, sp) in syms:
             if name == "D":
-                if seen_gen:
+                if gen is not None:
                     raise DslError(
                         Diagnostic("derivative operator must be applied to the left of a generator", sp)
                     )
@@ -328,14 +351,13 @@ def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
             else:
                 if name not in gen_index:
                     raise DslError(Diagnostic(f"unknown identifier {name!r}", sp))
-                if seen_gen:
+                if gen is not None:
                     raise DslError(
                         Diagnostic("every monomial must contain exactly one generator", sp)
                     )
-                seen_gen = True
                 gen = name
                 gen_span = sp
-        if not seen_gen:
+        if gen is None:
             raise DslError(
                 Diagnostic("every monomial must contain exactly one generator", span)
             )
@@ -386,6 +408,7 @@ def lower(ast: AlgebraFile):
     return LcaPresentation(ast.name, specs, table), warnings
 
 
+@_nesting_bounded
 def load_presentation(text: str):
     return lower(parse_algebra(text))
 
@@ -412,6 +435,7 @@ def emit_algebra(pres: LcaPresentation) -> str:
 # -- command-line mini grammars ---------------------------------------------------
 
 
+@_nesting_bounded
 def parse_vector(text: str, pres: LcaPresentation):
     """Bracket-expression syntax without lambda, as a conformal vector."""
     parser = Parser(text)
@@ -451,11 +475,8 @@ def parse_word(text: str, pres: LcaPresentation) -> tuple:
     text = text.strip()
     if text == "1":
         return ()
-    if text.startswith(":") and text.endswith(":") and len(text) >= 2:
-        inner = text[1:-1].strip()
-        letters = inner.split()
-    else:
-        letters = [text]
+    colons = text.startswith(":") and text.endswith(":") and len(text) >= 2
+    letters = text[1:-1].split() if colons else [text]
     return tuple(sorted(_parse_letter(tok, pres) for tok in letters))
 
 

@@ -91,33 +91,33 @@ def word_top(word: tuple, maxn) -> int:
     return sum(maxn(f) + 1 for f in word) - 1
 
 
-def word_series(word: tuple, series, maxn, lo: int, cap: int, memo: dict) -> dict:
+def word_floor(word: tuple, maxn, lo: int) -> int:
+    """Least index of a nonempty word's product series needing no index below lo."""
+    return lo + word_top(word, maxn) - min(map(maxn, word))
+
+
+def word_series(word: tuple, series: dict, maxn, lo: int, cap: int, memo: dict) -> dict:
     """Product series {q: polynomial} of the series of the letters of ``word``.
 
-    Series f has x-coefficients ``series(f, m)``, slotted polynomials that
-    vanish for m > ``maxn(f)``; the product of r series takes coefficient q
-    from the index tuples with m_1 + ... + m_r + r - 1 = q.  Kept are the
-    nonzero coefficients from the floor, the least q that needs no series
-    index below ``lo``, to the top; terms of degree above ``cap`` drop.
-    A word is its prefix times its last letter's series, kept in ``memo``.
+    ``series[f]`` holds only the nonzero x-coefficients {m: slotted
+    polynomial} of letter f, none below ``lo`` or above ``maxn(f)``; a
+    letter it lacks has the zero series.  The product of r series takes
+    coefficient q from the index tuples with m_1 + ... + m_r + r - 1 = q.
+    Kept are the nonzero coefficients from `word_floor` to the top; terms of
+    degree above ``cap`` drop.  A word is its prefix times its last letter.
     """
     if not word:
         return {-1: {(): 1}}
     cached = memo.get(word)
     if cached is not None:
         return cached
-    prefix, last = word[:-1], word[-1]
-    top = word_top(word, maxn)
-    floor = lo + top - min(map(maxn, word))
-    tails = word_series(prefix, series, maxn, lo, cap, memo).items()
+    floor = word_floor(word, maxn, lo)
+    tails = word_series(word[:-1], series, maxn, lo, cap, memo).items()
     out: dict = {}
-    # the prefix stops at top - maxn(last) - 1, so m >= floor - that - 1 >= lo
-    for m in range(floor + maxn(last) - top, maxn(last) + 1):
-        head = series(last, m)
-        if head:
-            for t, tail in tails:
-                if t + m + 1 >= floor:
-                    _poly_madd(out.setdefault(t + m + 1, {}), tail, head, cap)
+    for m, head in series.get(word[-1], {}).items():
+        for t, tail in tails:
+            if t + m + 1 >= floor:
+                _poly_madd(out.setdefault(t + m + 1, {}), tail, head, cap)
     cached = memo[word] = {t: p for t, p in out.items() if p}
     return cached
 
@@ -335,32 +335,22 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
 def check_identities(table: LawTable) -> dict:
     """Left and right identity slices of the law."""
     failures = []
-    lo, hi = table.window
     for (l, n), cell in sorted(
         table.entries.items(), key=lambda kv: (table.pos_index[kv[0][0]], kv[0][1])
     ):
+        unit = ((l, 1),)
         for (k, kp), c in sorted(cell.items()):
-            if k == EMPTY:
-                expected = Q(1) if (n == -1 and kp == ((l, 1),)) else Q(0)
-                if c != expected:
-                    failures.append(
-                        {"side": "left", "l": table.labels[l], "n": n, "coeff": str(c)}
-                    )
-            if kp == EMPTY:
-                if n >= 0:
-                    failures.append(
-                        {"side": "right", "l": table.labels[l], "n": n, "coeff": str(c)}
-                    )
-                elif n == -1 and c != (Q(1) if k == ((l, 1),) else Q(0)):
-                    failures.append(
-                        {"side": "right", "l": table.labels[l], "n": n, "coeff": str(c)}
-                    )
+            # the vacuum on either side leaves e_l alone at n = -1 and kills
+            # the rest; the creation slices n < -1 on the right are free
+            for side, vac, other in (("left", k, kp), ("right", kp, k)):
+                if vac == EMPTY and (side == "left" or n >= -1) \
+                        and c != (1 if n == -1 and other == unit else 0):
+                    failures.append({"side": side, "l": table.labels[l], "n": n, "coeff": str(c)})
     # the identity slices themselves must be present
     for l in table.positions:
-        if table.coefficient(l, -1, EMPTY, ((l, 1),)) != 1:
-            failures.append({"side": "left", "l": table.labels[l], "n": -1, "coeff": "missing"})
-        if table.coefficient(l, -1, ((l, 1),), EMPTY) != 1:
-            failures.append({"side": "right", "l": table.labels[l], "n": -1, "coeff": "missing"})
+        for side, k, kp in (("left", EMPTY, ((l, 1),)), ("right", ((l, 1),), EMPTY)):
+            if table.coefficient(l, -1, k, kp) != 1:
+                failures.append({"side": side, "l": table.labels[l], "n": -1, "coeff": "missing"})
     left_ok = all(f["side"] != "left" for f in failures)
     right_ok = all(f["side"] != "right" for f in failures)
     return {"left_identity": left_ok, "right_identity": right_ok, "failures": failures}
@@ -402,47 +392,50 @@ class _Composer:
         self.table = table
         self.cap = cap
         self.lo, self.hi = table.window
-        self._maxn: dict = {}
-        for (l, n), cell in table.entries.items():
-            if any(midx_norm(k) + midx_norm(kp) <= cap for k, kp in cell):
-                if n > self._maxn.get(l, self.lo - 1):
-                    self._maxn[l] = n
+        # each position's law series {n: {(k, k'): c}} over the window, by
+        # ascending n, with the terms of degree above cap dropped
+        self._law: dict = {}
+        for (l, n), cell in sorted(table.entries.items(), key=lambda e: e[0][1]):
+            kept = {kk: c for kk, c in cell.items() if midx_norm(kk[0]) + midx_norm(kk[1]) <= cap}
+            if kept and self.lo <= n <= self.hi:
+                self._law.setdefault(l, {})[n] = kept
+        self._maxn = {l: max(law) for l, law in self._law.items()}
+        self._slotted: dict = {}
         self._conv_memo: dict = {}
         # certified stops for composed inner series: the top index of the
         # product series of any multi-index substituted from the kept
         # cells, per substitution side
-        kept = [pair for cell in table.entries.values() for pair in cell
-                if midx_norm(pair[0]) + midx_norm(pair[1]) <= cap]
+        kept = [pair for law in self._law.values() for cell in law.values() for pair in cell]
         self.qmax_first = max((word_top(word_from_midx(k), self.maxn) for k, _ in kept), default=-1)
         self.qmax_second = max((word_top(word_from_midx(kp), self.maxn) for _, kp in kept), default=-1)
 
     def maxn(self, pos) -> int:
         return self._maxn.get(pos, self.lo - 1)
 
-    def base_series(self, slots, pos, n: int) -> dict:
-        """Law series of one position as a slotted polynomial."""
-        if n > self.hi or n < self.lo:
-            raise TruncationInsufficient(
-                f"series index {n} for position {self.table.labels.get(pos, pos)} "
-                f"outside window {self.table.window}"
-            )
-        # the two slots differ, so distinct cells give distinct monomials
-        return {
-            tuple(sorted(_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]))): c
-            for (k, kp), c in self.table.series_entry(pos, n).items()
-            if midx_norm(k) + midx_norm(kp) <= self.cap
-        }
+    def slotted(self, slots) -> dict:
+        """Every position's kept law series as slotted polynomials, built
+        once per slot pair."""
+        out = self._slotted.get(slots)
+        if out is None:
+            # the two slots differ, so distinct cells give distinct monomials
+            out = self._slotted[slots] = {
+                pos: {n: {tuple(sorted(_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]))): c
+                          for (k, kp), c in cell.items()}
+                      for n, cell in law.items()}
+                for pos, law in self._law.items()
+            }
+        return out
 
     def conv(self, word: tuple, q: int, slots) -> dict:
         """x-coefficient q of the product of position series."""
-        # the least index of a position series that coefficient q needs
-        need = q - word_top(word, self.maxn) + min(map(self.maxn, word)) if word else self.lo
-        if need < self.lo:
+        floor = word_floor(word, self.maxn, self.lo) if word else q
+        if q < floor:
+            # the least index of a position series that coefficient q needs
             raise TruncationInsufficient(
-                f"composition needs index {need} below window {self.table.window}"
+                f"composition needs index {self.lo + q - floor} below window {self.table.window}"
             )
         return word_series(
-            word, partial(self.base_series, slots), self.maxn, self.lo, self.cap,
+            word, self.slotted(slots), self.maxn, self.lo, self.cap,
             self._conv_memo.setdefault(slots, {}),
         ).get(q, {})
 
@@ -454,24 +447,17 @@ class _Composer:
         multi-index is substituted by the composed series over
         ``inner_slots`` and the ``inner_n`` coefficient is taken.
         """
-        if outer_n > self.max_outer_index():
-            return {}
-        if outer_n > self.hi or outer_n < self.lo:
+        if outer_n < self.lo:
             raise TruncationInsufficient(
                 f"outer index {outer_n} outside window {self.table.window}"
             )
         out: dict = {}
-        for (k, kp), c in self.table.series_entry(l, outer_n).items():
+        for (k, kp), c in self._law.get(l, {}).get(outer_n, {}).items():
             direct, subst = (kp, k) if substitute_first else (k, kp)
-            if midx_norm(direct) + midx_norm(subst) > self.cap:
-                continue
             inner = self.conv(word_from_midx(subst), inner_n, inner_slots)
             if inner:
                 _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
         return out
-
-    def max_outer_index(self) -> int:
-        return max(self._maxn.values(), default=self.lo - 1)
 
 
 def _guard_table(table: LawTable, cap: int) -> None:

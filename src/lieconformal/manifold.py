@@ -203,16 +203,16 @@ class VertexManifold:
             n_bc = self.truncation_bound(b, c)
             lo = q + 1 - self.N * max(n_bc, 1)
             weights = self._point_weights(b, c)
-            heads = {(pos, m): {(): v} for m in range(lo, n_bc)
-                     for pos, v in self._combine(weights, m).items()}
-            supp = sorted({pos for pos, _ in heads})
+            heads: dict = {}
+            for m in range(lo, n_bc):
+                for pos, v in self._combine(weights, m).items():
+                    heads.setdefault(pos, {})[m] = {(): v}
             memo: dict = {}
             filled = self._inner_memo[key] = (q, {})
             for s in range(self.N + 1):
-                for word in combinations_with_replacement(supp, s):
+                for word in combinations_with_replacement(sorted(heads), s):
                     midx = midx_from_word(word)
-                    for t, poly in word_series(word, lambda pos, m: heads.get((pos, m)),
-                                               lambda pos: n_bc - 1, lo, 0, memo).items():
+                    for t, poly in word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo).items():
                         if t >= q:
                             filled[1].setdefault(t, []).append((midx, s, poly[()]))
         return filled[1].get(q, [])

@@ -29,15 +29,8 @@ def _coeff_prefix(c: Q, body: str) -> str:
 
 
 def _join(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    # no part holds " + ", so each " + -" is a join before a negative part
+    return " + ".join(parts).replace(" + -", " - ") if parts else "0"
 
 
 def _power(var: str, n: int) -> str:

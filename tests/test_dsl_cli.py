@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -93,6 +94,17 @@ class TestLowering:
         assert pres.brackets[(0, 0)] == LPoly(
             {0: {(0, 1): 1}, 1: {(0, 0): 2}, 3: {(1, 0): Q(1, 12)}}
         )
+        # like terms are summed after each product, so a power's expansion
+        # stays linear in its exponent rather than doubling per factor
+        start = time.process_time()
+        pres, _ = dsl.load_presentation(src.replace("(D + 2*lambda)*L", "(lambda + 1)^40*L"))
+        assert pres.brackets[(0, 0)] == LPoly(
+            {n: {(0, 0): math.comb(40, n)} for n in range(41)} | {3: {(0, 0): math.comb(40, 3), (1, 0): Q(1, 12)}}
+        )
+        assert dsl.parse_vector("(1 + D)^40*L", golden.virasoro()) == CVec(
+            {(0, d): math.comb(40, d) * math.factorial(d) for d in range(41)}
+        )
+        assert time.process_time() - start < 1
 
     def test_monomial_without_generator(self):
         src = "algebra x { generators { a: free; } bracket [a, a] = lambda; }"
@@ -417,6 +429,8 @@ def test_cli_rejects_bad_values(tmp_path):
     (tmp_path / "space.json").write_text(json.dumps({"word": ["a a"]}))
     (tmp_path / "null.json").write_text(json.dumps({"coords": {"a[0]": None}}))
     (tmp_path / "twice.json").write_text(json.dumps({"coords": {"a": 1, "a[0]": 2}}))
+    deep = "(" * 2000 + "lambda*k" + ")" * 2000
+    (tmp_path / "deep.lca").write_text(read("heisenberg.lca").replace("lambda*k", deep))
     fvl = ["fvl", heis, "--deg", "2", "--depth", "1", "--window=-4..4", "--check-jacobi"]
     for argv, want in [
         # a Jacobi check below degree 1 would compare only empty polynomials
@@ -438,6 +452,10 @@ def test_cli_rejects_bad_values(tmp_path):
          "1:1: unknown generator 'a a'\n"),
         (["eval", heis, "--a", f"@{tmp_path / 'null.json'}", "--b", "0", "--window=1..1"],
          f"1:1: unrecognized JSON argument in {str(tmp_path / 'null.json')!r}\n"),
+        # nesting past the recursion limit is a diagnostic, not a traceback
+        (["bracket", heis, "--left", "(" * 2000 + "a" + ")" * 2000, "--right", "a"],
+         "1:1: expression nested too deeply\n"),
+        (["check", str(tmp_path / "deep.lca")], "1:1: expression nested too deeply\n"),
         (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],
@@ -584,7 +602,11 @@ def _grammar(names):
     )
     term = st.builds(lambda c, d, g: c + d + g, st.sampled_from(["", "3*", "(1/2)*", "lambda*"]),
                      st.sampled_from(["", "D*", "D^2*"]), name)
-    vector = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    # parenthesized sums raised to a power k <= 8 act on a generator
+    summand = term | st.sampled_from(["1", "1/2", "D", "lambda"])
+    power = st.builds(lambda ts, k, g: f"({' + '.join(ts)})^{k}*{g}",
+                      st.lists(summand, min_size=1, max_size=3), st.integers(0, 8), name)
+    vector = st.lists(term | power, min_size=1, max_size=3).map(" + ".join)
     point = st.just("0") | st.lists(st.builds(lambda l, r: f"{l}={r}", letter, RATIONAL),
                                     min_size=1, max_size=3).map(", ".join)
     return letter, word, vector, point

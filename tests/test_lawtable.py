@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction as Q
-from functools import partial
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -395,6 +394,11 @@ def _convolve(factors, q, series, maxn, window, cap, memo):
     return out
 
 
+def _reader(series):
+    """``series`` as the per-(letter, index) callable `_convolve` reads."""
+    return lambda f, m: series.get(f, {}).get(m)
+
+
 def _brute_force(word, q, coeffs, lo, maxn):
     """Coefficient q of a product of scalar series, summed over index tuples."""
     total = Q(0)
@@ -418,16 +422,20 @@ def test_word_series_matches_recursive_convolution_and_brute_force():
                   for f in "abc" for m in range(lo, maxn[f] + 1)}
         coeffs = {fm: c for fm, c in coeffs.items() if c or fm[1] == maxn[fm[0]]}
         for f in "abc":
-            coeffs[f, maxn[f]] = coeffs.get((f, maxn[f])) or Q(1)
+            if maxn[f] >= lo:
+                coeffs[f, maxn[f]] = coeffs.get((f, maxn[f])) or Q(1)
 
-        def series(f, m):
-            assert lo <= m <= maxn[f], (f, m)
-            return {(): coeffs[f, m]} if coeffs.get((f, m)) else None
-
+        # each letter's nonzero coefficients, none outside [lo, maxn]
+        sparse = {f: {} for f in "abc"}
+        for (f, m), c in coeffs.items():
+            if c:
+                sparse[f][m] = {(): c}
+        assert all(lo <= m <= maxn[f] for f in sparse for m in sparse[f])
+        series = _reader(sparse)
         memo = {}
         for s in range(4):
             for word in combinations_with_replacement("abc", s):
-                got = word_series(word, series, maxn.get, lo, 0, memo)
+                got = word_series(word, sparse, maxn.get, lo, 0, memo)
                 top = word_top(word, maxn.get)
                 # the empty word never raises
                 floor = lo + top - min(map(maxn.get, word)) if word else lo - 8
@@ -470,7 +478,11 @@ def test_composer_conv_matches_recursive_convolution():
         for cap in (1, 2, 3):
             comp = _Composer(table, cap)
             for slots in ((0, 1), (1, 2)):
-                series = partial(comp.base_series, slots)
+                sparse = comp.slotted(slots)
+                # built once per slot pair, nonzero and inside [lo, maxn]
+                assert comp.slotted(slots) is sparse
+                assert all(lo <= m <= comp.maxn(f) and p for f in sparse for m, p in sparse[f].items())
+                series = _reader(sparse)
                 for s in range(4):
                     for word in combinations_with_replacement(positions, s):
                         for q in range(lo - 4, lo + 12):
@@ -488,7 +500,7 @@ def test_composer_conv_matches_recursive_convolution():
     T = heis_table(degree=3, depth=1, window=(-5, 5))
     for cap in (1, 2, 3):
         comp = _Composer(T, cap)
-        series = partial(comp.base_series, (1, 2))
+        series = _reader(comp.slotted((1, 2)))
         for s in range(3):
             for word in combinations_with_replacement(T.positions, s):
                 for q in range(-8, 8):
