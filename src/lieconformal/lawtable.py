@@ -211,12 +211,16 @@ class LawTable:
         basis = list(doc["basis"])
         table = cls(doc["algebra"], doc["degree"], doc["depth"], doc["window"], basis)
         table.labels = {k: k for k in basis}
-        index = {lab: lab for lab in basis}
 
         def midx(d):
-            return tuple(sorted((index[lab], e) for lab, e in d.items()))
+            stray = set(d) - table.labels.keys()
+            if stray:
+                raise ValueError(f"labels {sorted(stray)} are not in the basis")
+            return tuple(sorted(d.items()))
 
         for e in doc["entries"]:
+            if not table.window[0] <= e["n"] <= table.window[1]:
+                raise ValueError(f"entry index {e['n']} outside window {table.window}")
             table.add_entry(e["l"], e["n"], midx(e["k"]), midx(e["kprime"]), Q(e["coeff"]))
         for k, kp, b in doc.get("bounds", []):
             table.pair_bounds[(midx(k), midx(kp))] = b

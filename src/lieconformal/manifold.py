@@ -22,12 +22,14 @@ the manifold's life and never released: the truncation bound per joint
 support of two points, the powers p^m per point, and the inner series
 memo, the coefficients of the product series of a point pair, kept per
 pair because every outer index and outer point of a composed product
-reads the same ones.
+reads the same ones.  Its fill builds a word only from a prefix that kept
+a coefficient, and only if it can reach a stored index: no other can.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -190,12 +192,19 @@ class VertexManifold:
         """x^q coefficients of the (b, c) product series, as (m, |m|, coefficient).
 
         The multi-indices m run over the support of the series with norm
-        1..N, plus () when q = -1, in order of norm: all that `composed` and
-        `composed_first` read, whatever their outer point and index.  One
-        fill per pair files every q from its own up; only a lower q fills
-        again, from a deeper window.  Zero coefficients are not stored.  The
-        series coordinates enter `word_series` as degree-0 polynomials, and
-        no word product outlives its fill.
+        1..N, plus () when q = -1, in order of norm, then lex: all that
+        `composed` and `composed_first` read, whatever their outer point and
+        index.  One fill per pair files every q from its own up; only a
+        lower q fills again, from a deeper window.  Zero coefficients are not
+        stored.  The series coordinates enter `word_series` as degree-0
+        polynomials, and no word product outlives its fill.
+
+        Words are built norm by norm from (), each extended by the letters
+        from its last one on, and only if its series kept a coefficient: a
+        word's kept series comes from its prefix's alone.  Each letter tops
+        at n_bc - 1 at most, so word + (f,) and its extensions reach q only
+        if the tops of the series of word and of f, plus n_bc per letter
+        still to come, do; that bound never lies below its floor.
         """
         key = (point_key(b), point_key(c))
         filled = self._inner_memo.get(key)
@@ -207,14 +216,21 @@ class VertexManifold:
             for m in range(lo, n_bc):
                 for pos, v in self._combine(weights, m).items():
                     heads.setdefault(pos, {})[m] = {(): v}
+            letters = sorted(heads)
+            tops = [max(heads[f]) for f in letters]
             memo: dict = {}
             filled = self._inner_memo[key] = (q, {})
-            for s in range(self.N + 1):
-                for word in combinations_with_replacement(sorted(heads), s):
-                    midx = midx_from_word(word)
-                    for t, poly in word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo).items():
-                        if t >= q:
-                            filled[1].setdefault(t, []).append((midx, s, poly[()]))
+            words = deque([((), 0)])  # (word, index of its last letter), by norm, then lex
+            while words:
+                word, i = words.popleft()
+                series = word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo)
+                midx = midx_from_word(word)
+                for t, poly in series.items():
+                    if t >= q:
+                        filled[1].setdefault(t, []).append((midx, len(word), poly[()]))
+                if series and len(word) < self.N:
+                    need = q - (self.N - len(word) - 1) * n_bc - max(series) - 1
+                    words.extend((word + (letters[j],), j) for j in range(i, len(letters)) if tops[j] >= need)
         return filled[1].get(q, [])
 
     def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
@@ -363,16 +379,6 @@ class VertexManifold:
             self.basis.label(bv.key): bv.vec for bv in self.basis.issued
         }
         return recon, change
-
-    def translation_slice_consistent(self, depth: int = 2) -> bool:
-        """Creation slice of the table reproduces the derivative action."""
-        for key in self.basis.keys_up_to_depth(depth):
-            cell = self.table_entry(((key, 1),), (), -2)
-            vec = CVec(dict(cell.items()))
-            expected = self.basis.expand(self.pres.partial(self.basis.vector(key)))
-            if dict(vec.coeffs) != expected:
-                return False
-        return True
 
 
 def integrate(pres: LcaPresentation) -> VertexManifold:

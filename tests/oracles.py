@@ -4,13 +4,16 @@ Each oracle recomputes a quantity along a different path from the
 package code: the bracket extension applies one derivative at a time,
 the Lie bracket integrates the polynomial term by term, and word
 rewriting resolves the rightmost inversion first (agreement with the
-leftmost-first strategy is a confluence check).
+leftmost-first strategy is a confluence check).  The inner series of a
+point pair is rebuilt from every word over its support, none skipped.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import UElem
+from lieconformal.lawtable import midx_from_word, word_series
 
 
 def oracle_bracket(pres, v: CVec, w: CVec) -> LPoly:
@@ -104,3 +107,24 @@ def skew_bracket(alg, u: UElem, v: UElem):
     from lieconformal.enveloping import ULPoly
 
     return ULPoly({k: v2 for k, v2 in out.items() if v2})
+
+
+def brute_inner_series(M, b, c, q: int) -> list:
+    """x^q coefficients of the (b, c) product series of a vertex manifold,
+    as (m, |m|, coefficient), from every word of norm 0..N over the letters
+    of the series, in order of norm, then lex."""
+    n_bc = M.truncation_bound(b, c)
+    lo = q + 1 - M.N * max(n_bc, 1)
+    weights = M._point_weights(b, c)
+    heads: dict = {}
+    for m in range(lo, n_bc):
+        for pos, v in M._combine(weights, m).items():
+            heads.setdefault(pos, {})[m] = {(): v}
+    memo: dict = {}
+    out = []
+    for s in range(M.N + 1):
+        for word in combinations_with_replacement(sorted(heads), s):
+            poly = word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo).get(q)
+            if poly:
+                out.append((midx_from_word(word), s, poly[()]))
+    return out

@@ -283,6 +283,20 @@ def test_json_roundtrip_and_order():
     assert check_law_jacobi(T2, samples, 2)["pass"]
 
 
+def test_from_json_rejects_entries_the_document_cannot_hold():
+    # an entry outside the window, or over a label outside the basis, is a
+    # malformed document, not a cell to use or to ignore
+    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    assert LawTable.from_json(doc).window == (-8, 8)
+    stray = doc["entries"][0]
+    with pytest.raises(ValueError, match="entry index 10 outside window"):
+        LawTable.from_json({**doc, "entries": doc["entries"] + [{**stray, "n": 10}]})
+    with pytest.raises(ValueError, match="not in the basis"):
+        LawTable.from_json({**doc, "entries": doc["entries"] + [{**stray, "k": {"b[0]": 1}}]})
+    with pytest.raises(ValueError, match="not in the basis"):
+        LawTable.from_json({**doc, "bounds": [[{"b[0]": 1}, {}, 3]]})
+
+
 def test_law_hom_cases():
     T = heis_table()
     ident = {key: {((key, 1),): Q(1)} for key in T.positions}

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import golden
 import pytest
+from oracles import brute_inner_series
 
+from lieconformal.core import CVec
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
 from lieconformal.linalg import vec_add as point_add
@@ -187,7 +189,11 @@ def test_roundtrip_all_nilpotent():
         # the recorded change of basis reproduces every basis vector
         for bv in M.basis._order:
             assert change[M.basis.label(bv.key)] == bv.vec
-        assert M.translation_slice_consistent(1)
+        # the creation slice of the table reproduces the derivative action
+        for key in M.basis.keys_up_to_depth(1):
+            cell = M.table_entry(((key, 1),), (), -2)
+            expected = M.basis.expand(M.pres.partial(M.basis.vector(key)))
+            assert dict(CVec(cell).coeffs) == expected, (build.__name__, key)
 
 
 def test_jacobi_residual_golden_spread():
@@ -239,9 +245,11 @@ def _n3_slow_triple(M):
 
 def test_inner_series_convolved_once_per_pair(monkeypatch):
     # the (b, c) series and its word products do not depend on the outer
-    # index or point, and one fill at the lowest q serves every higher q:
-    # 9,180 word products here, where a fill per (pair, q) made 27 fills
-    # and 31,370 convolutions
+    # index or point, and one fill at the lowest q serves every higher q;
+    # a fill builds only the words that can reach q from a prefix that kept
+    # a coefficient: 732 word products here, where reaching each word's
+    # floor made 1,343, every word over the support 9,180, and a fill per
+    # (pair, q) 27 fills and 31,370 convolutions
     import lieconformal.manifold as manifold
 
     calls = []
@@ -261,7 +269,43 @@ def test_inner_series_convolved_once_per_pair(monkeypatch):
     # one fill per point pair, each starting from the empty word
     pairs = {(point_key(x), point_key(y)) for x, y in [(b, c), (a, c), (a, b)]}
     assert set(M._inner_memo) == pairs and calls.count(()) == 3
-    assert len(calls) <= 10_000, len(calls)
+    assert len(calls) <= 1_000, len(calls)
+
+
+def test_inner_series_builds_every_word_that_keeps_a_coefficient():
+    # the pruned fill gives the lists of a fill over every word, in the same
+    # order, on each q's own fill (highest q first, so each q fills anew)
+    from lieconformal.lawtable import word_floor, word_top
+
+    rng = random.Random(21)
+    for build in [golden.heisenberg, golden.mixed, golden.n3_current]:
+        M = integrate(build())
+        pairs = [(rand_point(rng, M), rand_point(rng, M)) for _ in range(3)]
+        if build is golden.n3_current:
+            a, b, c = _n3_slow_triple(M)
+            pairs += [(b, c), (a, b)]
+        kept = 0
+        for b, c in pairs:
+            for q in (1, 0, -1):
+                got = M._inner_series(b, c, q)
+                assert got == brute_inner_series(M, b, c, q), (build.__name__, b, c, q)
+                kept += len(got)
+        assert kept, build.__name__
+    # the fill's closed forms for the constant top n - 1 over N letters: the
+    # floor of word + (f,), each further letter raising the top by n, and
+    # the index word + (f,) must reach, n - 1 above that floor
+    N = 4
+    for n in range(1, 5):
+        for q in (-1, 0, 1):
+            lo = q + 1 - N * n
+            for word in [(), ("x",), ("x", "y"), ("y", "y", "z")]:
+                for f in ("x", "z"):
+                    floor = word_floor(word + (f,), lambda pos: n - 1, lo)
+                    assert floor == lo + len(word) * n
+                    rest = ("z",) * (N - len(word) - 1)
+                    tops = [word_top(w, lambda pos: n - 1) for w in (word + (f,), word + (f,) + rest)]
+                    assert tops[1] == tops[0] + len(rest) * n
+                    assert q - (N - len(word) - 1) * n == floor + n - 1
 
 
 def test_slow_triple_extends_each_chain_once():
