@@ -27,9 +27,6 @@ class TensorElem(Sparse):
     def iadd(self, key, c) -> None:
         iadd(self.terms, {key: c})
 
-    def flip(self) -> "TensorElem":
-        return self._like({(b, a): c for (a, b), c in self.terms.items()})
-
 
 def _word_splits(word: Word):
     """All (left, right) subsequence splits of an ordered word."""
@@ -101,20 +98,6 @@ def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int) -> 
                 for w1, a in p1.terms.items():
                     for w2, b in p2.terms.items():
                         out.iadd((w1, w2), c * a * b)
-    return out
-
-
-def delta_on_component(t: TensorElem, component: int) -> dict:
-    """Apply the coproduct to one tensor slot, giving triple-word terms."""
-    out: dict = {}
-    for (a, b), c in t.terms.items():
-        word = (a, b)[component]
-        for left, right in _word_splits(word):
-            if component == 0:
-                key = (left, right, b)
-            else:
-                key = (a, left, right)
-            iadd(out, {key: c})
     return out
 
 

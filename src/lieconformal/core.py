@@ -154,6 +154,7 @@ class LcaPresentation:
                         raise ValueError(f"invalid symbol {sym} in bracket ({i},{j})")
             if poly:
                 self.brackets[(i, j)] = poly
+        self._lie_conformal: bool | None = None
 
     # -- structure -------------------------------------------------------
 
@@ -338,6 +339,13 @@ class LcaPresentation:
                 for i, j, k in product(range(ngen), repeat=3)
             )),
         ])
+
+    def is_lie_conformal(self) -> bool:
+        """Whether `check_axioms` passes; checked on the first call and kept,
+        as the presentation does not change once built."""
+        if self._lie_conformal is None:
+            self._lie_conformal = self.check_axioms().ok
+        return self._lie_conformal
 
     def jacobi_residual(self, a: CVec, b: CVec, c: CVec) -> LMPoly:
         """Two-variable residual of the conformal Jacobi identity."""

@@ -298,8 +298,33 @@ class EnvelopingAlgebra:
         return out
 
     def trunc_bound(self, u: UElem, v: UElem) -> int:
-        """Exact N with the n-th product zero for all n >= N."""
+        """Exact N with the n-th product zero for all n >= N.
+
+        Two single words take `word_bound`, which may read the degree off
+        the swapped pair's kept bracket instead of building this one.
+        """
+        if len(u.terms) == 1 and len(v.terms) == 1:
+            (wu,), (wv,) = u.terms, v.terms
+            return self.word_bound(wu, wv)
         return self.bracket(u, v).degree + 1
+
+    def word_bound(self, wu: Word, wv: Word) -> int:
+        """`trunc_bound` of two words.
+
+        By skew-symmetry, [v_λ u] = -[u_{-λ-∂} v] (Kac 1998), whose top λ
+        power is (-λ)^N times the λ^N coefficient of [u_λ v], so the two
+        brackets have the same λ-degree.  When [wv_λ wu] is kept and
+        [wu_λ wv] is not, its degree is returned and [wu_λ wv] is not
+        built.  Skew-symmetry holds only in a vertex algebra, so this is
+        done only when the presentation passes its axioms
+        (`LcaPresentation.is_lie_conformal`, asked on the first such hit).
+        """
+        memo = self._bracket_memo
+        if (wu, wv) not in memo:
+            swapped = memo.get((wv, wu))
+            if swapped is not None and self.pres.is_lie_conformal():
+                return swapped.degree + 1
+        return self._bracket_words(wu, wv).degree + 1
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
         """Products for n in [lo, hi] plus the vanishing bound."""

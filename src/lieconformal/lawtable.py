@@ -221,6 +221,8 @@ class LawTable:
         for e in doc["entries"]:
             if not table.window[0] <= e["n"] <= table.window[1]:
                 raise ValueError(f"entry index {e['n']} outside window {table.window}")
+            if e["l"] not in table.labels:
+                raise ValueError(f"output label {e['l']!r} is not in the basis")
             table.add_entry(e["l"], e["n"], midx(e["k"]), midx(e["kprime"]), Q(e["coeff"]))
         for k, kp, b in doc.get("bounds", []):
             table.pair_bounds[(midx(k), midx(kp))] = b
@@ -246,58 +248,64 @@ def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
 
 
-def _cell_skipper(env: EnvelopingAlgebra, depth: int, positions):
-    """``skip(k, k', n, overflowed)``: whether a cell cannot change the table.
+class _Grading:
+    """Conformal weights of cells, scaled to ints, for skipping cells.
 
-    A cell of weight w = W(k) + W(k') - n - 1 is skippable when no in-depth
-    position weighs w, and either no out-of-depth letter does or its degree
-    has overflowed already.  With depth -1 and no positions, that is when
-    no letter of any depth weighs w, so the cell is zero.  None when the
-    presentation has no grading or a basis letter is not one symbol.
-    Weights are scaled to ints; a multi-index's is kept once asked for.
+    The cell (k, k', n) can only hold letters weighing
+    ``weight[k] + weight[k'] - step * (n + 1)``; a multi-index's weight is
+    kept once asked for.  ``deep[w]`` says whether a letter (g, d) with
+    depth < d < torsion weighs w, kept once asked for; with depth -1 that
+    is any letter of the basis.
     """
+
+    def __init__(self, env: EnvelopingAlgebra, delta, depth: int):
+        basis = env.basis
+        self.step = step = math.lcm(*(Q(x).denominator for x in delta))
+        gen_w = [int(x * step) for x in delta]
+        torsion = [g.torsion for g in env.pres.generators]
+
+        def key_weight(key) -> int:
+            ((g, d),) = basis.vector(key).coeffs
+            return gen_w[g] + step * d
+
+        class Weights(dict):
+            def __missing__(self, m: MIdx) -> int:
+                w = self[m] = sum(e * key_weight(key) for key, e in m)
+                return w
+
+        class Deep(dict):
+            def __missing__(self, w: int) -> bool:
+                found = self[w] = any(
+                    not r and d > depth and (t is None or d < t)
+                    for wg, t in zip(gen_w, torsion)
+                    for d, r in (divmod(w - wg, step),)
+                )
+                return found
+
+        self.weight = Weights()
+        self.deep = Deep()
+
+    def cell(self, k: MIdx, kp: MIdx, n: int) -> int:
+        return self.weight[k] + self.weight[kp] - self.step * (n + 1)
+
+
+def _grading(env: EnvelopingAlgebra, depth: int) -> _Grading | None:
+    """The cell weights of `env` against letters deeper than depth; None when
+    the presentation has no grading or a basis letter is not one symbol."""
     delta = env.pres.conformal_weights()
-    basis = env.basis
-    if delta is None or not (isinstance(basis, RawBasis) or basis.graded):
+    if delta is None or not (isinstance(env.basis, RawBasis) or env.basis.graded):
         return None
-    scale_d = math.lcm(*(Q(x).denominator for x in delta))
-    gen_w = [int(x * scale_d) for x in delta]
-    torsion = [g.torsion for g in env.pres.generators]
-
-    def key_weight(key) -> int:
-        ((g, d),) = basis.vector(key).coeffs
-        return gen_w[g] + scale_d * d
-
-    pos_w = {key_weight(key) for key in positions}
-
-    class Weights(dict):
-        def __missing__(self, m: MIdx) -> int:
-            w = self[m] = sum(e * key_weight(key) for key, e in m)
-            return w
-
-    weight = Weights()
-
-    def deep(w: int) -> bool:
-        # some letter (g, d) with depth < d < torsion weighs w
-        for wg, t in zip(gen_w, torsion):
-            d, r = divmod(w - wg, scale_d)
-            if not r and d > depth and (t is None or d < t):
-                return True
-        return False
-
-    def skip(k: MIdx, kp: MIdx, n: int, overflowed: bool) -> bool:
-        w = weight[k] + weight[kp] - scale_d * (n + 1)
-        return w not in pos_w and (overflowed or not deep(w))
-
-    return skip
+    return _Grading(env, delta, depth)
 
 
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
     """Fill the table from the enveloping products over the stated ranges.
 
     Each pair's indices are walked downward, so a degree's overflow shows
-    at its shallowest cell, and on a graded presentation the deeper cells
-    that cannot change the table are skipped.
+    at its shallowest cell.  On a graded presentation a cell is computed
+    only when an in-depth position has its weight, or a deeper letter has
+    it and the degree has not overflowed yet; the others cannot change
+    the table.
     """
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
@@ -314,22 +322,33 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             midx_from_word(w) for w in combinations_with_replacement(positions, size)
         )
         ends.append(len(midxes))
-    skip = _cell_skipper(env, depth, positions)
+    words = {m: word_from_midx(m) for m in midxes}
+    grading = _grading(env, depth)
+    if grading:
+        step, deep = grading.step, grading.deep
+        in_depth = {grading.weight[((key, 1),)] for key in positions}
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
-            u, v, _ = _cell_pair(k, kp)
-            bound = env.trunc_bound(u, v)
+            bound = env.word_bound(words[k], words[kp])
             table.pair_bounds[(k, kp)] = bound
             deg = dk + midx_norm(kp)
-            for n in range(min(hi, bound - 1), lo - 1, -1):
-                if skip and skip(k, kp, n, deg in table.overflow_degrees):
-                    continue
+            overflowed = deg in table.overflow_degrees
+            top = min(hi, bound - 1)
+            if grading:
+                # cell (k, k', n) weighs base - step * n
+                base = grading.cell(k, kp, 0)
+            for n in range(top, lo - 1, -1):
+                if grading:
+                    w = base - step * n
+                    if w not in in_depth and (overflowed or not deep[w]):
+                        continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
                         table.add_entry(l, n, k, kp, c)
                     else:
                         table.overflow_degrees.add(deg)
+                        overflowed = True
     return table
 
 
@@ -406,6 +425,8 @@ class _Composer:
         self._maxn = {l: max(law) for l, law in self._law.items()}
         self._slotted: dict = {}
         self._conv_memo: dict = {}
+        # composed coefficients by their arguments; callers only read them
+        self._composed_memo: dict = {}
         # certified stops for composed inner series: the top index of the
         # product series of any multi-index substituted from the kept
         # cells, per substitution side
@@ -451,16 +472,22 @@ class _Composer:
         multi-index is substituted by the composed series over
         ``inner_slots`` and the ``inner_n`` coefficient is taken.
         """
+        key = (l, outer_n, inner_n, direct_slot, inner_slots, substitute_first)
+        out = self._composed_memo.get(key)
+        if out is not None:
+            return out
         if outer_n < self.lo:
             raise TruncationInsufficient(
                 f"outer index {outer_n} outside window {self.table.window}"
             )
-        out: dict = {}
+        out = {}
         for (k, kp), c in self._law.get(l, {}).get(outer_n, {}).items():
             direct, subst = (kp, k) if substitute_first else (k, kp)
             inner = self.conv(word_from_midx(subst), inner_n, inner_slots)
             if inner:
                 _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
+        # kept only once complete, so a raise above leaves nothing behind
+        self._composed_memo[key] = out
         return out
 
 

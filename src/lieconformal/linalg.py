@@ -74,11 +74,6 @@ def scale(a: dict, c) -> dict:
     return {k: exact(v * c) for k, v in a.items()}
 
 
-def vec_add(a: dict, b: dict, cb=1) -> dict:
-    """a + cb*b with zero coefficients dropped."""
-    return iadd(dict(a), b, cb)
-
-
 class Sparse:
     """Finite rational combination ``{label: nonzero coefficient}``.
 

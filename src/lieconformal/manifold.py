@@ -38,7 +38,7 @@ from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
 from .lawtable import (
-    _cell_skipper, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
+    _grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
 )
 from .linalg import iadd
 
@@ -73,8 +73,8 @@ class VertexManifold:
         self._bounds: dict = {}
         self._support_bounds: dict = {}
         self._powers_memo: dict = {}
-        # on a graded presentation, whether no letter weighs a cell's weight
-        self._weightless = _cell_skipper(env, -1, ())
+        # on a graded presentation, the cell weights against every letter
+        self._grading = _grading(env, -1)
         self._composed_memo: dict = {}
         self._inner_memo: dict = {}
 
@@ -83,9 +83,7 @@ class VertexManifold:
     def pair_bound(self, k, kp) -> int:
         key = (k, kp)
         if key not in self._bounds:
-            u = UElem.monomial(word_from_midx(k))
-            v = UElem.monomial(word_from_midx(kp))
-            self._bounds[key] = self.env.trunc_bound(u, v)
+            self._bounds[key] = self.env.word_bound(word_from_midx(k), word_from_midx(kp))
         return self._bounds[key]
 
     def table_entry(self, k, kp, n: int) -> Point:
@@ -93,8 +91,9 @@ class VertexManifold:
         key = (k, kp, n)
         cached = self._table.get(key)
         if cached is None:
+            grading = self._grading
             if midx_norm(k) + midx_norm(kp) > self.N or (
-                    self._weightless and self._weightless(k, kp, n, False)):
+                    grading and not grading.deep[grading.cell(k, kp, n)]):
                 cached = {}
             else:
                 cached = law_cell(self.env, k, kp, n)
@@ -383,9 +382,8 @@ class VertexManifold:
 
 def integrate(pres: LcaPresentation) -> VertexManifold:
     """Product structure of a nilpotent presentation; exact and lazy."""
-    report = pres.check_axioms()
-    if not report.ok:
-        raise AxiomFailure(f"{pres.name!r} fails the axiom checks", report)
+    if not pres.is_lie_conformal():
+        raise AxiomFailure(f"{pres.name!r} fails the axiom checks", pres.check_axioms())
     series = LowerCentralSeries(pres)
     if not series.nilpotent:
         raise NotNilpotent(

@@ -186,6 +186,3 @@ class PolyModule:
 
     def __hash__(self):
         return hash((self.nrows, self.canonical_key()))
-
-    def is_zero_module(self) -> bool:
-        return not self._basis

@@ -6,11 +6,14 @@ the Lie bracket integrates the polynomial term by term, and word
 rewriting resolves the rightmost inversion first (agreement with the
 leftmost-first strategy is a confluence check).  The inner series of a
 point pair is rebuilt from every word over its support, none skipped.
+The coalgebra helpers split words over position subsets on their own,
+and points add as plain dicts.
 """
 
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
+from lieconformal.bialgebra import TensorElem
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import UElem
 from lieconformal.lawtable import midx_from_word, word_series
@@ -128,3 +131,31 @@ def brute_inner_series(M, b, c, q: int) -> list:
             if poly:
                 out.append((midx_from_word(word), s, poly[()]))
     return out
+
+
+def point_add(a: dict, b: dict, cb=1) -> dict:
+    """a + cb*b as a plain dict, zero coefficients dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + cb * v
+    return {k: v for k, v in out.items() if v}
+
+
+def flip(t: TensorElem) -> TensorElem:
+    """The two tensor slots swapped."""
+    return TensorElem({(b, a): c for (a, b), c in t.terms.items()})
+
+
+def delta_on_component(t: TensorElem, component: int) -> dict:
+    """The coproduct applied to one tensor slot, as {(x, y, z): c}: each
+    word of that slot splits over every subset of its positions."""
+    out: dict = {}
+    for (a, b), c in t.terms.items():
+        word = (a, b)[component]
+        n = len(word)
+        for mask in range(1 << n):
+            left = tuple(word[i] for i in range(n) if mask >> i & 1)
+            right = tuple(word[i] for i in range(n) if not mask >> i & 1)
+            key = (left, right, b) if component == 0 else (a, left, right)
+            out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import golden
 import pytest
+from oracles import delta_on_component, flip
 
 from lieconformal import dsl
 from lieconformal.bialgebra import (
@@ -13,7 +14,6 @@ from lieconformal.bialgebra import (
     check_delta_is_vertex_hom,
     coproduct,
     counit,
-    delta_on_component,
     is_primitive,
     primitives_up_to,
     tensor_nth,
@@ -141,7 +141,7 @@ def test_coalgebra_laws_on_short_words():
             u = UElem.monomial(word)
             d = coproduct(u)
             # cocommutativity
-            assert d.flip() == d
+            assert flip(d) == d
             # coassociativity
             assert delta_on_component(d, 0) == delta_on_component(d, 1)
             # counit laws collapse both slots

@@ -456,6 +456,11 @@ def test_cli_rejects_bad_values(tmp_path):
         (["bracket", heis, "--left", "(" * 2000 + "a" + ")" * 2000, "--right", "a"],
          "1:1: expression nested too deeply\n"),
         (["check", str(tmp_path / "deep.lca")], "1:1: expression nested too deeply\n"),
+        # an exponent past the limit is refused before any expansion
+        (["bracket", heis, "--left", f"(1 + D)^{dsl.POW_LIMIT + 1}*a", "--right", "a"],
+         f"1:9: exponent {dsl.POW_LIMIT + 1} is beyond the limit {dsl.POW_LIMIT}\n"),
+        (["bracket", heis, "--left", "(1 + D)^1000*a", "--right", "a"],
+         f"1:9: exponent 1000 is beyond the limit {dsl.POW_LIMIT}\n"),
         (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],

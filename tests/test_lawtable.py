@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -7,7 +8,8 @@ from pathlib import Path
 import golden
 import pytest
 
-from lieconformal import dsl
+from lieconformal import dsl, lawtable
+from lieconformal.cli import run
 from lieconformal.enveloping import EnvelopingAlgebra, UElem
 from lieconformal.errors import TruncationInsufficient
 from lieconformal.lawtable import (
@@ -177,7 +179,8 @@ def _reference_table(env, degree, depth, window):
                 continue
             u = UElem.monomial(word_from_midx(k))
             v = UElem.monomial(word_from_midx(kp))
-            table.pair_bounds[(k, kp)] = env.trunc_bound(u, v)
+            # the pair's own bracket, never the swapped pair's degree
+            table.pair_bounds[(k, kp)] = env.bracket(u, v).degree + 1
             norm = Q(1, midx_factorial(k) * midx_factorial(kp))
             for n in range(window[0], window[1] + 1):
                 for word, c in env.nth(u, v, n).terms.items():
@@ -200,6 +203,100 @@ def test_extraction_matches_cellwise_products(name):
     want = _reference_table(EnvelopingAlgebra(pres), 3, 2, (-8, 8)).to_json()
     assert got["overflow_degrees"] == want["overflow_degrees"]
     assert got == want
+
+
+ALL_DATA = ["abelian1", "abelian2", "badheis", "heisenberg", "mixed", "n3current", "virasoro"]
+
+
+def _data(name):
+    return dsl.load_presentation((Path(__file__).parent / "data" / f"{name}.lca").read_text())[0]
+
+
+@pytest.mark.parametrize("name", [*ALL_DATA, "corrupted_jacobi"])
+def test_pair_bounds_equal_the_bounds_of_directly_built_brackets(name):
+    # a pair's bound may be read off the swapped pair's bracket by
+    # skew-symmetry; it must be the one the pair's own bracket gives, also
+    # on a presentation whose failing Jacobi identity breaks the symmetry
+    pres = golden.corrupted_jacobi() if name == "corrupted_jacobi" else _data(name)
+    direct = EnvelopingAlgebra(pres)
+    shortcuts = 0
+    for degree, depth in ((1, 2), (2, 0), (2, 1), (3, 1)):
+        env = EnvelopingAlgebra(pres)
+        table = extract_law(env, degree, depth, (-2, 2))
+        for (k, kp), bound in table.pair_bounds.items():
+            wu, wv = word_from_midx(k), word_from_midx(kp)
+            want = direct.bracket(UElem.monomial(wu), UElem.monomial(wv)).degree + 1
+            assert bound == want, (degree, depth, k, kp)
+            shortcuts += (wu, wv) not in env._bracket_memo
+    # the comparison covers read-off bounds exactly on the valid presentations
+    assert (shortcuts > 0) == pres.check_axioms().ok, shortcuts
+
+
+def test_failing_presentation_builds_both_brackets_of_a_pair(monkeypatch):
+    # skew-symmetry holds only in a vertex algebra: on badheis, which fails
+    # antisymmetry, every pair's bracket is built in both orders
+    env = EnvelopingAlgebra(_data("badheis"))
+    table = extract_law(env, 2, 1, (-3, 3))
+    for k, kp in table.pair_bounds:
+        wu, wv = word_from_midx(k), word_from_midx(kp)
+        assert (wu, wv) in env._bracket_memo and (wv, wu) in env._bracket_memo, (k, kp)
+    # and the output is the one computed before bounds were read off, pinned
+    # by its sha256 in text and JSON
+    heis = str(Path(__file__).parent / "data" / "badheis.lca")
+    fvl = ["fvl", heis, "--deg", "3", "--depth", "1", "--window=-4..4"]
+    for argv, want in [
+        (fvl, "627f7ad27fe476e5a0209b6e57361f940f5e66306139e119ad8bcf571e135474"),
+        (["--format", "json", *fvl], "a68200e6a910a351c9476d331b28ec593a5e71b30dd878ebc8de46b5581589d8"),
+    ]:
+        code, out = run(argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, argv
+    # the axioms are checked once per presentation, however many tables
+    pres = _data("n3current")
+    calls = []
+    check = type(pres).check_axioms
+    monkeypatch.setattr(type(pres), "check_axioms", lambda self: calls.append(self) or check(self))
+    for depth in (0, 1):
+        extract_law(EnvelopingAlgebra(pres), 2, depth, (-2, 2))
+    assert calls == [pres]
+
+
+def test_w1_table_builds_one_bracket_per_unordered_pair():
+    # the W1 table (n3current, degree 3, depth 2, window -8..8) kept 5,456
+    # word brackets when every pair's bound built the pair's own bracket
+    env = EnvelopingAlgebra(_data("n3current"))
+    extract_law(env, 3, 2, (-8, 8))
+    assert len(env._bracket_memo) <= 3000, len(env._bracket_memo)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "n3current"])
+def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
+    # each composed coefficient is kept once per check; every kept value
+    # equals one computed by a composer that has kept nothing, so no
+    # caller of a kept coefficient changed it
+    table = extract_law(EnvelopingAlgebra(_data(name)), 2, 1, (-8, 8))
+    made = []
+
+    class Recorded(_Composer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(lawtable, "_Composer", Recorded)
+    ltj = list(product((-1, 0, 1), repeat=3))
+    assert check_law_jacobi(table, ltj, 2)["pass"]
+    (comp,) = made
+    kept = comp._composed_memo
+    assert len(kept) > 100, len(kept)
+    for key, value in kept.items():
+        assert _Composer(table, 2).composed(*key) == value, key
+    # a raise leaves nothing behind
+    lo = table.window[0]
+    pos = table.positions[0]
+    for args in [(pos, lo - 1, 0, 0, (1, 2), False), (pos, -1, 10 * lo, 0, (1, 2), False)]:
+        fresh = _Composer(table, 2)
+        with pytest.raises(TruncationInsufficient):
+            fresh.composed(*args)
+        assert args not in fresh._composed_memo
 
 
 UNGRADED = """algebra ungraded {
@@ -295,6 +392,14 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
         LawTable.from_json({**doc, "entries": doc["entries"] + [{**stray, "k": {"b[0]": 1}}]})
     with pytest.raises(ValueError, match="not in the basis"):
         LawTable.from_json({**doc, "bounds": [[{"b[0]": 1}, {}, 3]]})
+
+
+def test_from_json_rejects_an_output_label_outside_the_basis():
+    # a cell filed under a label the basis lacks is no cell any check reads
+    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    stray = {**doc["entries"][0], "l": "b[0]"}
+    with pytest.raises(ValueError, match="output label 'b\\[0\\]' is not in the basis"):
+        LawTable.from_json({**doc, "entries": doc["entries"] + [stray]})
 
 
 def test_law_hom_cases():

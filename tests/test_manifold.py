@@ -3,12 +3,11 @@ from fractions import Fraction as Q
 
 import golden
 import pytest
-from oracles import brute_inner_series
+from oracles import brute_inner_series, point_add
 
 from lieconformal.core import CVec
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
-from lieconformal.linalg import vec_add as point_add
 from lieconformal.manifold import integrate, point_key
 
 
