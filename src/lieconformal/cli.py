@@ -80,11 +80,21 @@ MAX_LEN_LIMIT = 5
 DEPTH_LIMIT = 3
 SAMPLES_LIMIT = 1000
 
+# Largest --deg `fvl` takes.  The table lists a bound for every pair of
+# multi-indices up to the degree, and their number grows about fourfold per
+# degree.  Cold, on one core of a shared 2-core x86-64 host, with
+# --format json --window=-32..32: `heisenberg.lca --depth 3` takes 0.28 s
+# at --deg 5, 1.8 s at 6, 7.4 s at 7 and 31 s with a 147 MB peak at 8;
+# `n3current.lca --depth 1` takes 0.35 s at 4, 3 s and 71 MB at 5 and 21 s
+# and 315 MB at 6, and at --depth 3 10.8 s and 134 MB already at 4.
+DEG_LIMIT = 5
+
 
 def _check_sizes(args) -> None:
     limits = {
         "primitives": (("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)),
         "verify-manifold": (("samples", SAMPLES_LIMIT),),
+        "fvl": (("deg", DEG_LIMIT),),
     }
     for dest, limit in limits.get(args.command, ()):
         value = getattr(args, dest)

@@ -117,6 +117,16 @@ def tokenize(text: str) -> list[Token]:
 # at 100 (stopped by the lowering, which rejects lambda there).
 POW_LIMIT = 64
 
+# Most monomials one product step of an expansion may form, before like
+# terms merge.  A power of a sum of symbols that do not commute in the
+# expansion keeps every order of them apart, so it doubles per factor.
+# Same measure as above: (D + a)^k*a, which the lowering rejects after the
+# expansion, took 0.19 s at k = 12, 0.3 s at 13 and 3.8 s at 16 unbounded;
+# at this limit k = 14 and 16 are refused in 0.18 s.  The largest step of
+# (1 + D + lambda)^64 forms 6,240 monomials and of (1 + D)^64*(1 + D)^64*a
+# 4,225, so both still expand, in 1.5 s and 0.15 s.
+MONOMIAL_LIMIT = 8192
+
 
 # -- expression AST -----------------------------------------------------------
 
@@ -319,20 +329,24 @@ def _expand(node) -> list:
     if kind == "mul":
         out = [(Q(1), 0, [])]
         for sub in node[1]:
-            out = _times(out, _expand(sub))
+            out = _times(out, _expand(sub), node[-1])
         return out
     if kind == "pow":
         # the base expanded once, then multiplied in exponent times
         base = _expand(node[1])
         out = [(Q(1), 0, [])]
         for _ in range(node[2]):
-            out = _times(out, base)
+            out = _times(out, base, node[-1])
         return out
     raise AssertionError(kind)
 
 
-def _times(left: list, right: list) -> list:
-    """Product of two expansions, like monomials merged."""
+def _times(left: list, right: list, span) -> list:
+    """Product of two expansions, like monomials merged; refused when it
+    would form more than MONOMIAL_LIMIT monomials."""
+    if len(left) * len(right) > MONOMIAL_LIMIT:
+        raise DslError(Diagnostic(
+            f"expansion forms {len(left) * len(right)} monomials, beyond the limit {MONOMIAL_LIMIT}", span))
     return _merge((c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in left for (c2, p2, s2) in right)
 
 

@@ -13,7 +13,10 @@ element is the origin.
 On a graded presentation with a graded adapted basis, u_(n) v weighs
 Δu + Δv - n - 1, so a cell whose weight no letter of any depth has is
 zero and is stored as such without computing the enveloping product.
-An ungraded basis computes every cell.
+A product of points groups its exponent pairs by their summed weight and
+reads, at each index, only the groups whose cells some letter can weigh;
+the other cells are never read.  An ungraded basis puts every pair in
+one group and computes every cell.
 
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
@@ -24,6 +27,10 @@ memo, the coefficients of the product series of a point pair, kept per
 pair because every outer index and outer point of a composed product
 reads the same ones.  Its fill builds a word only from a prefix that kept
 a coefficient, and only if it can reach a stored index: no other can.
+A composed product keeps its grouped exponent pairs per outer point,
+inner pair and series index, for every outer index to read.  The memos
+key a point by its (key, numerator, denominator) triples, which hash as
+ints, and an int and the equal Fraction give the same key.
 """
 
 from __future__ import annotations
@@ -48,7 +55,16 @@ Point = dict  # basis key -> nonzero Fraction
 
 
 def point_key(p: Point) -> tuple:
-    return tuple(sorted(p.items()))
+    """The point as sorted (key, numerator, denominator) triples: ints hash
+    fast, and an int and the equal Fraction give the same key."""
+    return tuple(sorted([(k,) + v.as_integer_ratio() for k, v in p.items()]))
+
+
+class _Unweighted(dict):
+    """The weights of an ungraded manifold: every multi-index weighs 0."""
+
+    def __missing__(self, m) -> int:
+        return 0
 
 
 class ProductResult:
@@ -76,6 +92,7 @@ class VertexManifold:
         # on a graded presentation, the cell weights against every letter
         self._grading = _grading(env, -1)
         self._composed_memo: dict = {}
+        self._weights_memo: dict = {}
         self._inner_memo: dict = {}
 
     # -- table cells ------------------------------------------------------
@@ -129,26 +146,40 @@ class VertexManifold:
         return cached
 
     def _weights(self, left: list, right: list) -> list:
-        """(k, k', w * w') over the exponent pairs of total degree 1..N.
+        """(W, [(k, k', w * w'), ...]) over the exponent pairs of total degree
+        1..N, grouped by the summed weight W = weight[k] + weight[k'].
 
         Both sides list (multi-index, norm, weight) in order of norm, as
-        `_powers` and `_inner_series` give them.
+        `_powers` and `_inner_series` give them; each group keeps that order.
+        On an ungraded manifold every pair weighs 0, so all form one group.
         """
         N = self.N
-        out = []
+        weight = self._grading.weight if self._grading else _Unweighted()
+        groups: dict = {}
         for k, s, w in left:
+            wk = weight[k]
             for kp, sp, wp in right:
                 if s + sp > N:
                     break
                 if s + sp:
-                    out.append((k, kp, w * wp))
-        return out
+                    groups.setdefault(wk + weight[kp], []).append((k, kp, w * wp))
+        return list(groups.items())
 
-    def _combine(self, weights: list, n: int) -> Point:
-        """Index-n table cells of the weighted exponent pairs, summed."""
+    def _combine(self, groups: list, n: int) -> Point:
+        """Index-n table cells of the grouped exponent pairs, summed.
+
+        On a graded manifold a group is read only when some letter weighs
+        W - step * (n + 1): `table_entry` stores the cells of every other
+        group as zero.  An ungraded manifold reads its one group.
+        """
         out: Point = {}
-        for k, kp, w in weights:
-            iadd(out, self.table_entry(k, kp, n), w)
+        grading = self._grading
+        if grading:
+            deep, shift = grading.deep, grading.step * (n + 1)
+        for W, pairs in groups:
+            if grading is None or deep[W - shift]:
+                for k, kp, w in pairs:
+                    iadd(out, self.table_entry(k, kp, n), w)
         return out
 
     def _point_weights(self, a: Point, b: Point) -> list:
@@ -167,8 +198,9 @@ class VertexManifold:
         if bound is None:
             unit = self._powers(dict.fromkeys(supp, 1))
             bound = 0
-            for k, kp, _ in self._weights(unit, unit):
-                bound = max(bound, self.pair_bound(k, kp))
+            for _, pairs in self._weights(unit, unit):
+                for k, kp, _ in pairs:
+                    bound = max(bound, self.pair_bound(k, kp))
             self._support_bounds[supp] = bound
         return bound
 
@@ -232,23 +264,31 @@ class VertexManifold:
                     words.extend((word + (letters[j],), j) for j in range(i, len(letters)) if tops[j] >= need)
         return filled[1].get(q, [])
 
-    def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
-        """Coefficient q of the product of a with the (b, c) product series."""
-        key = ("second", point_key(a), point_key(b), point_key(c), p, q)
+    def _composed(self, side: str, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
+        """Coefficient q of a composed product; side "second" substitutes the
+        (b, c) series into the second slot, "first" the (a, b) series into
+        the first.  The grouped exponent pairs are kept per q for every p."""
+        points = (side, point_key(a), point_key(b), point_key(c))
+        key = points + (p, q)
         cached = self._composed_memo.get(key)
         if cached is None:
-            weights = self._weights(self._powers(a), self._inner_series(b, c, q))
+            weights = self._weights_memo.get(points + (q,))
+            if weights is None:
+                if side == "second":
+                    weights = self._weights(self._powers(a), self._inner_series(b, c, q))
+                else:
+                    weights = self._weights(self._inner_series(a, b, q), self._powers(c))
+                self._weights_memo[points + (q,)] = weights
             cached = self._composed_memo[key] = self._combine(weights, p)
         return cached
 
+    def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
+        """Coefficient q of the product of a with the (b, c) product series."""
+        return self._composed("second", a, b, c, p, q)
+
     def composed_first(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of the (a, b) series with point c."""
-        key = ("first", point_key(a), point_key(b), point_key(c), p, q)
-        cached = self._composed_memo.get(key)
-        if cached is None:
-            weights = self._weights(self._inner_series(a, b, q), self._powers(c))
-            cached = self._composed_memo[key] = self._combine(weights, p)
-        return cached
+        return self._composed("first", a, b, c, p, q)
 
     # -- axiom suite ------------------------------------------------------------
 

@@ -4,8 +4,10 @@ Each oracle recomputes a quantity along a different path from the
 package code: the bracket extension applies one derivative at a time,
 the Lie bracket integrates the polynomial term by term, and word
 rewriting resolves the rightmost inversion first (agreement with the
-leftmost-first strategy is a confluence check).  The inner series of a
-point pair is rebuilt from every word over its support, none skipped.
+leftmost-first strategy is a confluence check).  A manifold product sums
+the table cell of every exponent pair, none skipped by weight, and the
+inner series of a point pair is rebuilt from every word over its
+support, none skipped.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.
 """
@@ -112,16 +114,27 @@ def skew_bracket(alg, u: UElem, v: UElem):
     return ULPoly({k: v2 for k, v2 in out.items() if v2})
 
 
+def brute_combine(M, left: list, right: list, n: int) -> dict:
+    """Index-n cells of a vertex manifold summed over every exponent pair of
+    total degree 1..N of two (multi-index, norm, weight) lists."""
+    out: dict = {}
+    for k, s, w in left:
+        for kp, sp, wp in right:
+            if 0 < s + sp <= M.N:
+                for pos, v in M.table_entry(k, kp, n).items():
+                    out[pos] = out.get(pos, 0) + w * wp * v
+    return {pos: v for pos, v in out.items() if v}
+
+
 def brute_inner_series(M, b, c, q: int) -> list:
     """x^q coefficients of the (b, c) product series of a vertex manifold,
     as (m, |m|, coefficient), from every word of norm 0..N over the letters
     of the series, in order of norm, then lex."""
     n_bc = M.truncation_bound(b, c)
     lo = q + 1 - M.N * max(n_bc, 1)
-    weights = M._point_weights(b, c)
     heads: dict = {}
     for m in range(lo, n_bc):
-        for pos, v in M._combine(weights, m).items():
+        for pos, v in brute_combine(M, M._powers(b), M._powers(c), m).items():
             heads.setdefault(pos, {})[m] = {(): v}
     memo: dict = {}
     out = []

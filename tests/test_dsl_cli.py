@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lieconformal import dsl, filtration
-from lieconformal.cli import DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
+from lieconformal.cli import DEG_LIMIT, DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import EnvelopingAlgebra, UElem
 from lieconformal.manifold import VertexManifold
@@ -104,6 +104,19 @@ class TestLowering:
         assert dsl.parse_vector("(1 + D)^40*L", golden.virasoro()) == CVec(
             {(0, d): math.comb(40, d) * math.factorial(d) for d in range(41)}
         )
+        assert time.process_time() - start < 1
+
+    def test_expansion_refused_only_past_the_monomial_limit(self):
+        # (D + a)^13 forms 8,192 monomials at its last step, so it expands and
+        # the lowering rejects it; one factor more is refused at that step
+        heis = golden.heisenberg()
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse_vector("(D + a)^13*a", heis)
+        assert "exactly one generator" in str(err.value)
+        start = time.process_time()
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse_vector("(D + a)^40*a", heis)
+        assert f"forms 16384 monomials, beyond the limit {dsl.MONOMIAL_LIMIT}" in str(err.value)
         assert time.process_time() - start < 1
 
     def test_monomial_without_generator(self):
@@ -414,6 +427,9 @@ def test_cli_rejects_bad_values(tmp_path):
         (["primitives", heis, "--max-len", str(MAX_LEN_LIMIT), "--depth", str(DEPTH_LIMIT)], 0),
         (["verify-manifold", heis, "--samples", "100000000"], 2),
         (["verify-manifold", heis, "--samples", str(SAMPLES_LIMIT + 1)], 2),
+        (["fvl", heis, "--deg", "100", "--depth", "1", "--window=-2..2"], 2),
+        (["fvl", heis, "--deg", str(DEG_LIMIT + 1), "--depth", "1", "--window=-2..2"], 2),
+        (["fvl", heis, "--deg", str(DEG_LIMIT), "--depth", "1", "--window=-2..2"], 0),
     ]:
         start = time.monotonic()
         code, text = run(argv)
@@ -461,6 +477,10 @@ def test_cli_rejects_bad_values(tmp_path):
          f"1:9: exponent {dsl.POW_LIMIT + 1} is beyond the limit {dsl.POW_LIMIT}\n"),
         (["bracket", heis, "--left", "(1 + D)^1000*a", "--right", "a"],
          f"1:9: exponent 1000 is beyond the limit {dsl.POW_LIMIT}\n"),
+        # a power whose every order of symbols is its own monomial is refused
+        # at the product step that would form too many
+        (["bracket", heis, "--left", "(D + a)^16*a", "--right", "a"],
+         f"1:2: expansion forms 16384 monomials, beyond the limit {dsl.MONOMIAL_LIMIT}\n"),
         (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],

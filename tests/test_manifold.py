@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import golden
 import pytest
-from oracles import brute_inner_series, point_add
+from oracles import brute_combine, brute_inner_series, point_add
 
 from lieconformal.core import CVec
 from lieconformal.enveloping import UElem
@@ -337,7 +337,8 @@ def test_memos_survive_points_in_swapped_roles():
         # the fresh manifold reads the keys in reverse order, so its memos
         # fill in another order than the warm one's
         for key, got in reversed(list(M._composed_memo.items())):
-            slot, pts, p, q = key[0], [dict(k) for k in key[1:4]], key[4], key[5]
+            slot, p, q = key[0], key[4], key[5]
+            pts = [{k: Q(n, d) for k, n, d in pk} for pk in key[1:4]]
             if slot == "second":
                 assert fresh.composed(*pts, p, q) == got, (build.__name__, key)
             else:
@@ -434,9 +435,43 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
             assert nonzero <= len(calls) <= cells // 7, (build.__name__, len(calls), cells)
 
 
+def test_grouped_products_equal_every_exponent_pair():
+    # the products read only the weight groups some letter can take at the
+    # index; the oracle sums every exponent pair's cell on a fresh manifold,
+    # over point products, vacuum pairs and the inner series lists that the
+    # composed products read; mixed is ungraded, so its one group is read
+    rng = random.Random(31)
+    for build in [golden.heisenberg, golden.n3_current, golden.mixed]:
+        M, fresh = integrate(build()), integrate(build())
+        a, b, c = (rand_point(rng, M) for _ in range(3))
+        if build is golden.n3_current:
+            a, b, c = _n3_slow_triple(M)
+        pairs = [(M._powers(x), M._powers(y)) for x, y in [(a, b), (b, c), (a, {}), ({}, b)]]
+        pairs += [(M._powers(a), M._inner_series(b, c, q)) for q in (-1, 0)]
+        pairs += [(M._inner_series(a, b, q), M._powers(c)) for q in (-1, 0)]
+        nonzero = 0
+        for left, right in pairs:
+            groups = M._weights(left, right)
+            for n in range(-8, 4):
+                want = brute_combine(fresh, left, right, n)
+                assert M._combine(groups, n) == want, (build.__name__, n)
+                nonzero += bool(want)
+        assert nonzero, build.__name__
+        for x, y in [(a, b), (b, c), (a, {}), ({}, b)]:
+            window = M.product_window(x, y, -8, 3)
+            assert sorted(window.slices) == list(range(-8, 4))
+            for n, got in window.slices.items():
+                assert got == fresh.product(x, y, n), (build.__name__, n)
+    # an int and the equal Fraction key a point the same way
+    k = M.basis.keys_up_to_depth(0)[0]
+    assert point_key({k: 2}) == point_key({k: Q(2)}) != point_key({k: Q(2, 3)})
+
+
 def test_slow_triple_skips_weightless_cells(monkeypatch):
-    # 3,063 distinct cells are read over these 27 residuals; all but 96 have
-    # a conformal weight no letter has, so they are stored as zero unread
+    # these 27 residuals meet 3,063 distinct cells; all but 96 have a
+    # conformal weight no letter has, and the products visit only the
+    # exponent pairs whose summed weight some letter can take, so only the
+    # 96 are read and stored
     import lieconformal.manifold as manifold
 
     calls = []
@@ -448,7 +483,7 @@ def test_slow_triple_skips_weightless_cells(monkeypatch):
         for t in (-1, 0, 1):
             for j in (-1, 0, 1):
                 assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
-    assert len(M._table) == 3063
+    assert len(M._table) == 96
     assert len(calls) <= 120, len(calls)
 
 
