@@ -134,7 +134,7 @@ def _parse_arg(arg: str, pres, key: str):
 
 
 def _vector_json(pres, v: CVec) -> dict:
-    return {f"{pres.gen_name(g)}[{d}]": str(c) for (g, d), c in sorted(v.coeffs.items())}
+    return {pres.symbol_label(sym): str(c) for sym, c in sorted(v.coeffs.items())}
 
 
 def _uelem_json(basis, u: UElem) -> list:
@@ -494,8 +494,8 @@ def _dispatch(args, em: _Emitter) -> int:
                 vec.iadd_scaled(manifold.basis.vector(key), c)
             if args.as_float:
                 txt = ", ".join(
-                    f"{pres.gen_name(g)}[{d}]={float(c):.12g}"
-                    for (g, d), c in sorted(vec.coeffs.items())
+                    f"{pres.symbol_label(sym)}={float(c):.12g}"
+                    for sym, c in sorted(vec.coeffs.items())
                 ) or "0"
             else:
                 txt = render.vector_coord_text(pres, vec)

@@ -164,6 +164,11 @@ class LcaPresentation:
     def gen_name(self, i: int) -> str:
         return self.generators[i].name
 
+    def symbol_label(self, sym: Symbol) -> str:
+        """The label ``name[d]`` of the symbol (g, d)."""
+        g, d = sym
+        return f"{self.gen_name(g)}[{d}]"
+
     def symbol_valid(self, sym: Symbol) -> bool:
         g, d = sym
         if not (0 <= g < len(self.generators)) or d < 0:

@@ -113,8 +113,8 @@ def tokenize(text: str) -> list[Token]:
 # CPU time of `lcv bracket heisenberg.lca --left X --right a`, on one core
 # of a shared 2-core x86-64 host: X = (1 + D)^k*a takes 0.03 s at k = 64,
 # 0.7 s at 200, 1 s at 250 and 40 s at 1000; with the commuting lambda
-# beside D, (1 + D + lambda)^k*a takes 0.13 s at 32, 1.1 s at 64 and 5.5 s
-# at 100 (stopped by the lowering, which rejects lambda there).
+# beside D, (1 + D + lambda)^k*a, which a bracket value expands and a vector
+# argument refuses unexpanded, took 0.13 s at 32, 1.1 s at 64 and 5.5 s at 100.
 POW_LIMIT = 64
 
 # Most monomials one product step of an expansion may form, before like
@@ -361,7 +361,7 @@ def _merge(monomials) -> list:
     return [m for m in out.values() if m[0]]
 
 
-def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
+def _lower_expr(expr, gen_index, torsion, span):
     """Expression to {lambda degree: {(gen, depth): coeff}} plus warnings.
 
     An inner dict may be empty where its terms cancel; LPoly and CVec drop it.
@@ -371,8 +371,6 @@ def _lower_expr(expr, gen_index, torsion, span, allow_lambda=True):
     for (coeff, lpow, syms) in _expand(expr):
         if coeff == 0:
             continue
-        if lpow > 0 and not allow_lambda:
-            raise DslError(Diagnostic("lambda is not allowed here", span))
         dcount = 0
         gen = None
         gen_span = span
@@ -476,11 +474,14 @@ def parse_vector(text: str, pres: LcaPresentation):
     parser = Parser(text)
     expr = parser.parse_expr()
     parser.expect("eof")
+    span = SourceSpan(0, len(text), 1, 1)
+    # refused before the expansion, which a power of a sum with lambda
+    # makes long, and even where the lambda terms would cancel
+    if any(t.kind == "name" and t.text == "lambda" for t in parser.toks):
+        raise DslError(Diagnostic("lambda is not allowed here", span))
     gen_index = {g.name: i for i, g in enumerate(pres.generators)}
     torsion = [g.torsion for g in pres.generators]
-    poly, _ = _lower_expr(
-        expr, gen_index, torsion, SourceSpan(0, len(text), 1, 1), allow_lambda=False
-    )
+    poly, _ = _lower_expr(expr, gen_index, torsion, span)
     from .core import CVec
 
     return CVec(poly.get(0, {}))

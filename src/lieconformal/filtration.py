@@ -171,8 +171,7 @@ class RawBasis:
         return CVec.unit(key)
 
     def label(self, key) -> str:
-        g, d = key
-        return f"{self.pres.gen_name(g)}[{d}]"
+        return self.pres.symbol_label(key)
 
     def expand(self, v: CVec) -> dict:
         return dict(v.coeffs)
@@ -237,8 +236,8 @@ class AdaptedBasis:
             top = cap if spec.is_free else min(cap, spec.torsion - 1)
             for d in range(self.depth_cap + 1, top + 1):
                 key = (self._grades[g], g, d)
-                name = pres.gen_name(g)
-                self._add(BasisVector(key, CVec.unit((g, d)), self._grades[g], f"{name}[{d}]"))
+                label = pres.symbol_label((g, d))
+                self._add(BasisVector(key, CVec.unit((g, d)), self._grades[g], label))
         self._order.sort(key=lambda bv: bv.key)
 
     def _extend_general(self, cap: int) -> None:

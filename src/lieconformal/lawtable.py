@@ -11,12 +11,13 @@ Monomial bookkeeping: a multi-index is a sorted tuple of (basis key,
 positive exponent) pairs; composed-series polynomials live over slotted
 variables (slot, basis key) with slots numbering the argument groups.
 
-On a graded presentation (``LcaPresentation.conformal_weights``) the cell
+By conformal weight (``LcaPresentation.conformal_weights``) the cell
 (k, k', n) can only hold letters of weight W(k) + W(k') - n - 1, so
-extraction skips a cell when no in-depth position has that weight, unless
-an out-of-depth letter has it and the cell's degree has shown no overflow
-yet; the table is the one that computing every cell gives.  Without a
-grading every cell is computed.
+extraction skips a cell when no letter has that weight, or only letters
+out of depth do and the cell's degree has overflowed already; the table
+is the one that computing every cell gives.  A presentation without
+conformal weights, or a basis whose letters are not one symbol, takes the
+trivial grading, under which every cell weighs 0 and is computed.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -253,13 +255,20 @@ class _Grading:
 
     The cell (k, k', n) can only hold letters weighing
     ``weight[k] + weight[k'] - step * (n + 1)``; a multi-index's weight is
-    kept once asked for.  ``deep[w]`` says whether a letter (g, d) with
-    depth < d < torsion weighs w, kept once asked for; with depth -1 that
-    is any letter of the basis.
+    kept once asked for.  ``depths[w]`` holds the depths d < torsion at
+    which some letter (g, d) weighs w, at most one per generator, kept once
+    asked for.  A presentation without conformal weights, or a basis whose
+    letters are not one symbol, takes the trivial grading: ∂ and every
+    letter weigh 0, so every cell weighs 0 and a depth-0 letter can fill it.
     """
 
-    def __init__(self, env: EnvelopingAlgebra, delta, depth: int):
+    def __init__(self, env: EnvelopingAlgebra):
         basis = env.basis
+        delta = env.pres.conformal_weights()
+        if delta is None or not (isinstance(basis, RawBasis) or basis.graded):
+            # the trivial grading; no cell weighs other than 0
+            self.step, self.weight, self.depths = 0, defaultdict(int), {0: (0,)}
+            return
         self.step = step = math.lcm(*(Q(x).denominator for x in delta))
         gen_w = [int(x * step) for x in delta]
         torsion = [g.torsion for g in env.pres.generators]
@@ -273,39 +282,30 @@ class _Grading:
                 w = self[m] = sum(e * key_weight(key) for key, e in m)
                 return w
 
-        class Deep(dict):
-            def __missing__(self, w: int) -> bool:
-                found = self[w] = any(
-                    not r and d > depth and (t is None or d < t)
+        class Depths(dict):
+            def __missing__(self, w: int) -> tuple:
+                ds = self[w] = tuple(
+                    d
                     for wg, t in zip(gen_w, torsion)
                     for d, r in (divmod(w - wg, step),)
+                    if not r and d >= 0 and (t is None or d < t)
                 )
-                return found
+                return ds
 
         self.weight = Weights()
-        self.deep = Deep()
+        self.depths = Depths()
 
     def cell(self, k: MIdx, kp: MIdx, n: int) -> int:
         return self.weight[k] + self.weight[kp] - self.step * (n + 1)
-
-
-def _grading(env: EnvelopingAlgebra, depth: int) -> _Grading | None:
-    """The cell weights of `env` against letters deeper than depth; None when
-    the presentation has no grading or a basis letter is not one symbol."""
-    delta = env.pres.conformal_weights()
-    if delta is None or not (isinstance(env.basis, RawBasis) or env.basis.graded):
-        return None
-    return _Grading(env, delta, depth)
 
 
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
     """Fill the table from the enveloping products over the stated ranges.
 
     Each pair's indices are walked downward, so a degree's overflow shows
-    at its shallowest cell.  On a graded presentation a cell is computed
-    only when an in-depth position has its weight, or a deeper letter has
-    it and the degree has not overflowed yet; the others cannot change
-    the table.
+    at its shallowest cell.  A cell is computed only when an in-depth
+    position has its weight, or a deeper letter has it and the degree has
+    not overflowed yet; the others cannot change the table.
     """
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
@@ -323,10 +323,8 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
         )
         ends.append(len(midxes))
     words = {m: word_from_midx(m) for m in midxes}
-    grading = _grading(env, depth)
-    if grading:
-        step, deep = grading.step, grading.deep
-        in_depth = {grading.weight[((key, 1),)] for key in positions}
+    grading = _Grading(env)
+    step, depths = grading.step, grading.depths
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
@@ -335,14 +333,12 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             deg = dk + midx_norm(kp)
             overflowed = deg in table.overflow_degrees
             top = min(hi, bound - 1)
-            if grading:
-                # cell (k, k', n) weighs base - step * n
-                base = grading.cell(k, kp, 0)
+            # cell (k, k', n) weighs base - step * n
+            base = grading.cell(k, kp, 0)
             for n in range(top, lo - 1, -1):
-                if grading:
-                    w = base - step * n
-                    if w not in in_depth and (overflowed or not deep[w]):
-                        continue
+                ds = depths[base - step * n]
+                if not ds or (overflowed and min(ds) > depth):
+                    continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
                         table.add_entry(l, n, k, kp, c)

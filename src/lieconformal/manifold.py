@@ -10,13 +10,14 @@ off as adapted coordinates, as the coefficient-law extraction reads it.
 Products of concrete rational points are finite sums; the identity
 element is the origin.
 
-On a graded presentation with a graded adapted basis, u_(n) v weighs
-Δu + Δv - n - 1, so a cell whose weight no letter of any depth has is
-zero and is stored as such without computing the enveloping product.
-A product of points groups its exponent pairs by their summed weight and
-reads, at each index, only the groups whose cells some letter can weigh;
-the other cells are never read.  An ungraded basis puts every pair in
-one group and computes every cell.
+By conformal weight, u_(n) v weighs Δu + Δv - n - 1, so a cell whose
+weight no letter of any depth has is zero and is stored as such without
+computing the enveloping product.  A product of points groups its
+exponent pairs by their summed weight and reads, at each index, only the
+groups whose cells some letter can weigh; the other cells are never read.
+A presentation without conformal weights, or an adapted basis whose
+letters mix symbols, takes the trivial grading: every pair weighs 0, so
+all form one group, and every cell is computed.
 
 Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
@@ -45,7 +46,7 @@ from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
 from .lawtable import (
-    _grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
+    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
 )
 from .linalg import iadd
 
@@ -58,13 +59,6 @@ def point_key(p: Point) -> tuple:
     """The point as sorted (key, numerator, denominator) triples: ints hash
     fast, and an int and the equal Fraction give the same key."""
     return tuple(sorted([(k,) + v.as_integer_ratio() for k, v in p.items()]))
-
-
-class _Unweighted(dict):
-    """The weights of an ungraded manifold: every multi-index weighs 0."""
-
-    def __missing__(self, m) -> int:
-        return 0
 
 
 class ProductResult:
@@ -89,8 +83,8 @@ class VertexManifold:
         self._bounds: dict = {}
         self._support_bounds: dict = {}
         self._powers_memo: dict = {}
-        # on a graded presentation, the cell weights against every letter
-        self._grading = _grading(env, -1)
+        # the cell weights against every letter
+        self._grading = _Grading(env)
         self._composed_memo: dict = {}
         self._weights_memo: dict = {}
         self._inner_memo: dict = {}
@@ -109,8 +103,7 @@ class VertexManifold:
         cached = self._table.get(key)
         if cached is None:
             grading = self._grading
-            if midx_norm(k) + midx_norm(kp) > self.N or (
-                    grading and not grading.deep[grading.cell(k, kp, n)]):
+            if midx_norm(k) + midx_norm(kp) > self.N or not grading.depths[grading.cell(k, kp, n)]:
                 cached = {}
             else:
                 cached = law_cell(self.env, k, kp, n)
@@ -151,10 +144,9 @@ class VertexManifold:
 
         Both sides list (multi-index, norm, weight) in order of norm, as
         `_powers` and `_inner_series` give them; each group keeps that order.
-        On an ungraded manifold every pair weighs 0, so all form one group.
         """
         N = self.N
-        weight = self._grading.weight if self._grading else _Unweighted()
+        weight = self._grading.weight
         groups: dict = {}
         for k, s, w in left:
             wk = weight[k]
@@ -168,16 +160,13 @@ class VertexManifold:
     def _combine(self, groups: list, n: int) -> Point:
         """Index-n table cells of the grouped exponent pairs, summed.
 
-        On a graded manifold a group is read only when some letter weighs
-        W - step * (n + 1): `table_entry` stores the cells of every other
-        group as zero.  An ungraded manifold reads its one group.
+        A group is read only when some letter weighs W - step * (n + 1):
+        `table_entry` stores the cells of every other group as zero.
         """
         out: Point = {}
-        grading = self._grading
-        if grading:
-            deep, shift = grading.deep, grading.step * (n + 1)
+        depths, shift = self._grading.depths, self._grading.step * (n + 1)
         for W, pairs in groups:
-            if grading is None or deep[W - shift]:
+            if depths[W - shift]:
                 for k, kp, w in pairs:
                     iadd(out, self.table_entry(k, kp, n), w)
         return out

@@ -65,7 +65,7 @@ def vector_text(pres: LcaPresentation, v: CVec) -> str:
 
 def vector_coord_text(pres: LcaPresentation, v: CVec) -> str:
     """Coordinate form ``g[d]=c`` used for points."""
-    parts = [f"{pres.gen_name(g)}[{d}]={c}" for (g, d), c in sorted(v.coeffs.items())]
+    parts = [f"{pres.symbol_label(sym)}={c}" for sym, c in sorted(v.coeffs.items())]
     return ", ".join(parts) if parts else "0"
 
 

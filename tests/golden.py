@@ -2,7 +2,7 @@
 
 from fractions import Fraction as Q
 
-from lieconformal import build_presentation
+from lieconformal import build_presentation, dsl
 
 
 def abelian1():
@@ -56,6 +56,19 @@ def mixed():
         [("a", None), ("b", 2), ("k", 1)],
         {("a", "a"): {1: {("k", 0): 1, ("b", 1): 2}}},
     )
+
+
+UNGRADED = """algebra ungraded {
+  generators { a: free; k: torsion(1); }
+  bracket [a, a] = lambda*k + lambda^3*k;
+}"""
+
+
+def ungraded():
+    """Nilpotent algebra without conformal weights: the two terms of its
+    bracket force Δ_k = 2Δ_a - 2 and Δ_k = 2Δ_a - 4 at once."""
+    pres, _ = dsl.load_presentation(UNGRADED)
+    return pres
 
 
 def corrupted_heisenberg():

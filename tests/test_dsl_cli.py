@@ -481,6 +481,12 @@ def test_cli_rejects_bad_values(tmp_path):
         # at the product step that would form too many
         (["bracket", heis, "--left", "(D + a)^16*a", "--right", "a"],
          f"1:2: expansion forms 16384 monomials, beyond the limit {dsl.MONOMIAL_LIMIT}\n"),
+        # a vector naming lambda is refused before its expansion, also
+        # where a product cancels the lambda terms
+        (["bracket", heis, "--left", "(lambda - lambda)*a + a", "--right", "a"],
+         "1:1: lambda is not allowed here\n"),
+        (["bracket", heis, "--left", "0*lambda*a + a", "--right", "a"],
+         "1:1: lambda is not allowed here\n"),
         (["check", str(tmp_path)], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path}", "--right", "a"], f"cannot open {str(tmp_path)!r}\n"),
         (["nop", heis, "--left", f"@{tmp_path / 'w.json'}", "--right", "a"],
@@ -489,6 +495,11 @@ def test_cli_rejects_bad_values(tmp_path):
          f"1:1: unrecognized JSON argument in {str(tmp_path / 'c.json')!r}\n"),
     ]:
         assert run(argv) == (2, want), argv
+    # expanding (1 + D + lambda)^64 takes about a second of CPU, so the refusal comes first
+    start = time.process_time()
+    assert run(["bracket", heis, "--left", "(1 + D + lambda)^64*a", "--right", "a"]) \
+        == (2, "1:1: lambda is not allowed here\n")
+    assert time.process_time() - start < 0.1
 
 
 def test_json_arguments_read_like_their_text_forms(tmp_path):

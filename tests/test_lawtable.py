@@ -16,6 +16,7 @@ from lieconformal.lawtable import (
     EMPTY,
     LawTable,
     _Composer,
+    _Grading,
     _poly_madd,
     check_convergence_bound,
     check_identities,
@@ -299,21 +300,78 @@ def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
         assert args not in fresh._composed_memo
 
 
-UNGRADED = """algebra ungraded {
-  generators { a: free; k: torsion(1); }
-  bracket [a, a] = lambda*k + lambda^3*k;
-}"""
-
-
 def test_ungraded_extraction_computes_every_cell():
-    # the two terms force Δ_k = 2Δ_a - 2 and Δ_k = 2Δ_a - 4 at once
-    pres, _ = dsl.load_presentation(UNGRADED)
+    pres = golden.ungraded()
     assert pres.check_axioms().ok
     assert pres.conformal_weights() is None
     got = extract_law(EnvelopingAlgebra(pres), 3, 1, (-6, 6))
     want = _reference_table(EnvelopingAlgebra(pres), 3, 1, (-6, 6))
     assert got.to_json() == want.to_json()
     assert got.overflow_degrees and any(n == 3 for _l, n in got.entries)
+
+
+def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
+    # the rule before one grading served every presentation: a table skips
+    # a cell when no in-depth position has its weight and either its degree
+    # overflowed or no deeper letter has it; a manifold (depth -1) skips it
+    # when no letter has it.  Letters come from keys_up_to_depth.  The
+    # degree-2 extraction must compute the cells that rule picks, in order.
+    calls = []
+    monkeypatch.setattr(lawtable, "law_cell", lambda *args: calls.append(args[1:]) or law_cell(*args))
+    for build in [golden.heisenberg, golden.virasoro, golden.n3_current, golden.mixed]:
+        env = EnvelopingAlgebra(build())
+        grading = _Grading(env)
+        step, weight = grading.step, grading.weight
+        assert step, build.__name__
+
+        def letter_weight(key):
+            return weight[((key, 1),)]
+
+        for depth in range(4):
+            positions = env.basis.keys_up_to_depth(depth)
+            midxes = [midx_from_word(w) for size in range(4)
+                      for w in combinations_with_replacement(positions, size)]
+            # a pair's weight is that of its joint multi-index
+            cell_weights = {weight[m] - step * (n + 1) for m in midxes for n in range(-8, 9)}
+            # a letter one depth deeper weighs one step more
+            least = min(map(letter_weight, env.basis.keys_up_to_depth(0)))
+            letters = env.basis.keys_up_to_depth((max(cell_weights) - least) // step + 1)
+            in_depth = {letter_weight(key) for key in positions}
+            by_weight: dict = {}
+            for g, d in letters:
+                by_weight.setdefault(letter_weight((g, d)), set()).add(d)
+
+            def deep(w, below):
+                return any(d > below for d in by_weight.get(w, ()))
+
+            def old_skips(w, overflowed):
+                return w not in in_depth and (overflowed or not deep(w, depth))
+
+            for w in cell_weights:
+                ds = grading.depths[w]
+                assert set(ds) == by_weight.get(w, set())
+                assert (not ds) == (not deep(w, -1)), (build.__name__, w)
+                for overflowed in (False, True):
+                    new_skips = not ds or (overflowed and min(ds) > depth)
+                    assert old_skips(w, overflowed) == new_skips, (build.__name__, depth, w)
+
+            calls.clear()
+            table = extract_law(env, 2, depth, (-8, 8))
+            want, overflow = [], set()
+            below = [m for m in midxes if midx_norm(m) <= 2]
+            for k in below:
+                for kp in below:
+                    deg = midx_norm(k) + midx_norm(kp)
+                    if deg > 2:
+                        continue
+                    top = min(8, env.word_bound(word_from_midx(k), word_from_midx(kp)) - 1)
+                    for n in range(top, -9, -1):
+                        if not old_skips(weight[k] + weight[kp] - step * (n + 1), deg in overflow):
+                            want.append((k, kp, n))
+                            if set(law_cell(env, k, kp, n)) - set(positions):
+                                overflow.add(deg)
+            assert calls == want, (build.__name__, depth)
+            assert table.overflow_degrees == overflow
 
 
 def test_extraction_builds_one_chain_per_left_index():

@@ -159,7 +159,8 @@ def test_corollary_pruning_is_sound():
 
 
 def test_axiom_suite_and_fault_injection():
-    for build in [golden.heisenberg, golden.abelian2, golden.mixed]:
+    # the Jacobi axiom reads six sample triples
+    for build in [golden.heisenberg, golden.abelian2, golden.mixed, golden.ungraded]:
         M = integrate(build())
         report = M.check_axioms(8, seed=5, window=(-4, 4))
         assert report["pass"], (build.__name__, report)
@@ -197,7 +198,7 @@ def test_roundtrip_all_nilpotent():
 
 def test_jacobi_residual_golden_spread():
     rng = random.Random(3)
-    for build in [golden.heisenberg, golden.n3_current, golden.mixed]:
+    for build in [golden.heisenberg, golden.n3_current, golden.mixed, golden.ungraded]:
         M = integrate(build())
         pts = [rand_point(rng, M) for _ in range(3)]
         for l in (-1, 0, 1):
@@ -390,7 +391,8 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
     # expands it in the adapted basis (the general path on mixed).  On the
     # graded algebras most cells are skipped by conformal weight, and skipped
     # cells must equal the reference too; mixed has conformal weights but an
-    # ungraded basis, whose letters mix symbols, so every cell is computed
+    # ungraded basis, whose letters mix symbols, and ungraded has no weights,
+    # so both take the trivial grading and every cell is computed
     from itertools import combinations_with_replacement
 
     import lieconformal.manifold as manifold
@@ -401,6 +403,7 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
     monkeypatch.setattr(manifold, "law_cell", lambda *args: calls.append(args) or law_cell(*args))
     for build, depth, window in [(golden.heisenberg, 2, range(-6, 5)),
                                  (golden.mixed, 1, range(-4, 4)),
+                                 (golden.ungraded, 2, range(-6, 5)),
                                  (golden.n3_current, 2, range(-6, 5))]:
         M = integrate(build())
         env = M.env
@@ -430,6 +433,10 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
         if build is golden.mixed:
             assert M.pres.conformal_weights() is not None and not M.basis.graded
             assert len(calls) == cells
+        elif build is golden.ungraded:
+            # every cell weighs 0, so no other weight was asked for
+            assert M.pres.conformal_weights() is None and M.basis.graded
+            assert len(calls) == cells and M._grading.depths == {0: (0,)}
         else:
             # 62 of 495 cells on heisenberg, 3,806 of 60,016 on n3current
             assert nonzero <= len(calls) <= cells // 7, (build.__name__, len(calls), cells)
@@ -439,9 +446,10 @@ def test_grouped_products_equal_every_exponent_pair():
     # the products read only the weight groups some letter can take at the
     # index; the oracle sums every exponent pair's cell on a fresh manifold,
     # over point products, vacuum pairs and the inner series lists that the
-    # composed products read; mixed is ungraded, so its one group is read
+    # composed products read; mixed and ungraded take the trivial grading,
+    # so their one group is read
     rng = random.Random(31)
-    for build in [golden.heisenberg, golden.n3_current, golden.mixed]:
+    for build in [golden.heisenberg, golden.n3_current, golden.mixed, golden.ungraded]:
         M, fresh = integrate(build()), integrate(build())
         a, b, c = (rand_point(rng, M) for _ in range(3))
         if build is golden.n3_current:
