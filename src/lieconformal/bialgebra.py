@@ -4,13 +4,12 @@ The coproduct splits an ordered word over all position subsets; both
 halves of a split stay ordered, so no rewriting is involved and the
 subset expansion is an independent cross-check path against the product
 machinery.  Primitive elements of a bounded word span are found one word
-at a time, by testing each word's own coproduct residual for zero.
+at a time, testing only the vacuum and the single letters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
 
 from .enveloping import EnvelopingAlgebra, UElem, VACUUM, Word
 from .linalg import Sparse, iadd
@@ -67,10 +66,11 @@ def primitives_up_to(alg: EnvelopingAlgebra, max_len: int, depth: int) -> list[U
     # Every split of an ordered word carries exactly that word's letters, so
     # the residuals of distinct words have disjoint supports.  A combination
     # of words is then primitive only when each of its words is, and the
-    # primitive words alone span the kernel of the residual map.
+    # primitive words alone span the kernel of the residual map.  A word w
+    # of two or more letters is not: its split ((w[0],), w[1:]) carries the
+    # multiplicity of w[0], and the residual subtracts only (w, 1) and (1, w).
     keys = alg.basis.keys_up_to_depth(depth)
-    lengths = range(1, max_len + 1)
-    words = chain([VACUUM], *(combinations_with_replacement(keys, n) for n in lengths))
+    words = [VACUUM] + [(k,) for k in keys if max_len > 0]
     return [u for u in map(UElem.monomial, words) if is_primitive(u)]
 
 

@@ -98,28 +98,28 @@ def word_floor(word: tuple, maxn, lo: int) -> int:
     return lo + word_top(word, maxn) - min(map(maxn, word))
 
 
-def word_series(word: tuple, series: dict, maxn, lo: int, cap: int, memo: dict) -> dict:
-    """Product series {q: polynomial} of the series of the letters of ``word``.
+def word_series(word: tuple, series: dict, maxn, lo: int, madd, memo: dict) -> dict:
+    """Product series {q: coefficient} of the series of the letters of ``word``.
 
-    ``series[f]`` holds only the nonzero x-coefficients {m: slotted
-    polynomial} of letter f, none below ``lo`` or above ``maxn(f)``; a
-    letter it lacks has the zero series.  The product of r series takes
-    coefficient q from the index tuples with m_1 + ... + m_r + r - 1 = q.
-    Kept are the nonzero coefficients from `word_floor` to the top; terms of
-    degree above ``cap`` drop.  A word is its prefix times its last letter.
+    ``series[f]`` holds only the nonzero x-coefficients {m: coefficient} of
+    letter f, none below ``lo`` or above ``maxn(f)``; a letter it lacks has
+    the zero series.  The product of r series takes coefficient q from the
+    index tuples with m_1 + ... + m_r + r - 1 = q.  Kept are the nonzero
+    coefficients from `word_floor` to the top.  A word is its prefix times
+    its last letter.  The caller picks the coefficients: ``madd(out, q,
+    tail, head)`` adds tail * head into ``out[q]``, and ``memo`` starts out
+    holding the empty word's series, {-1: the unit}.
     """
-    if not word:
-        return {-1: {(): 1}}
     cached = memo.get(word)
     if cached is not None:
         return cached
     floor = word_floor(word, maxn, lo)
-    tails = word_series(word[:-1], series, maxn, lo, cap, memo).items()
+    tails = word_series(word[:-1], series, maxn, lo, madd, memo).items()
     out: dict = {}
     for m, head in series.get(word[-1], {}).items():
         for t, tail in tails:
             if t + m + 1 >= floor:
-                _poly_madd(out.setdefault(t + m + 1, {}), tail, head, cap)
+                madd(out, t + m + 1, tail, head)
     cached = memo[word] = {t: p for t, p in out.items() if p}
     return cached
 
@@ -420,7 +420,9 @@ class _Composer:
                 self._law.setdefault(l, {})[n] = kept
         self._maxn = {l: max(law) for l, law in self._law.items()}
         self._slotted: dict = {}
-        self._conv_memo: dict = {}
+        # word product series per slot pair, seeded with the empty word's
+        self._conv_memo = defaultdict(lambda: {(): {-1: {(): 1}}})
+        self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap)
         # composed coefficients by their arguments; callers only read them
         self._composed_memo: dict = {}
         # certified stops for composed inner series: the top index of the
@@ -455,10 +457,8 @@ class _Composer:
             raise TruncationInsufficient(
                 f"composition needs index {self.lo + q - floor} below window {self.table.window}"
             )
-        return word_series(
-            word, self.slotted(slots), self.maxn, self.lo, self.cap,
-            self._conv_memo.setdefault(slots, {}),
-        ).get(q, {})
+        memo = self._conv_memo[slots]
+        return word_series(word, self.slotted(slots), self.maxn, self.lo, self._madd, memo).get(q, {})
 
     def composed(self, l, outer_n: int, inner_n: int, direct_slot: int,
                  inner_slots, substitute_first: bool) -> dict:

@@ -31,7 +31,9 @@ a coefficient, and only if it can reach a stored index: no other can.
 A composed product keeps its grouped exponent pairs per outer point,
 inner pair and series index, for every outer index to read.  The memos
 key a point by its (key, numerator, denominator) triples, which hash as
-ints, and an int and the equal Fraction give the same key.
+ints, and an int and the equal Fraction give the same key; a Jacobi
+residual keys its three points once for all the products it reads.  The
+inner series multiply as exact rationals through `word_series`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 from .core import CVec, LcaPresentation, LPoly, three_sum
@@ -48,7 +51,7 @@ from .filtration import AdaptedBasis, LowerCentralSeries
 from .lawtable import (
     _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
 )
-from .linalg import iadd
+from .linalg import exact, iadd
 
 Q = Fraction
 
@@ -59,6 +62,11 @@ def point_key(p: Point) -> tuple:
     """The point as sorted (key, numerator, denominator) triples: ints hash
     fast, and an int and the equal Fraction give the same key."""
     return tuple(sorted([(k,) + v.as_integer_ratio() for k, v in p.items()]))
+
+
+def _scalar_madd(out: dict, q: int, tail, head) -> None:
+    """out[q] += tail * head, an int when integral, as `iadd` stores it."""
+    out[q] = exact(out.get(q, 0) + tail * head)
 
 
 class ProductResult:
@@ -216,8 +224,8 @@ class VertexManifold:
         `composed` and `composed_first` read, whatever their outer point and
         index.  One fill per pair files every q from its own up; only a
         lower q fills again, from a deeper window.  Zero coefficients are not
-        stored.  The series coordinates enter `word_series` as degree-0
-        polynomials, and no word product outlives its fill.
+        stored.  The series coordinates enter `word_series` as exact
+        rationals, and no word product outlives its fill.
 
         Words are built norm by norm from (), each extended by the letters
         from its last one on, and only if its series kept a coefficient: a
@@ -235,35 +243,35 @@ class VertexManifold:
             heads: dict = {}
             for m in range(lo, n_bc):
                 for pos, v in self._combine(weights, m).items():
-                    heads.setdefault(pos, {})[m] = {(): v}
+                    heads.setdefault(pos, {})[m] = v
             letters = sorted(heads)
             tops = [max(heads[f]) for f in letters]
-            memo: dict = {}
+            memo: dict = {(): {-1: 1}}
             filled = self._inner_memo[key] = (q, {})
             words = deque([((), 0)])  # (word, index of its last letter), by norm, then lex
             while words:
                 word, i = words.popleft()
-                series = word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo)
+                series = word_series(word, heads, lambda pos: n_bc - 1, lo, _scalar_madd, memo)
                 midx = midx_from_word(word)
-                for t, poly in series.items():
+                for t, v in series.items():
                     if t >= q:
-                        filled[1].setdefault(t, []).append((midx, len(word), poly[()]))
+                        filled[1].setdefault(t, []).append((midx, len(word), v))
                 if series and len(word) < self.N:
                     need = q - (self.N - len(word) - 1) * n_bc - max(series) - 1
                     words.extend((word + (letters[j],), j) for j in range(i, len(letters)) if tops[j] >= need)
         return filled[1].get(q, [])
 
-    def _composed(self, side: str, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
-        """Coefficient q of a composed product; side "second" substitutes the
+    def _composed(self, points: tuple, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
+        """Coefficient q of a composed product; ``points`` is the side and
+        the `point_key`s of a, b and c.  Side "second" substitutes the
         (b, c) series into the second slot, "first" the (a, b) series into
         the first.  The grouped exponent pairs are kept per q for every p."""
-        points = (side, point_key(a), point_key(b), point_key(c))
         key = points + (p, q)
         cached = self._composed_memo.get(key)
         if cached is None:
             weights = self._weights_memo.get(points + (q,))
             if weights is None:
-                if side == "second":
+                if points[0] == "second":
                     weights = self._weights(self._powers(a), self._inner_series(b, c, q))
                 else:
                     weights = self._weights(self._inner_series(a, b, q), self._powers(c))
@@ -273,11 +281,11 @@ class VertexManifold:
 
     def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of a with the (b, c) product series."""
-        return self._composed("second", a, b, c, p, q)
+        return self._composed(("second", point_key(a), point_key(b), point_key(c)), a, b, c, p, q)
 
     def composed_first(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of the (a, b) series with point c."""
-        return self._composed("first", a, b, c, p, q)
+        return self._composed(("first", point_key(a), point_key(b), point_key(c)), a, b, c, p, q)
 
     # -- axiom suite ------------------------------------------------------------
 
@@ -285,13 +293,14 @@ class VertexManifold:
         def stop(x, y):
             return self.N * max(self.truncation_bound(x, y), 1) + 1
 
+        ka, kb, kc = point_key(a), point_key(b), point_key(c)
         return three_sum(
             l, t, j,
             (stop(b, c), stop(a, c), stop(a, b)),
             (
-                lambda p, q: self.composed(a, b, c, p, q),
-                lambda p, q: self.composed(b, a, c, p, q),
-                lambda p, q: self.composed_first(a, b, c, p, q),
+                partial(self._composed, ("second", ka, kb, kc), a, b, c),
+                partial(self._composed, ("second", kb, ka, kc), b, a, c),
+                partial(self._composed, ("first", ka, kb, kc), a, b, c),
             ),
         )
 

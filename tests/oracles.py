@@ -7,18 +7,20 @@ rewriting resolves the rightmost inversion first (agreement with the
 leftmost-first strategy is a confluence check).  A manifold product sums
 the table cell of every exponent pair, none skipped by weight, and the
 inner series of a point pair is rebuilt from every word over its
-support, none skipped.
+support, none skipped, each coefficient summed over the index tuples of
+its word rather than built from its prefix.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.
 """
 
+import math
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from lieconformal.bialgebra import TensorElem
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import UElem
-from lieconformal.lawtable import midx_from_word, word_series
+from lieconformal.lawtable import midx_from_word
 
 
 def oracle_bracket(pres, v: CVec, w: CVec) -> LPoly:
@@ -129,20 +131,24 @@ def brute_combine(M, left: list, right: list, n: int) -> dict:
 def brute_inner_series(M, b, c, q: int) -> list:
     """x^q coefficients of the (b, c) product series of a vertex manifold,
     as (m, |m|, coefficient), from every word of norm 0..N over the letters
-    of the series, in order of norm, then lex."""
+    of the series, in order of norm, then lex.  A word's coefficient sums
+    the products of its letters' coefficients over every index tuple
+    m_1 + ... + m_s + s - 1 = q; the series from lo up hold every index
+    such a tuple can take."""
     n_bc = M.truncation_bound(b, c)
     lo = q + 1 - M.N * max(n_bc, 1)
     heads: dict = {}
     for m in range(lo, n_bc):
         for pos, v in brute_combine(M, M._powers(b), M._powers(c), m).items():
-            heads.setdefault(pos, {})[m] = {(): v}
-    memo: dict = {}
+            heads.setdefault(pos, {})[m] = v
     out = []
     for s in range(M.N + 1):
         for word in combinations_with_replacement(sorted(heads), s):
-            poly = word_series(word, heads, lambda pos: n_bc - 1, lo, 0, memo).get(q)
-            if poly:
-                out.append((midx_from_word(word), s, poly[()]))
+            total = sum(math.prod(v for _, v in terms)
+                        for terms in product(*(heads[f].items() for f in word))
+                        if sum(m for m, _ in terms) + s - 1 == q)
+            if total:
+                out.append((midx_from_word(word), s, total))
     return out
 
 

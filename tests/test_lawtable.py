@@ -589,11 +589,19 @@ def _brute_force(word, q, coeffs, lo, maxn):
 
 
 def test_word_series_matches_recursive_convolution_and_brute_force():
-    # seeded scalar series; as in the composer, maxn(f) is the top nonzero
-    # index of f's series, or lo - 1 for a zero series
+    # seeded series; as in the composer, maxn(f) is the top nonzero index
+    # of f's series, or lo - 1 for a zero series.  The same coefficients
+    # enter once as scalars, through the manifold's multiply-add, against
+    # the sum over index tuples, and once as slotted polynomials with a
+    # degree-1 term, through the composer's capped multiply-add, against
+    # the recursive convolution
+    from lieconformal.manifold import _scalar_madd
+
     rng = random.Random(12)
+    ints = 0
     for _ in range(40):
         lo = rng.randint(-4, 1)
+        cap = rng.randint(0, 2)
         maxn = {f: rng.randint(lo - 1, lo + 4) for f in "abc"}
         coeffs = {(f, m): Q(rng.randint(-3, 3), rng.randint(1, 3))
                   for f in "abc" for m in range(lo, maxn[f] + 1)}
@@ -603,30 +611,44 @@ def test_word_series_matches_recursive_convolution_and_brute_force():
                 coeffs[f, maxn[f]] = coeffs.get((f, maxn[f])) or Q(1)
 
         # each letter's nonzero coefficients, none outside [lo, maxn]
-        sparse = {f: {} for f in "abc"}
+        scalars = {f: {} for f in "abc"}
+        slotted = {f: {} for f in "abc"}
         for (f, m), c in coeffs.items():
             if c:
-                sparse[f][m] = {(): c}
-        assert all(lo <= m <= maxn[f] for f in sparse for m in sparse[f])
-        series = _reader(sparse)
-        memo = {}
+                scalars[f][m] = c
+                slotted[f][m] = {(): c, (((0, f), 1),): Q(m)} if m else {(): c}
+        assert all(lo <= m <= maxn[f] for f in scalars for m in scalars[f])
+        series = _reader(slotted)
+
+        def poly_madd(out, q, tail, head):
+            _poly_madd(out.setdefault(q, {}), tail, head, cap)
+
+        scalar_memo, slotted_memo = {(): {-1: 1}}, {(): {-1: {(): 1}}}
         for s in range(4):
             for word in combinations_with_replacement("abc", s):
-                got = word_series(word, sparse, maxn.get, lo, 0, memo)
+                got = word_series(word, scalars, maxn.get, lo, _scalar_madd, scalar_memo)
+                polys = word_series(word, slotted, maxn.get, lo, poly_madd, slotted_memo)
                 top = word_top(word, maxn.get)
                 # the empty word never raises
                 floor = lo + top - min(map(maxn.get, word)) if word else lo - 8
                 for q in range(lo - 8, top + 3):
                     try:
-                        want = _convolve(word, q, series, maxn.get, (lo, None), 0, {}).get((), 0)
+                        want = _convolve(word, q, series, maxn.get, (lo, None), cap, {})
                     except TruncationInsufficient:
                         assert q < floor, (word, q)
                         continue
                     assert q >= floor, (word, q)
-                    assert got.get(q, {}).get((), 0) == want, (word, q)
+                    assert polys.get(q, {}) == want, (word, q)
+                    # the degree-0 part of a product is the product of scalars
+                    assert got.get(q, 0) == want.get((), 0), (word, q)
                     if word:
-                        assert want == _brute_force(word, q, coeffs, lo, maxn), (word, q)
+                        assert got.get(q, 0) == _brute_force(word, q, coeffs, lo, maxn), (word, q)
                 assert all(floor <= q <= top and p for q, p in got.items()), word
+                assert all(floor <= q <= top and p for q, p in polys.items()), word
+                # integral sums are stored as ints, as `iadd` stores them
+                assert all(type(v) is (int if v.denominator == 1 else Q) for v in got.values())
+                ints += sum(type(v) is int for v in got.values())
+    assert ints
 
 
 def _random_table(rng, lo, hi, positions):

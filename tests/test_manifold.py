@@ -272,9 +272,43 @@ def test_inner_series_convolved_once_per_pair(monkeypatch):
     assert len(calls) <= 1_000, len(calls)
 
 
+def test_residuals_key_each_point_once(monkeypatch):
+    # a residual keys a, b and c once and hands the keys to every composed
+    # product it reads, 81 keys here; only the fills of the memos behind
+    # them key points again (90 more).  Keyed per composed product, these
+    # 27 residuals made 981 point_key calls
+    import lieconformal.manifold as manifold
+
+    calls = []
+    point_key = manifold.point_key
+    monkeypatch.setattr(manifold, "point_key", lambda p: calls.append(p) or point_key(p))
+    M = integrate(golden.n3_current())
+    a, b, c = _n3_slow_triple(M)
+    for l in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
+    assert len(calls) <= 200, len(calls)
+    # each value is filed under the keys of the points it was computed from,
+    # here and on a heisenberg triple taken in both orders of its first two
+    H = integrate(golden.heisenberg())
+    rng = random.Random(8)
+    x, y, z = (rand_point(rng, H) for _ in range(3))
+    for l, t, j in [(-1, -1, -1), (0, -1, 1), (1, 0, -1)]:
+        assert not H.jacobi_residual(x, y, z, l, t, j), (l, t, j)
+        assert not H.jacobi_residual(y, x, z, l, t, j), (l, t, j)
+    for warm, build in [(M, golden.n3_current), (H, golden.heisenberg)]:
+        fresh = integrate(build())
+        for (side, *keys, p, q), got in warm._composed_memo.items():
+            pts = [{k: Q(n, d) for k, n, d in pk} for pk in keys]
+            entry = fresh.composed if side == "second" else fresh.composed_first
+            assert entry(*pts, p, q) == got, (build.__name__, side, p, q)
+
+
 def test_inner_series_builds_every_word_that_keeps_a_coefficient():
-    # the pruned fill gives the lists of a fill over every word, in the same
-    # order, on each q's own fill (highest q first, so each q fills anew)
+    # the pruned fill gives the lists of a sum over every word's index
+    # tuples, in the same order, on each q's own fill (highest q first, so
+    # each q fills anew)
     from lieconformal.lawtable import word_floor, word_top
 
     rng = random.Random(21)
