@@ -69,12 +69,15 @@ def _check_window(window) -> None:
         )
 
 
-# Largest --max-len and --depth `primitives` takes, and most --samples
-# `verify-manifold` takes.  Only the vacuum and the letters of depth at most
-# --depth are tested, whatever --max-len is.  Cold, on one core of a shared
-# 2-core x86-64 host: `primitives n3current.lca --max-len 5 --depth 3` takes
-# 0.01 s with a 21 MB peak (`primitives_up_to` at --max-len 12 --depth 6
-# 0.001 s); `verify-manifold heisenberg.lca --samples 100` takes 0.06 s.
+# Largest --max-len `primitives` takes, largest --depth `primitives` and `fvl`
+# take, and most --samples `verify-manifold` takes.  Only the vacuum and the
+# letters of depth at most --depth are tested, whatever --max-len is.  Cold,
+# on one core of a shared 2-core x86-64 host: `primitives n3current.lca
+# --max-len 5 --depth 3` takes 0.01 s with a 21 MB peak (`primitives_up_to`
+# at --max-len 12 --depth 6 0.001 s); `verify-manifold heisenberg.lca
+# --samples 100` takes 0.06 s; `fvl n3current.lca --deg 2 --format json
+# --window=-32..32` takes 0.07 s at --depth 3 and 9 s with a 224 MB peak
+# at --depth 30.
 MAX_LEN_LIMIT = 5
 DEPTH_LIMIT = 3
 SAMPLES_LIMIT = 1000
@@ -84,8 +87,9 @@ SAMPLES_LIMIT = 1000
 # degree.  Cold, on one core of a shared 2-core x86-64 host, with
 # --format json --window=-32..32: `heisenberg.lca --depth 3` takes 0.28 s
 # at --deg 5, 1.8 s at 6, 7.4 s at 7 and 31 s with a 147 MB peak at 8;
-# `n3current.lca --depth 1` takes 0.35 s at 4, 3 s and 71 MB at 5 and 21 s
-# and 315 MB at 6, and at --depth 3 10.8 s and 134 MB already at 4.
+# `n3current.lca --depth 1` takes 0.3 s at 4, 2 s and 72 MB at 5 and 21 s
+# and 315 MB at 6, and at --depth 3 4.7 s and 130 MB at 4 and 66 s and
+# 1.4 GB at 5.
 DEG_LIMIT = 5
 
 
@@ -93,7 +97,7 @@ def _check_sizes(args) -> None:
     limits = {
         "primitives": (("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)),
         "verify-manifold": (("samples", SAMPLES_LIMIT),),
-        "fvl": (("deg", DEG_LIMIT),),
+        "fvl": (("deg", DEG_LIMIT), ("depth", DEPTH_LIMIT)),
     }
     for dest, limit in limits.get(args.command, ()):
         value = getattr(args, dest)

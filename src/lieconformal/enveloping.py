@@ -2,10 +2,13 @@
 
 Elements are rational combinations of weakly increasing words over an
 ordered basis of the underlying algebra.  Arbitrary words are rewritten
-into this form with commutator corrections; brackets of composite words
-are computed by the two recursion rules that peel one basis letter at a
-time, and the remaining integer-indexed products come from derivative
-shifts of the word product.
+into this form with commutator corrections.  The n-th products u_(n)v,
+n >= 0, of composite words are kept as such, not as λ-coefficients, and
+computed by the two recursion rules that peel one basis letter at a time
+(Kac 1998, §3-4); their weights are binomials or 1, so integral structure
+constants give integral products.  Only `bracket` divides by n! for the
+λ view.  Negative-index products come from divided powers of the ordered
+product.
 
 All operations are pure; the caches keyed by words are idempotent and
 may be shared across threads or dropped at any time.  The divided powers
@@ -166,19 +169,26 @@ class EnvelopingAlgebra:
     def partial_pow(self, u: UElem, times: int) -> UElem:
         return self.partial_div(u, times).scale(math.factorial(times))
 
-    # -- lambda bracket -----------------------------------------------------------
+    # -- n-th products and the λ view ----------------------------------------------
 
     def bracket(self, u: UElem, v: UElem) -> ULPoly:
+        """[u_λ v] = Σ_n λ^n/n! u_(n)v, the λ view of the kept n-th products."""
+        out = ULPoly()
+        for n, p in self._products(u, v).coeffs.items():
+            out.add_term(n, p, Q(1, math.factorial(n)))
+        return out
+
+    def _products(self, u: UElem, v: UElem) -> ULPoly:
+        """u_(n)v for every n >= 0, keyed by n."""
         out = ULPoly()
         for wu, cu in u.terms.items():
             for wv, cv in v.terms.items():
-                part = self._bracket_words(wu, wv)
                 c = cu * cv
-                for n, val in part.coeffs.items():
+                for n, val in self._word_products(wu, wv).coeffs.items():
                     out.add_term(n, val, c)
         return out
 
-    def _bracket_words(self, wu: Word, wv: Word) -> ULPoly:
+    def _word_products(self, wu: Word, wv: Word) -> ULPoly:
         memo = self._bracket_memo
         key = (wu, wv)
         cached = memo.get(key)
@@ -190,7 +200,7 @@ class EnvelopingAlgebra:
             base = self.pres.bracket(self.basis.vector(wu[0]), self.basis.vector(wv[0]))
             res = ULPoly()
             for n, vec in base.coeffs.items():
-                res.add_term(n, self.embed(vec))
+                res.add_term(n, self.embed(vec), math.factorial(n))
         elif len(wu) == 1:
             res = self._left_peel(wu[0], wv)
         else:
@@ -199,48 +209,37 @@ class EnvelopingAlgebra:
         return res
 
     def _left_peel(self, a, wv: Word) -> ULPoly:
-        """Bracket of a letter with a longer word, peeling the word's head."""
-        b, rest = wv[0], wv[1:]
-        out = ULPoly()
-        ab = self._bracket_words((a,), (b,))
+        """Products of a letter with a longer word, peeling the word's head b:
+        a_(n)(b rest) = (a_(n)b) rest + b (a_(n)rest)
+        + Σ_{j<n} C(n, j) (a_(j)b)_(n-1-j) rest (non-commutative Wick formula)."""
+        b, rest = wv[:1], wv[1:]
+        ab = self._word_products((a,), b)
         rest_elem = UElem.monomial(rest)
+        out = ULPoly()
         for n, r in ab.coeffs.items():
             out.add_term(n, self.mul(r, rest_elem))
-        ac = self._bracket_words((a,), rest)
-        b_elem = UElem.monomial((b,))
-        for n, r in ac.coeffs.items():
-            out.add_term(n, self.mul(b_elem, r))
-        # definite integral of the nested bracket
-        for n, r in ab.coeffs.items():
-            inner = self.bracket(r, rest_elem)
-            for m, s in inner.coeffs.items():
-                out.add_term(n + m + 1, s, Q(1, m + 1))
+        for n, r in self._word_products((a,), rest).coeffs.items():
+            out.add_term(n, self.mul(UElem.monomial(b), r))
+        for j, r in ab.coeffs.items():
+            for m, s in self._products(r, rest_elem).coeffs.items():
+                out.add_term(j + m + 1, s, math.comb(j + m + 1, j))
         return out
 
     def _right_peel(self, wu: Word, wv: Word) -> ULPoly:
-        """Bracket of a longer word with anything, peeling the head letter."""
-        a, rest = wu[0], wu[1:]
-        rest_elem = UElem.monomial(rest)
+        """Products of a longer word with anything, peeling the head letter a:
+        (a rest)_(n)v = Σ_{s>=0} (∂^(s)a)(rest_(n+s)v) + (∂^(s)rest)(a_(n+s)v)
+        + Σ_{j<n} rest_(n-1-j)(a_(j)v) (Borcherds identity at m = -1), the
+        first two sums of ordered products."""
+        a, rest = wu[:1], wu[1:]
         out = ULPoly()
-        # derivative-shifted head against the tail bracket; the shift carries
-        # the full derivative power with a plain binomial weight, read off the
-        # divided powers as comb(n, s) ∂^s = perm(n, s) ∂^s/s! (dropping the
-        # s! fails the coefficient Jacobi suite)
-        bw = self._bracket_words(rest, wv)
-        for n, q in bw.coeffs.items():
-            for s in range(n + 1):
-                out.add_term(n - s, self.nop(self._dpow((a,), s), q), math.perm(n, s))
-        av = self._bracket_words((a,), wv)
-        for n, p in av.coeffs.items():
-            for s in range(n + 1):
-                out.add_term(n - s, self.nop(self._dpow(rest, s), p), math.perm(n, s))
-        # integral term with the substituted variable
-        for n, p in av.coeffs.items():
-            inner = self.bracket(rest_elem, p)
-            for m, r in inner.coeffs.items():
+        for head, tail in ((a, rest), (rest, a)):
+            for n, q in self._word_products(tail, wv).coeffs.items():
                 for s in range(n + 1):
-                    c = Q((-1) ** s * math.comb(n, s), m + s + 1)
-                    out.add_term(n - s + m + s + 1, r, c)
+                    out.add_term(n - s, self.nop(self._dpow(head, s), q))
+        rest_elem = UElem.monomial(rest)
+        for j, p in self._word_products(a, wv).coeffs.items():
+            for m, r in self._products(rest_elem, p).coeffs.items():
+                out.add_term(m + j + 1, r)
         return out
 
     # -- ordered product and integer-indexed products ------------------------------
@@ -257,6 +256,8 @@ class EnvelopingAlgebra:
                 out.iadd_scaled(self._nop_words(wu, wv), c * cu * cv)
 
     def _nop_words(self, wu: Word, wv: Word) -> UElem:
+        """(a rest)_(-1)v = a (rest_(-1)v) + Σ_{m>=0} (∂^(m+1)a)(rest_(m)v)
+        + (∂^(m+1)rest)(a_(m)v)."""
         memo = self._nop_memo
         key = (wu, wv)
         cached = memo.get(key)
@@ -265,32 +266,24 @@ class EnvelopingAlgebra:
         if len(wu) <= 1:
             res = self.straighten(wu + wv)
         else:
-            a, rest = wu[0], wu[1:]
+            a, rest = wu[:1], wu[1:]
             res = UElem()
-            self._nop_into(res, UElem.monomial((a,)), self._nop_words(rest, wv), 1)
-            wv_poly = self._bracket_words(rest, wv)
-            av_poly = self._bracket_words((a,), wv)
-            for m in range(max(wv_poly.degree, av_poly.degree) + 1):
-                fact = math.factorial(m)
-                rm = wv_poly.coeff(m)
-                if rm:
-                    self._nop_into(res, self._dpow((a,), m + 1), rm, fact)
-                am = av_poly.coeff(m)
-                if am:
-                    self._nop_into(res, self._dpow(rest, m + 1), am, fact)
+            self._nop_into(res, UElem.monomial(a), self._nop_words(rest, wv), 1)
+            for head, tail in ((a, rest), (rest, a)):
+                for m, r in self._word_products(tail, wv).coeffs.items():
+                    self._nop_into(res, self._dpow(head, m + 1), r, 1)
         memo[key] = res
         return res
 
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
         out = UElem()
         if n >= 0:
-            # n! times the λ^n coefficient, read off each word pair's memo;
-            # n! only for a nonzero coefficient, so a large n costs nothing
+            # read off each word pair's kept products, so a large n costs nothing
             for wu, cu in u.terms.items():
                 for wv, cv in v.terms.items():
-                    r = self._bracket_words(wu, wv).coeff(n)
+                    r = self._word_products(wu, wv).coeff(n)
                     if r:
-                        out.iadd_scaled(r, math.factorial(n) * cu * cv)
+                        out.iadd_scaled(r, cu * cv)
             return out
         # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
         for w, c in u.terms.items():
@@ -300,23 +293,24 @@ class EnvelopingAlgebra:
     def trunc_bound(self, u: UElem, v: UElem) -> int:
         """Exact N with the n-th product zero for all n >= N.
 
-        Two single words take `word_bound`, which may read the degree off
-        the swapped pair's kept bracket instead of building this one.
+        Two single words take `word_bound`, which may read the top product
+        index off the swapped pair's kept products instead of building these.
         """
         if len(u.terms) == 1 and len(v.terms) == 1:
             (wu,), (wv,) = u.terms, v.terms
             return self.word_bound(wu, wv)
-        return self.bracket(u, v).degree + 1
+        return self._products(u, v).degree + 1
 
     def word_bound(self, wu: Word, wv: Word) -> int:
         """`trunc_bound` of two words.
 
-        By skew-symmetry, [v_λ u] = -[u_{-λ-∂} v] (Kac 1998), whose top λ
-        power is (-λ)^N times the λ^N coefficient of [u_λ v], so the two
-        brackets have the same λ-degree.  When [wv_λ wu] is kept and
-        [wu_λ wv] is not, its degree is returned and [wu_λ wv] is not
-        built.  Skew-symmetry holds only in a vertex algebra, so this is
-        done only when the presentation passes its axioms
+        By skew-symmetry, v_(n)u = Σ_j (-1)^(n+j+1) ∂^(j)(u_(n+j)v) (Kac
+        1998), so at the top product index N of (u, v) the swapped product
+        is ±u_(N)v and the two pairs have the same top product index.  When
+        the products of (wv, wu) are kept and those of (wu, wv) are not,
+        that index is returned and the products of (wu, wv) are not built.
+        Skew-symmetry holds only in a vertex algebra, so this is done only
+        when the presentation passes its axioms
         (`LcaPresentation.is_lie_conformal`, asked on the first such hit).
         """
         memo = self._bracket_memo
@@ -324,7 +318,7 @@ class EnvelopingAlgebra:
             swapped = memo.get((wv, wu))
             if swapped is not None and self.pres.is_lie_conformal():
                 return swapped.degree + 1
-        return self._bracket_words(wu, wv).degree + 1
+        return self._word_products(wu, wv).degree + 1
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
         """Products for n in [lo, hi] plus the vanishing bound."""

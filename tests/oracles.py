@@ -10,7 +10,10 @@ inner series of a point pair is rebuilt from every word over its
 support, none skipped, each coefficient summed over the index tuples of
 its word rather than built from its prefix.
 The coalgebra helpers split words over position subsets on their own,
-and points add as plain dicts.
+and points add as plain dicts.  Brackets and ordered products of words
+are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
+formulas of their own: the n!, the integral weights and the derivative
+shifts the package's n-th-product form does without.
 """
 
 import math
@@ -19,7 +22,7 @@ from itertools import combinations_with_replacement, product
 
 from lieconformal.bialgebra import TensorElem
 from lieconformal.core import CVec, LPoly
-from lieconformal.enveloping import UElem
+from lieconformal.enveloping import UElem, ULPoly
 from lieconformal.lawtable import midx_from_word
 
 
@@ -100,8 +103,6 @@ def skew_bracket(alg, u: UElem, v: UElem):
     Expands the transposed bracket at the negated shifted variable; the
     derivative acts on the coefficients through the translation operator.
     """
-    import math
-
     base = alg.bracket(v, u)
     out = {}
     for n, elem in base.coeffs.items():
@@ -111,8 +112,6 @@ def skew_bracket(alg, u: UElem, v: UElem):
             if shifted:
                 cur = out.setdefault(n - s, UElem())
                 cur.iadd_scaled(shifted, 1)
-    from lieconformal.enveloping import ULPoly
-
     return ULPoly({k: v2 for k, v2 in out.items() if v2})
 
 
@@ -178,3 +177,87 @@ def delta_on_component(t: TensorElem, component: int) -> dict:
             key = (left, right, b) if component == 0 else (a, left, right)
             out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
+
+
+class LambdaPeel:
+    """Brackets [u_λ v] kept as λ-coefficients and ordered products of an
+    enveloping algebra, by the λ-form peel rules: the integral of the nested
+    bracket, the derivative shift e^{∂ d/dλ} of each head, and ordered-product
+    corrections scaled by m!.  Only straightening, the associative product
+    and the divided powers are read off the algebra."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self._bracket_memo: dict = {}
+        self._nop_memo: dict = {}
+
+    def bracket(self, u: UElem, v: UElem) -> ULPoly:
+        out = ULPoly()
+        for wu, cu in u.terms.items():
+            for wv, cv in v.terms.items():
+                for n, val in self.bracket_words(wu, wv).coeffs.items():
+                    out.add_term(n, val, cu * cv)
+        return out
+
+    def nop(self, u: UElem, v: UElem) -> UElem:
+        out = UElem()
+        for wu, cu in u.terms.items():
+            for wv, cv in v.terms.items():
+                out.iadd_scaled(self.nop_words(wu, wv), cu * cv)
+        return out
+
+    def bracket_words(self, wu, wv) -> ULPoly:
+        key = (wu, wv)
+        if key in self._bracket_memo:
+            return self._bracket_memo[key]
+        alg = self.alg
+        out = ULPoly()
+        if not wu or not wv:
+            pass
+        elif len(wu) == 1 and len(wv) == 1:
+            base = alg.pres.bracket(alg.basis.vector(wu[0]), alg.basis.vector(wv[0]))
+            for n, vec in base.coeffs.items():
+                out.add_term(n, alg.embed(vec))
+        elif len(wu) == 1:
+            # [a_λ (b rest)] = [a_λ b] rest + b [a_λ rest] + ∫_0^λ [[a_λ b]_μ rest] dμ
+            b, rest = wv[0], UElem.monomial(wv[1:])
+            ab = self.bracket_words(wu, (b,))
+            for n, r in ab.coeffs.items():
+                out.add_term(n, alg.mul(r, rest))
+            for n, r in self.bracket_words(wu, wv[1:]).coeffs.items():
+                out.add_term(n, alg.mul(UElem.monomial((b,)), r))
+            for n, r in ab.coeffs.items():
+                for m, s in self.bracket(r, rest).coeffs.items():
+                    out.add_term(n + m + 1, s, Q(1, m + 1))
+        else:
+            # [(a rest)_λ v] = :(e^{∂ d/dλ} a)[rest_λ v]: + :(e^{∂ d/dλ} rest)[a_λ v]:
+            #                  + ∫_0^λ [rest_μ [a_{λ-μ} v]] dμ
+            a, rest = wu[:1], wu[1:]
+            av = self.bracket_words(a, wv)
+            for head, poly in ((a, self.bracket_words(rest, wv)), (rest, av)):
+                for n, q in poly.coeffs.items():
+                    for s in range(n + 1):
+                        shifted = self.nop(alg._dpow(head, s), q)
+                        out.add_term(n - s, shifted, math.perm(n, s))
+            for n, p in av.coeffs.items():
+                for m, r in self.bracket(UElem.monomial(rest), p).coeffs.items():
+                    for s in range(n + 1):
+                        out.add_term(n + m + 1, r, Q((-1) ** s * math.comb(n, s), m + s + 1))
+        self._bracket_memo[key] = out
+        return out
+
+    def nop_words(self, wu, wv) -> UElem:
+        key = (wu, wv)
+        if key in self._nop_memo:
+            return self._nop_memo[key]
+        alg = self.alg
+        if len(wu) <= 1:
+            out = alg.straighten(wu + wv)
+        else:
+            a, rest = wu[:1], wu[1:]
+            out = self.nop(UElem.monomial(a), self.nop_words(rest, wv))
+            for head, poly in ((a, self.bracket_words(rest, wv)), (rest, self.bracket_words(a, wv))):
+                for m, r in poly.coeffs.items():
+                    out = out + self.nop(alg._dpow(head, m + 1), r).scale(math.factorial(m))
+        self._nop_memo[key] = out
+        return out

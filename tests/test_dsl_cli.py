@@ -430,6 +430,8 @@ def test_cli_rejects_bad_values(tmp_path):
         (["fvl", heis, "--deg", "100", "--depth", "1", "--window=-2..2"], 2),
         (["fvl", heis, "--deg", str(DEG_LIMIT + 1), "--depth", "1", "--window=-2..2"], 2),
         (["fvl", heis, "--deg", str(DEG_LIMIT), "--depth", "1", "--window=-2..2"], 0),
+        (["fvl", heis, "--deg", "2", "--depth", str(DEPTH_LIMIT + 1), "--window=-2..2"], 2),
+        (["fvl", heis, "--deg", "2", "--depth", str(DEPTH_LIMIT), "--window=-2..2"], 0),
     ]:
         start = time.monotonic()
         code, text = run(argv)
@@ -520,7 +522,7 @@ def test_json_arguments_read_like_their_text_forms(tmp_path):
 
 
 def test_nth_of_a_vanishing_coefficient_returns_at_once():
-    # n! is never formed for a λ^n coefficient past the bracket's degree
+    # a product index past the kept products' top index is read as zero at once
     heis = str(DATA / "heisenberg.lca")
     start = time.monotonic()
     code, text = run(["nth", heis, "--left", "a", "--right", "a", "--n", "1000000"])

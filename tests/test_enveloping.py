@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from pathlib import Path
 
 import golden
 import pytest
-from oracles import oracle_mul, oracle_straighten, skew_bracket
+from oracles import LambdaPeel, oracle_mul, oracle_straighten, skew_bracket
 
 from lieconformal import dsl
 from lieconformal.core import CVec
@@ -501,3 +502,25 @@ def test_products_are_homogeneous_in_the_conformal_weight(name):
     assert _assert_homogeneous_products(U, delta) > 0
     if name in HAND_WEIGHTS:
         assert _assert_homogeneous_products(EnvelopingAlgebra(pres), HAND_WEIGHTS[name]) > 0
+
+
+@pytest.mark.parametrize("name", PARSEABLE)
+def test_products_match_the_lambda_coefficient_peel(name):
+    # the kept n-th products, read as brackets and ordered products, equal
+    # the λ-coefficient peel formulas on every pair of words of length <= 3;
+    # the letters go to depth 1 on up to three generators and stay at depth
+    # 0 on more
+    pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text())
+    U = EnvelopingAlgebra(pres)
+    ref = LambdaPeel(EnvelopingAlgebra(pres))
+    letters = sorted(U.basis.keys_up_to_depth(1 if len(pres.generators) <= 3 else 0))
+    words = [w for s in range(4) for w in combinations_with_replacement(letters, s)]
+    nonzero = 0
+    for wu in words:
+        for wv in words:
+            u, v = UElem.monomial(wu), UElem.monomial(wv)
+            got = U.bracket(u, v)
+            assert got == ref.bracket(u, v), (wu, wv)
+            assert U.nop(u, v) == ref.nop(u, v), (wu, wv)
+            nonzero += bool(got)
+    assert nonzero or not pres.brackets

@@ -269,6 +269,18 @@ def test_w1_table_builds_one_bracket_per_unordered_pair():
     assert len(env._bracket_memo) <= 3000, len(env._bracket_memo)
 
 
+@pytest.mark.parametrize("name, degree, depth", [("n3current", 3, 2), ("heisenberg", 4, 2), ("mixed", 3, 2)])
+def test_kept_products_of_integral_presentations_are_integers(name, degree, depth):
+    # n-th products recurse with binomial and unit weights only, so integral
+    # structure constants keep no Fraction (virasoro's central (1/12)λ³C
+    # keeps some)
+    env = EnvelopingAlgebra(_data(name))
+    extract_law(env, degree, depth, (-8, 8))
+    coeffs = [c for poly in env._bracket_memo.values()
+              for u in poly.coeffs.values() for c in u.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs), name
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "n3current"])
 def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
     # each composed coefficient is kept once per check; every kept value
