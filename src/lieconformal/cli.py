@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -85,12 +86,30 @@ SAMPLES_LIMIT = 1000
 # Largest --deg `fvl` takes.  The table lists a bound for every pair of
 # multi-indices up to the degree, and their number grows about fourfold per
 # degree.  Cold, on one core of a shared 2-core x86-64 host, with
-# --format json --window=-32..32: `heisenberg.lca --depth 3` takes 0.28 s
-# at --deg 5, 1.8 s at 6, 7.4 s at 7 and 31 s with a 147 MB peak at 8;
-# `n3current.lca --depth 1` takes 0.3 s at 4, 2 s and 72 MB at 5 and 21 s
-# and 315 MB at 6, and at --depth 3 4.7 s and 130 MB at 4 and 66 s and
-# 1.4 GB at 5.
+# --format json --window=-32..32 (CPU time, both limits lifted):
+# `heisenberg.lca --depth 3` takes 0.07 s at --deg 5, 0.17 s at 6, 0.74 s
+# at 7 and 1.6 s with a 96 MB peak at 8; `n3current.lca --depth 1` takes
+# 0.2 s at 4, 1 s and 71 MB at 5 and 5.5 s and 301 MB at 6.
 DEG_LIMIT = 5
+
+# Most multi-index pairs `fvl` takes, a count known before any work: with P
+# positions up to --depth, sum over a + b <= --deg of C(P+a-1, a) C(P+b-1, b).
+# Extraction time and memory follow it.  Measured as above, n3current's
+# 135,751 pairs at --deg 4 --depth 3 take 2.2-2.7 s and 126 MB and fit; its
+# 324,632 at --deg 5 --depth 2 take 7.9 s and 367 MB and do not, nor do its
+# 1,221,759 at --deg 5 --depth 3.
+PAIR_LIMIT = 150_000
+
+
+def _check_pairs(args, positions: int) -> None:
+    # multi-indices of norm a over the positions (one, the empty one, of norm 0)
+    sizes = [math.comb(max(positions + a - 1, 0), a) for a in range(args.deg + 1)]
+    pairs = sum(sizes[a] * sizes[b] for a in range(args.deg + 1) for b in range(args.deg + 1 - a))
+    if pairs > PAIR_LIMIT:
+        raise ValueError(
+            f"--deg {args.deg} --depth {args.depth} makes {pairs} multi-index pairs, "
+            f"beyond the limit {PAIR_LIMIT}"
+        )
 
 
 def _check_sizes(args) -> None:
@@ -433,6 +452,7 @@ def _dispatch(args, em: _Emitter) -> int:
         return EXIT_OK
 
     if cmd == "fvl":
+        _check_pairs(args, len(alg.basis.keys_up_to_depth(args.depth)))
         table = extract_law(alg, args.deg, args.depth, args.window)
         doc = table.to_json()
         failed = False

@@ -34,6 +34,11 @@ def binom_z(n: int, k: int) -> int:
     return num // math.factorial(k)
 
 
+def _sum_length(top: int, count: int) -> int:
+    # binomials C(top, i) for i < count; past a nonnegative top they vanish
+    return min(count, top + 1) if top >= 0 else count
+
+
 def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     """Residual of the Borcherds three-sum identity at indices (l, t, j).
 
@@ -46,10 +51,7 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     first, second, third = terms
 
     def weights(top, count):
-        # binomials C(top, i) for i < count; past a nonnegative top they vanish
-        if top >= 0:
-            count = min(count, top + 1)
-        return ((i, binom_z(top, i)) for i in range(count))
+        return ((i, binom_z(top, i)) for i in range(_sum_length(top, count)))
 
     out: dict = {}
     for i, c in weights(l, stops[0] - j):
@@ -59,6 +61,19 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     for i, c in weights(t, stops[2] - l):
         iadd(out, third(t + j - i, l + i), -c)
     return out
+
+
+def three_sum_outer(l: int, t: int, j: int, stops) -> tuple:
+    """The outer indices each sum of `three_sum` asks for under ``stops``,
+    in the order it asks for them.
+
+    One descending ``range`` per sum, empty when the sum has no term.
+    """
+    return tuple(
+        range(first, first - _sum_length(top, stop - inner), -1)
+        for first, top, stop, inner in ((t + l, l, stops[0], j), (j + l, l, stops[1], t),
+                                        (t + j, t, stops[2], l))
+    )
 
 
 class CVec(Sparse):

@@ -8,7 +8,10 @@ computed by the two recursion rules that peel one basis letter at a time
 (Kac 1998, §3-4); their weights are binomials or 1, so integral structure
 constants give integral products.  Only `bracket` divides by n! for the
 λ view.  Negative-index products come from divided powers of the ordered
-product.
+product.  A word pair's vanishing bound is read off its leading form, the
+top product index and the product there, which the same peel rules give
+from the leading forms of shorter pairs; the products themselves are built
+only where the parts at the top cancel.
 
 All operations are pure; the caches keyed by words are idempotent and
 may be shared across threads or dropped at any time.  The divided powers
@@ -68,6 +71,9 @@ class EnvelopingAlgebra:
         self._bracket_memo: dict = {}
         self._nop_memo: dict = {}
         self._partial_memo: dict = {}
+        # (top index, top product) of word pairs, for bounds; see `_lead`
+        self._lead_memo: dict = {}
+        self._lead_fallbacks = 0
 
     # -- embedding ----------------------------------------------------------
 
@@ -302,23 +308,91 @@ class EnvelopingAlgebra:
         return self._products(u, v).degree + 1
 
     def word_bound(self, wu: Word, wv: Word) -> int:
-        """`trunc_bound` of two words.
+        """`trunc_bound` of two words, off their leading form (`_lead`).
 
         By skew-symmetry, v_(n)u = Σ_j (-1)^(n+j+1) ∂^(j)(u_(n+j)v) (Kac
         1998), so at the top product index N of (u, v) the swapped product
         is ±u_(N)v and the two pairs have the same top product index.  When
-        the products of (wv, wu) are kept and those of (wu, wv) are not,
-        that index is returned and the products of (wu, wv) are not built.
+        the leading form of (wv, wu) is kept and that of (wu, wv) is not,
+        its index is returned and nothing is built for (wu, wv).
         Skew-symmetry holds only in a vertex algebra, so this is done only
         when the presentation passes its axioms
         (`LcaPresentation.is_lie_conformal`, asked on the first such hit).
         """
-        memo = self._bracket_memo
-        if (wu, wv) not in memo:
-            swapped = memo.get((wv, wu))
+        key = (wu, wv)
+        if key not in self._lead_memo:
+            swapped = self._lead_memo.get((wv, wu))
             if swapped is not None and self.pres.is_lie_conformal():
-                return swapped.degree + 1
-        return self._word_products(wu, wv).degree + 1
+                return swapped[0] + 1
+        return self._lead(wu, wv)[0] + 1
+
+    def _lead(self, wu: Word, wv: Word) -> tuple:
+        """(N, wu_(N)wv) for the top index N of the products, (-1, 0) for none.
+
+        Read off the kept products when there are any.  Otherwise each
+        part of the peel that `_word_products` would take gives its own top
+        index and top product from the leading forms of shorter pairs: the
+        pair's top index is the largest, and its top product the sum of the
+        parts' at that index.  Only when those cancel are the products built.
+        """
+        memo = self._lead_memo
+        key = (wu, wv)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        full = self._bracket_memo.get(key)
+        if full is None and (not wu or not wv or len(wu) == len(wv) == 1):
+            full = self._word_products(wu, wv)
+        if full is None:
+            # (top index of a nonzero part, its top product when asked for)
+            parts = self._left_lead_parts(wu[0], wv) if len(wu) == 1 else self._right_lead_parts(wu, wv)
+            top = max((n for n, _ in parts), default=-1)
+            coef = UElem()
+            for n, part in parts:
+                if n == top:
+                    coef.iadd_scaled(part())
+            if coef or top < 0:
+                memo[key] = (top, coef)
+                return memo[key]
+            self._lead_fallbacks += 1
+            full = self._word_products(wu, wv)
+        memo[key] = (full.degree, full.coeff(full.degree))
+        return memo[key]
+
+    def _left_lead_parts(self, a, wv: Word) -> list:
+        # the parts of `_left_peel`: (a_(n)b) rest, b (a_(n)rest) and, per j
+        # and word w of a_(j)b, C(n, j) w_(n-1-j) rest
+        b, rest = wv[:1], wv[1:]
+        ab = self._word_products((a,), b)
+        parts = []
+        if ab.coeffs:
+            parts.append((ab.degree, lambda r=ab.coeff(ab.degree): self.mul(r, UElem.monomial(rest))))
+        n, r = self._lead((a,), rest)
+        if n >= 0:
+            parts.append((n, lambda r=r: self.mul(UElem.monomial(b), r)))
+        for j, p in ab.coeffs.items():
+            for w, c in p.terms.items():
+                n, r = self._lead(w, rest)
+                if n >= 0:
+                    parts.append((j + n + 1, lambda r=r, c=c * math.comb(j + n + 1, j): r.scale(c)))
+        return parts
+
+    def _right_lead_parts(self, wu: Word, wv: Word) -> list:
+        # the parts of `_right_peel`: the two sums of ordered products top
+        # out at s = 0, at a (rest_(n)v) and rest (a_(n)v); and, per j and
+        # word w of a_(j)v, rest_(n-1-j) w
+        a, rest = wu[:1], wu[1:]
+        parts = []
+        for head, tail in ((a, rest), (rest, a)):
+            n, r = self._lead(tail, wv)
+            if n >= 0:
+                parts.append((n, lambda head=head, r=r: self.nop(UElem.monomial(head), r)))
+        for j, p in self._word_products(a, wv).coeffs.items():
+            for w, c in p.terms.items():
+                n, r = self._lead(rest, w)
+                if n >= 0:
+                    parts.append((j + n + 1, lambda r=r, c=c: r.scale(c)))
+        return parts
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
         """Products for n in [lo, hi] plus the vanishing bound."""

@@ -15,9 +15,17 @@ By conformal weight (``LcaPresentation.conformal_weights``) the cell
 (k, k', n) can only hold letters of weight W(k) + W(k') - n - 1, so
 extraction skips a cell when no letter has that weight, or only letters
 out of depth do and the cell's degree has overflowed already; the table
-is the one that computing every cell gives.  A presentation without
-conformal weights, or a basis whose letters are not one symbol, takes the
-trivial grading, under which every cell weighs 0 and is computed.
+is the one that computing every cell gives.  The indices a letter can
+weigh are listed once per pair weight and top index, each with the
+shallowest depth of such a letter, so a pair reads only those.  A
+presentation without conformal weights, or a basis whose letters are not
+one symbol, takes the trivial grading, under which every cell weighs 0
+and is computed.
+
+The law Jacobi check runs each of its three sums at a position only up
+to that position's own stop, past which its terms are zero; a sum that
+would reach an outer index below the window runs to the stop over all
+positions, where it raises as it always did.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -33,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
-from .core import three_sum
+from .core import three_sum, three_sum_outer
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
@@ -218,16 +226,27 @@ class LawTable:
             stray = set(d) - table.labels.keys()
             if stray:
                 raise ValueError(f"labels {sorted(stray)} are not in the basis")
+            bad = [e for e in d.values() if type(e) is not int or e < 1]
+            if bad:
+                raise ValueError(f"exponents {bad} are not positive integers")
             return tuple(sorted(d.items()))
+
+        def pair(k, kp):
+            out = midx(k), midx(kp)
+            if midx_norm(out[0]) + midx_norm(out[1]) > table.degree:
+                raise ValueError(f"pair {k}, {kp} is beyond degree {table.degree}")
+            return out
 
         for e in doc["entries"]:
             if not table.window[0] <= e["n"] <= table.window[1]:
                 raise ValueError(f"entry index {e['n']} outside window {table.window}")
             if e["l"] not in table.labels:
                 raise ValueError(f"output label {e['l']!r} is not in the basis")
-            table.add_entry(e["l"], e["n"], midx(e["k"]), midx(e["kprime"]), Q(e["coeff"]))
+            table.add_entry(e["l"], e["n"], *pair(e["k"], e["kprime"]), Q(e["coeff"]))
         for k, kp, b in doc.get("bounds", []):
-            table.pair_bounds[(midx(k), midx(kp))] = b
+            if type(b) is not int or b < 0:
+                raise ValueError(f"bound {b!r} is not a nonnegative integer")
+            table.pair_bounds[pair(k, kp)] = b
         table.overflow_degrees = set(doc.get("overflow_degrees", []))
         return table
 
@@ -305,7 +324,10 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     Each pair's indices are walked downward, so a degree's overflow shows
     at its shallowest cell.  A cell is computed only when an in-depth
     position has its weight, or a deeper letter has it and the degree has
-    not overflowed yet; the others cannot change the table.
+    not overflowed yet; the others cannot change the table.  The walk is
+    one list per pair weight and top index, built once per table: the
+    indices from the top down to the window's bottom at which some letter
+    has the cell's weight, each with the shallowest depth of such a letter.
     """
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
@@ -325,6 +347,21 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     words = {m: word_from_midx(m) for m in midxes}
     grading = _Grading(env)
     step, depths = grading.step, grading.depths
+
+    class Walks(dict):
+        # (base, top) -> the indices n from top down to lo at which a letter
+        # weighs base - step * n, each with the shallowest such depth
+        def __missing__(self, key: tuple) -> tuple:
+            base, top = key
+            walk = self[key] = tuple(
+                (n, min(ds))
+                for n in range(top, lo - 1, -1)
+                for ds in (depths[base - step * n],)
+                if ds
+            )
+            return walk
+
+    walks = Walks()
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
@@ -332,12 +369,9 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             table.pair_bounds[(k, kp)] = bound
             deg = dk + midx_norm(kp)
             overflowed = deg in table.overflow_degrees
-            top = min(hi, bound - 1)
             # cell (k, k', n) weighs base - step * n
-            base = grading.cell(k, kp, 0)
-            for n in range(top, lo - 1, -1):
-                ds = depths[base - step * n]
-                if not ds or (overflowed and min(ds) > depth):
+            for n, shallowest in walks[grading.cell(k, kp, 0), min(hi, bound - 1)]:
+                if overflowed and shallowest > depth:
                     continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
@@ -425,12 +459,18 @@ class _Composer:
         self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap)
         # composed coefficients by their arguments; callers only read them
         self._composed_memo: dict = {}
-        # certified stops for composed inner series: the top index of the
-        # product series of any multi-index substituted from the kept
-        # cells, per substitution side
-        kept = [pair for law in self._law.values() for cell in law.values() for pair in cell]
-        self.qmax_first = max((word_top(word_from_midx(k), self.maxn) for k, _ in kept), default=-1)
-        self.qmax_second = max((word_top(word_from_midx(kp), self.maxn) for _, kp in kept), default=-1)
+        # certified stops of the three-sum terms at each position: one past
+        # the top index of the product series of any multi-index its kept
+        # cells substitute, per substitution side (the second multi-index in
+        # the first two terms, the first in the third); `global_stops` are
+        # the largest over all positions
+        self.stops: dict = {}
+        for pos, law in self._law.items():
+            kept = [pair for cell in law.values() for pair in cell]
+            first = max(word_top(word_from_midx(k), self.maxn) for k, _ in kept) + 1
+            second = max(word_top(word_from_midx(kp), self.maxn) for _, kp in kept) + 1
+            self.stops[pos] = (second, second, first)
+        self.global_stops = tuple(map(max, zip(*self.stops.values()))) or (0, 0, 0)
 
     def maxn(self, pos) -> int:
         return self._maxn.get(pos, self.lo - 1)
@@ -509,14 +549,22 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
 
     Verifies, for every output position and every monomial of total
     degree at most ``cap``, the three binomial-weighted composition sums.
+    Each sum stops at its position's own stop, one past the top inner
+    index over the multi-indices that position's kept cells substitute;
+    the terms past it are zero.  A sum that the stop over all positions
+    would carry to an outer index below the window keeps that stop, so it
+    raises `TruncationInsufficient` there as before.
     Stops at the first failing entry; fails when no entry was checked.
     """
     _guard_table(table, cap)
     comp = _Composer(table, cap)
     entries = []
-    stops = (comp.qmax_second + 1, comp.qmax_second + 1, comp.qmax_first + 1)
+    lo = table.window[0]
     for (l, t, j) in samples:
+        below = [bool(r) and r[-1] < lo for r in three_sum_outer(l, t, j, comp.global_stops)]
         for pos in table.positions:
+            own = comp.stops.get(pos, (0, 0, 0))
+            stops = [g if b else s for g, s, b in zip(comp.global_stops, own, below)]
             # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
             terms = (
                 partial(comp.composed, pos, direct_slot=0, inner_slots=(1, 2),

@@ -9,6 +9,8 @@ the table cell of every exponent pair, none skipped by weight, and the
 inner series of a point pair is rebuilt from every word over its
 support, none skipped, each coefficient summed over the index tuples of
 its word rather than built from its prefix.
+The law Jacobi check is rerun with every sum carried to the stop over all
+positions, none cut at its own position's stop.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
@@ -23,7 +25,14 @@ from itertools import combinations_with_replacement, product
 from lieconformal.bialgebra import TensorElem
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import UElem, ULPoly
-from lieconformal.lawtable import midx_from_word
+from lieconformal.core import three_sum
+from lieconformal.lawtable import (
+    _Composer,
+    _guard_table,
+    midx_from_word,
+    word_from_midx,
+    word_top,
+)
 
 
 def oracle_bracket(pres, v: CVec, w: CVec) -> LPoly:
@@ -261,3 +270,31 @@ class LambdaPeel:
                     out = out + self.nop(alg._dpow(head, m + 1), r).scale(math.factorial(m))
         self._nop_memo[key] = out
         return out
+
+
+def global_stop_law_jacobi(table, samples, cap: int) -> dict:
+    """`check_law_jacobi` with every sum run to the one stop over all positions.
+
+    The stops are one past the top inner index over every kept cell of the
+    table, per substitution side, whatever the position.
+    """
+    _guard_table(table, cap)
+    comp = _Composer(table, cap)
+    kept = [pair for law in comp._law.values() for cell in law.values() for pair in cell]
+    first = max((word_top(word_from_midx(k), comp.maxn) for k, _ in kept), default=-1)
+    second = max((word_top(word_from_midx(kp), comp.maxn) for _, kp in kept), default=-1)
+    stops = (second + 1, second + 1, first + 1)
+    entries = []
+    for (l, t, j) in samples:
+        for pos in table.positions:
+            terms = [
+                lambda outer, inner, slot=slot, slots=slots, subst=subst:
+                    comp.composed(pos, outer, inner, slot, slots, subst)
+                for slot, slots, subst in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))
+            ]
+            resid = three_sum(l, t, j, stops, terms)
+            entries.append({"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
+                            "pass": not resid, "residual_monomials": len(resid)})
+            if resid:
+                return {"pass": False, "checks": entries}
+    return {"pass": bool(entries), "checks": entries}

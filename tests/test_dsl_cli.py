@@ -13,7 +13,7 @@ import golden
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lieconformal import dsl, filtration
+from lieconformal import cli, dsl, filtration
 from lieconformal.cli import DEG_LIMIT, DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import EnvelopingAlgebra, UElem
@@ -402,6 +402,19 @@ def test_outside_basis_exits_4_without_traceback(monkeypatch):
     assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("limit, want", [(28, 0), (27, 2)])
+def test_fvl_pair_budget(monkeypatch, limit, want):
+    # heisenberg's 3 positions up to depth 1 make 28 pairs of total degree
+    # at most 2: the budget admits them at its limit and refuses them above it
+    monkeypatch.setattr(cli, "PAIR_LIMIT", limit)
+    code, text = run(["fvl", str(DATA / "heisenberg.lca"), "--deg", "2", "--depth", "1",
+                      "--window=-2..2"])
+    assert code == want, text
+    if want:
+        assert text == ("invalid argument: --deg 2 --depth 1 makes 28 multi-index pairs, "
+                        "beyond the limit 27\n")
+
+
 def test_cli_rejects_bad_values(tmp_path):
     code, text = run(["nth", str(DATA / "heisenberg.lca"), "--left", "a",
                       "--right", "a", "--n", "-1"])
@@ -432,6 +445,8 @@ def test_cli_rejects_bad_values(tmp_path):
         (["fvl", heis, "--deg", str(DEG_LIMIT), "--depth", "1", "--window=-2..2"], 0),
         (["fvl", heis, "--deg", "2", "--depth", str(DEPTH_LIMIT + 1), "--window=-2..2"], 2),
         (["fvl", heis, "--deg", "2", "--depth", str(DEPTH_LIMIT), "--window=-2..2"], 0),
+        # 324,632 multi-index pairs, each value inside its own limit
+        (["fvl", str(DATA / "n3current.lca"), "--deg", "5", "--depth", "2", "--window=-2..2"], 2),
     ]:
         start = time.monotonic()
         code, text = run(argv)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import golden
 import pytest
+from oracles import global_stop_law_jacobi
 
 from lieconformal import dsl, lawtable
 from lieconformal.cli import run
@@ -228,9 +229,28 @@ def test_pair_bounds_equal_the_bounds_of_directly_built_brackets(name):
             wu, wv = word_from_midx(k), word_from_midx(kp)
             want = direct.bracket(UElem.monomial(wu), UElem.monomial(wv)).degree + 1
             assert bound == want, (degree, depth, k, kp)
-            shortcuts += (wu, wv) not in env._bracket_memo
+            shortcuts += (wu, wv) not in env._lead_memo
     # the comparison covers read-off bounds exactly on the valid presentations
     assert (shortcuts > 0) == pres.check_axioms().ok, shortcuts
+
+
+@pytest.mark.parametrize("name, degree, depth, fallbacks", [
+    *((name, 3, 1, 0) for name in ALL_DATA), ("corrupted_jacobi", 3, 1, 0),
+    ("n3current", 4, 1, 2),
+])
+def test_leading_forms_equal_the_top_products(name, degree, depth, fallbacks):
+    # every kept leading form, of a table pair or of a shorter pair it was
+    # read from, is the top index and top product the pair's own products
+    # give; the products are built only where the top parts cancel
+    pres = golden.corrupted_jacobi() if name == "corrupted_jacobi" else _data(name)
+    env = EnvelopingAlgebra(pres)
+    extract_law(env, degree, depth, (-2, 2))
+    direct = EnvelopingAlgebra(pres)
+    for (wu, wv), (top, coef) in env._lead_memo.items():
+        products = direct._word_products(wu, wv)
+        assert (top, coef) == (products.degree, products.coeff(products.degree)), (wu, wv)
+    assert env._lead_fallbacks == fallbacks
+    assert any(pair not in env._bracket_memo for pair in env._lead_memo)
 
 
 def test_failing_presentation_builds_both_brackets_of_a_pair(monkeypatch):
@@ -312,6 +332,41 @@ def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
         assert args not in fresh._composed_memo
 
 
+def _outcome(check, table, samples, cap):
+    try:
+        return check(table, samples, cap)
+    except TruncationInsufficient as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_position_stops_report_as_the_global_stop_does():
+    # each sum of the law Jacobi stops at its own position's stop, or at the
+    # stop over all positions when that one reaches below the window; the
+    # report, or the raise and its message, is the global-stop loop's
+    rng = random.Random(7)
+    triples = list(product(range(-2, 3), repeat=3))
+    seen, cut = set(), 0
+    for name in ALL_DATA:
+        pres = _data(name)
+        for degree, depth in ((2, 1), (3, 0)):
+            for window in ((-2, 1), (-3, 3), (-8, 8)):
+                table = extract_law(EnvelopingAlgebra(pres), degree, depth, window)
+                comp = _Composer(table, 2)
+                cut += any(s != comp.global_stops for s in comp.stops.values())
+                for cap in (2, 3):
+                    # l = t = -2 carries the first sum's outer index deepest,
+                    # where the stop decides the index a raise names
+                    samples = rng.sample(triples, 3) + [(-2, -2, 0), (-2, -2, 1)]
+                    for ltj in [samples, *([s] for s in samples)]:
+                        got = _outcome(check_law_jacobi, table, ltj, cap)
+                        want = _outcome(global_stop_law_jacobi, table, ltj, cap)
+                        assert got == want, (name, degree, depth, window, cap, ltj)
+                        seen.add(got["pass"] if isinstance(got, dict) else "raise")
+    assert seen == {True, False, "raise"}, seen
+    # some positions stop short of the global stop
+    assert cut, cut
+
+
 def test_ungraded_extraction_computes_every_cell():
     pres = golden.ungraded()
     assert pres.check_axioms().ok
@@ -327,7 +382,8 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
     # a cell when no in-depth position has its weight and either its degree
     # overflowed or no deeper letter has it; a manifold (depth -1) skips it
     # when no letter has it.  Letters come from keys_up_to_depth.  The
-    # degree-2 extraction must compute the cells that rule picks, in order.
+    # extraction must compute the cells that rule picks, in order: at
+    # degree 2 up to depth 3, and at degree 3 up to depth 2.
     calls = []
     monkeypatch.setattr(lawtable, "law_cell", lambda *args: calls.append(args[1:]) or law_cell(*args))
     for build in [golden.heisenberg, golden.virasoro, golden.n3_current, golden.mixed]:
@@ -367,23 +423,24 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
                     new_skips = not ds or (overflowed and min(ds) > depth)
                     assert old_skips(w, overflowed) == new_skips, (build.__name__, depth, w)
 
-            calls.clear()
-            table = extract_law(env, 2, depth, (-8, 8))
-            want, overflow = [], set()
-            below = [m for m in midxes if midx_norm(m) <= 2]
-            for k in below:
-                for kp in below:
-                    deg = midx_norm(k) + midx_norm(kp)
-                    if deg > 2:
-                        continue
-                    top = min(8, env.word_bound(word_from_midx(k), word_from_midx(kp)) - 1)
-                    for n in range(top, -9, -1):
-                        if not old_skips(weight[k] + weight[kp] - step * (n + 1), deg in overflow):
-                            want.append((k, kp, n))
-                            if set(law_cell(env, k, kp, n)) - set(positions):
-                                overflow.add(deg)
-            assert calls == want, (build.__name__, depth)
-            assert table.overflow_degrees == overflow
+            for degree in (2, 3) if depth <= 2 else (2,):
+                calls.clear()
+                table = extract_law(env, degree, depth, (-8, 8))
+                want, overflow = [], set()
+                below = [m for m in midxes if midx_norm(m) <= degree]
+                for k in below:
+                    for kp in below:
+                        deg = midx_norm(k) + midx_norm(kp)
+                        if deg > degree:
+                            continue
+                        top = min(8, env.word_bound(word_from_midx(k), word_from_midx(kp)) - 1)
+                        for n in range(top, -9, -1):
+                            if not old_skips(weight[k] + weight[kp] - step * (n + 1), deg in overflow):
+                                want.append((k, kp, n))
+                                if set(law_cell(env, k, kp, n)) - set(positions):
+                                    overflow.add(deg)
+                assert calls == want, (build.__name__, degree, depth)
+                assert table.overflow_degrees == overflow
 
 
 def test_extraction_builds_one_chain_per_left_index():
@@ -462,6 +519,27 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
         LawTable.from_json({**doc, "entries": doc["entries"] + [{**stray, "k": {"b[0]": 1}}]})
     with pytest.raises(ValueError, match="not in the basis"):
         LawTable.from_json({**doc, "bounds": [[{"b[0]": 1}, {}, 3]]})
+
+
+@pytest.mark.parametrize("change, message", [
+    # a bound that is no int, or a negative one, certifies nothing
+    (lambda doc: doc["bounds"][0].__setitem__(2, "7"), "bound '7' is not a nonnegative integer"),
+    (lambda doc: doc["bounds"][0].__setitem__(2, -3), "bound -3 is not a nonnegative integer"),
+    (lambda doc: doc["bounds"][0].__setitem__(2, 7.0), "bound 7.0 is not a nonnegative integer"),
+    # a multi-index exponent is a positive integer
+    (lambda doc: doc["entries"][0]["k"].update({"a[0]": 0}), r"exponents \[0\] are not positive"),
+    (lambda doc: doc["entries"][0]["kprime"].update({"a[0]": -1}), r"exponents \[-1\] are not positive"),
+    (lambda doc: doc["bounds"][0][0].update({"a[0]": 0}), r"exponents \[0\] are not positive"),
+    # a pair beyond the document's degree
+    (lambda doc: doc["entries"][0]["k"].update({"a[0]": 3}), "is beyond degree 2"),
+    (lambda doc: doc["bounds"][0][1].update({"a[1]": 2}), "is beyond degree 2"),
+])
+def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, message):
+    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    assert LawTable.from_json(doc).complete_above
+    change(doc)
+    with pytest.raises(ValueError, match=message):
+        LawTable.from_json(doc)
 
 
 def test_from_json_rejects_an_output_label_outside_the_basis():

@@ -204,9 +204,9 @@ def test_no_float_or_integral_fraction_is_stored(monkeypatch):
         pres, _ = dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))
         env = EnvelopingAlgebra(pres)
         table = extract_law(env, 2, 2, (-8, 8))
-        # straighten, ∂ chains, word brackets, nop and Lie brackets
+        # straighten, ∂ chains, word brackets, leading forms, nop and Lie brackets
         memos = [v for k, v in vars(env).items() if k.endswith("_memo")]
-        assert len(memos) == 5 and _assert_exact(memos, (name, "memos")) > 0
+        assert len(memos) == 6 and _assert_exact(memos, (name, "memos")) > 0
         assert _assert_exact(table.entries, (name, "entries")) > 0
     # lower central series bases over Q[∂] and the adapted basis vectors of
     # every shipped algebra; mixed takes the general stratum path
