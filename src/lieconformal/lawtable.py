@@ -24,8 +24,8 @@ and is computed.
 
 The law Jacobi check runs each of its three sums at a position only up
 to that position's own stop, past which its terms are zero; a sum that
-would reach an outer index below the window runs to the stop over all
-positions, where it raises as it always did.
+the stop over all positions would carry to an outer index below the
+window keeps that stop; such a sum always raises.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -552,8 +552,8 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     Each sum stops at its position's own stop, one past the top inner
     index over the multi-indices that position's kept cells substitute;
     the terms past it are zero.  A sum that the stop over all positions
-    would carry to an outer index below the window keeps that stop, so it
-    raises `TruncationInsufficient` there as before.
+    would carry to an outer index below the window keeps that stop; such
+    a sum always raises `TruncationInsufficient`.
     Stops at the first failing entry; fails when no entry was checked.
     """
     _guard_table(table, cap)
