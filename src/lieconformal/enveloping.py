@@ -8,10 +8,12 @@ computed by the two recursion rules that peel one basis letter at a time
 (Kac 1998, §3-4); their weights are binomials or 1, so integral structure
 constants give integral products.  Only `bracket` divides by n! for the
 λ view.  Negative-index products come from divided powers of the ordered
-product.  A word pair's vanishing bound is read off its leading form, the
-top product index and the product there, which the same peel rules give
-from the leading forms of shorter pairs; the products themselves are built
-only where the parts at the top cancel.
+product.  Each peel rule is stated once, in `_peel`, as its parts, and
+read two ways: `_word_products` sums every part in full, and `_lead`
+builds only the tops of the parts at the overall top index.  A word pair's
+vanishing bound is read off that leading form, the top product index and
+the product there; the products themselves are built only where the parts
+at the top cancel.
 
 All operations are pure; the caches keyed by words are idempotent and
 may be shared across threads or dropped at any time.  The divided powers
@@ -33,6 +35,15 @@ Q = Fraction
 Word = tuple
 
 VACUUM: Word = ()
+
+
+# the unit weight and the plain lift of a part that adds x_(m)y unchanged
+def _unit(n):
+    return 1
+
+
+def _plain(t, r):
+    return r
 
 
 class UElem(Sparse):
@@ -207,46 +218,47 @@ class EnvelopingAlgebra:
             res = ULPoly()
             for n, vec in base.coeffs.items():
                 res.add_term(n, self.embed(vec), math.factorial(n))
-        elif len(wu) == 1:
-            res = self._left_peel(wu[0], wv)
         else:
-            res = self._right_peel(wu, wv)
+            res = ULPoly()
+            for x, y, shift, weight, lift, spread in self._peel(wu, wv):
+                for m, r in self._word_products(x, y).coeffs.items():
+                    for t in range(m + 1 if spread else 1):
+                        res.add_term(m + shift - t, lift(t, r), weight(m + shift))
         memo[key] = res
         return res
 
-    def _left_peel(self, a, wv: Word) -> ULPoly:
-        """Products of a letter with a longer word, peeling the word's head b:
-        a_(n)(b rest) = (a_(n)b) rest + b (a_(n)rest)
-        + Σ_{j<n} C(n, j) (a_(j)b)_(n-1-j) rest (non-commutative Wick formula)."""
-        b, rest = wv[:1], wv[1:]
-        ab = self._word_products((a,), b)
-        rest_elem = UElem.monomial(rest)
-        out = ULPoly()
-        for n, r in ab.coeffs.items():
-            out.add_term(n, self.mul(r, rest_elem))
-        for n, r in self._word_products((a,), rest).coeffs.items():
-            out.add_term(n, self.mul(UElem.monomial(b), r))
-        for j, r in ab.coeffs.items():
-            for m, s in self._products(r, rest_elem).coeffs.items():
-                out.add_term(j + m + 1, s, math.comb(j + m + 1, j))
-        return out
+    def _peel(self, wu: Word, wv: Word):
+        """The parts of wu_(n)wv, for two words not both single letters.
 
-    def _right_peel(self, wu: Word, wv: Word) -> ULPoly:
-        """Products of a longer word with anything, peeling the head letter a:
+        Each part (x, y, shift, weight, lift, spread) adds, for every
+        nonzero r = x_(m)y, weight(m + shift) · lift(t, r) at index
+        m + shift - t, for t = 0 only or, when spread, for t = 0..m; so a
+        part tops out at t = 0.  A letter a peels the head b of the word
+        (non-commutative Wick formula):
+        a_(n)(b rest) = (a_(n)b) rest + b (a_(n)rest)
+        + Σ_{j<n} C(n, j) (a_(j)b)_(n-1-j) rest.
+        A longer word peels its own head letter a (Borcherds identity at
+        m = -1; the first two sums are of ordered products):
         (a rest)_(n)v = Σ_{s>=0} (∂^(s)a)(rest_(n+s)v) + (∂^(s)rest)(a_(n+s)v)
-        + Σ_{j<n} rest_(n-1-j)(a_(j)v) (Borcherds identity at m = -1), the
-        first two sums of ordered products."""
-        a, rest = wu[:1], wu[1:]
-        out = ULPoly()
-        for head, tail in ((a, rest), (rest, a)):
-            for n, q in self._word_products(tail, wv).coeffs.items():
-                for s in range(n + 1):
-                    out.add_term(n - s, self.nop(self._dpow(head, s), q))
-        rest_elem = UElem.monomial(rest)
-        for j, p in self._word_products(a, wv).coeffs.items():
-            for m, r in self._products(rest_elem, p).coeffs.items():
-                out.add_term(m + j + 1, r)
-        return out
+        + Σ_{j<n} rest_(n-1-j)(a_(j)v).
+        The inner sums have one part per j and word w of a_(j)b or a_(j)v,
+        which is built when the reader reaches these parts, after the others.
+        """
+        if len(wu) == 1:
+            b, rest = wv[:1], wv[1:]
+            b_elem, rest_elem = UElem.monomial(b), UElem.monomial(rest)
+            yield wu, b, 0, _unit, lambda t, r: self.mul(r, rest_elem), False
+            yield wu, rest, 0, _unit, lambda t, r: self.mul(b_elem, r), False
+            for j, p in self._word_products(wu, b).coeffs.items():
+                for w, c in p.terms.items():
+                    yield w, rest, j + 1, lambda n, j=j, c=c: c * math.comb(n, j), _plain, False
+        else:
+            a, rest = wu[:1], wu[1:]
+            for head, tail in ((a, rest), (rest, a)):
+                yield tail, wv, 0, _unit, lambda t, r, head=head: self.nop(self._dpow(head, t), r), True
+            for j, p in self._word_products(a, wv).coeffs.items():
+                for w, c in p.terms.items():
+                    yield rest, w, j + 1, lambda n, c=c: c, _plain, False
 
     # -- ordered product and integer-indexed products ------------------------------
 
@@ -300,7 +312,7 @@ class EnvelopingAlgebra:
         """Exact N with the n-th product zero for all n >= N.
 
         Two single words take `word_bound`, which may read the top product
-        index off the swapped pair's kept products instead of building these.
+        index off the swapped pair's leading form instead of building these.
         """
         if len(u.terms) == 1 and len(v.terms) == 1:
             (wu,), (wv,) = u.terms, v.terms
@@ -329,11 +341,12 @@ class EnvelopingAlgebra:
     def _lead(self, wu: Word, wv: Word) -> tuple:
         """(N, wu_(N)wv) for the top index N of the products, (-1, 0) for none.
 
-        Read off the kept products when there are any.  Otherwise each
-        part of the peel that `_word_products` would take gives its own top
-        index and top product from the leading forms of shorter pairs: the
-        pair's top index is the largest, and its top product the sum of the
-        parts' at that index.  Only when those cancel are the products built.
+        Read off the kept products when there are any.  Otherwise this is
+        the second reader of `_peel`: each part tops out at t = 0, where its
+        index and product come from the leading form of its own, shorter
+        pair.  The pair's top index is the largest of these, and its top
+        product the sum of the parts' at that index.  Only when those cancel
+        are the products built.
         """
         memo = self._lead_memo
         key = (wu, wv)
@@ -344,13 +357,17 @@ class EnvelopingAlgebra:
         if full is None and (not wu or not wv or len(wu) == len(wv) == 1):
             full = self._word_products(wu, wv)
         if full is None:
-            # (top index of a nonzero part, its top product when asked for)
-            parts = self._left_lead_parts(wu[0], wv) if len(wu) == 1 else self._right_lead_parts(wu, wv)
-            top = max((n for n, _ in parts), default=-1)
+            # (top index, weight, lift, top product of its pair) per part
+            tops = []
+            for x, y, shift, weight, lift, _spread in self._peel(wu, wv):
+                m, r = self._lead(x, y)
+                if m >= 0:
+                    tops.append((m + shift, weight, lift, r))
+            top = max((n for n, *_ in tops), default=-1)
             coef = UElem()
-            for n, part in parts:
+            for n, weight, lift, r in tops:
                 if n == top:
-                    coef.iadd_scaled(part())
+                    coef.iadd_scaled(lift(0, r), weight(n))
             if coef or top < 0:
                 memo[key] = (top, coef)
                 return memo[key]
@@ -358,41 +375,6 @@ class EnvelopingAlgebra:
             full = self._word_products(wu, wv)
         memo[key] = (full.degree, full.coeff(full.degree))
         return memo[key]
-
-    def _left_lead_parts(self, a, wv: Word) -> list:
-        # the parts of `_left_peel`: (a_(n)b) rest, b (a_(n)rest) and, per j
-        # and word w of a_(j)b, C(n, j) w_(n-1-j) rest
-        b, rest = wv[:1], wv[1:]
-        ab = self._word_products((a,), b)
-        parts = []
-        if ab.coeffs:
-            parts.append((ab.degree, lambda r=ab.coeff(ab.degree): self.mul(r, UElem.monomial(rest))))
-        n, r = self._lead((a,), rest)
-        if n >= 0:
-            parts.append((n, lambda r=r: self.mul(UElem.monomial(b), r)))
-        for j, p in ab.coeffs.items():
-            for w, c in p.terms.items():
-                n, r = self._lead(w, rest)
-                if n >= 0:
-                    parts.append((j + n + 1, lambda r=r, c=c * math.comb(j + n + 1, j): r.scale(c)))
-        return parts
-
-    def _right_lead_parts(self, wu: Word, wv: Word) -> list:
-        # the parts of `_right_peel`: the two sums of ordered products top
-        # out at s = 0, at a (rest_(n)v) and rest (a_(n)v); and, per j and
-        # word w of a_(j)v, rest_(n-1-j) w
-        a, rest = wu[:1], wu[1:]
-        parts = []
-        for head, tail in ((a, rest), (rest, a)):
-            n, r = self._lead(tail, wv)
-            if n >= 0:
-                parts.append((n, lambda head=head, r=r: self.nop(UElem.monomial(head), r)))
-        for j, p in self._word_products(a, wv).coeffs.items():
-            for w, c in p.terms.items():
-                n, r = self._lead(rest, w)
-                if n >= 0:
-                    parts.append((j + n + 1, lambda r=r, c=c: r.scale(c)))
-        return parts
 
     def y_window(self, u: UElem, v: UElem, lo: int, hi: int):
         """Products for n in [lo, hi] plus the vanishing bound."""

@@ -218,8 +218,21 @@ class LawTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LawTable":
+        for name in ("degree", "depth"):
+            if type(doc[name]) is not int or doc[name] < 0:
+                raise ValueError(f"{name} {doc[name]!r} is not a nonnegative integer")
+        window = doc["window"]
+        if type(window) is not list or len(window) != 2 or any(type(e) is not int for e in window) \
+                or window[0] > window[1]:
+            raise ValueError(f"window {window!r} is not two integers lo <= hi")
         basis = list(doc["basis"])
-        table = cls(doc["algebra"], doc["degree"], doc["depth"], doc["window"], basis)
+        if any(type(k) is not str for k in basis) or len(set(basis)) != len(basis):
+            raise ValueError(f"basis {basis!r} is not of distinct string labels")
+        overflow = doc.get("overflow_degrees", [])
+        bad = [d for d in overflow if type(d) is not int or not 0 <= d <= doc["degree"]]
+        if bad:
+            raise ValueError(f"overflow degrees {bad!r} are not integers in 0..{doc['degree']}")
+        table = cls(doc["algebra"], doc["degree"], doc["depth"], window, basis)
         table.labels = {k: k for k in basis}
 
         def midx(d):
@@ -247,7 +260,7 @@ class LawTable:
             if type(b) is not int or b < 0:
                 raise ValueError(f"bound {b!r} is not a nonnegative integer")
             table.pair_bounds[pair(k, kp)] = b
-        table.overflow_degrees = set(doc.get("overflow_degrees", []))
+        table.overflow_degrees = set(overflow)
         return table
 
 

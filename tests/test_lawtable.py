@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import golden
 import pytest
-from oracles import global_stop_law_jacobi
+from oracles import LambdaPeel, global_stop_law_jacobi
 
 from lieconformal import dsl, lawtable
 from lieconformal.cli import run
@@ -241,14 +242,20 @@ def test_pair_bounds_equal_the_bounds_of_directly_built_brackets(name):
 def test_leading_forms_equal_the_top_products(name, degree, depth, fallbacks):
     # every kept leading form, of a table pair or of a shorter pair it was
     # read from, is the top index and top product the pair's own products
-    # give; the products are built only where the top parts cancel
+    # give; the products are built only where the top parts cancel.  Those
+    # products share the peel rules with the leading forms, so each form is
+    # also checked against the top λ-coefficient of the λ-form peel, times n!
     pres = golden.corrupted_jacobi() if name == "corrupted_jacobi" else _data(name)
     env = EnvelopingAlgebra(pres)
     extract_law(env, degree, depth, (-2, 2))
     direct = EnvelopingAlgebra(pres)
+    oracle = LambdaPeel(EnvelopingAlgebra(pres))
     for (wu, wv), (top, coef) in env._lead_memo.items():
         products = direct._word_products(wu, wv)
         assert (top, coef) == (products.degree, products.coeff(products.degree)), (wu, wv)
+        lam = oracle.bracket_words(wu, wv)
+        assert top == lam.degree, (wu, wv)
+        assert coef == lam.coeff(top).scale(math.factorial(max(top, 0))), (wu, wv)
     assert env._lead_fallbacks == fallbacks
     assert any(pair not in env._bracket_memo for pair in env._lead_memo)
 
@@ -533,6 +540,20 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
     # a pair beyond the document's degree
     (lambda doc: doc["entries"][0]["k"].update({"a[0]": 3}), "is beyond degree 2"),
     (lambda doc: doc["bounds"][0][1].update({"a[1]": 2}), "is beyond degree 2"),
+    # a header whose degree, depth, window, basis or overflow degrees no
+    # table has
+    (lambda doc: doc.update(degree="2"), "degree '2' is not a nonnegative integer"),
+    (lambda doc: doc.update(degree=2.5), "degree 2.5 is not a nonnegative integer"),
+    (lambda doc: doc.update(degree=-1), "degree -1 is not a nonnegative integer"),
+    (lambda doc: doc.update(depth="x"), "depth 'x' is not a nonnegative integer"),
+    (lambda doc: doc.update(depth=True), "depth True is not a nonnegative integer"),
+    (lambda doc: doc.update(window=[8, -8]), r"window \[8, -8\] is not two integers lo <= hi"),
+    (lambda doc: doc.update(window=[-8, 8.0]), r"window \[-8, 8.0\] is not two integers"),
+    (lambda doc: doc.update(window=[-8]), r"window \[-8\] is not two integers"),
+    (lambda doc: doc["basis"].append(doc["basis"][0]), "is not of distinct string labels"),
+    (lambda doc: doc["basis"].append(3), "is not of distinct string labels"),
+    (lambda doc: doc.update(overflow_degrees=["q"]), r"overflow degrees \['q'\] are not integers in 0..2"),
+    (lambda doc: doc.update(overflow_degrees=[3]), r"overflow degrees \[3\] are not integers in 0..2"),
 ])
 def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, message):
     doc = json.loads(heis_table(window=(-8, 8)).dumps())
