@@ -470,6 +470,12 @@ def _dispatch(args, em: _Emitter) -> int:
             rep = check_law_jacobi(table, samples, args.check_jacobi)
             reports["jacobi"] = {"pass": rep["pass"]}
             em.text(f"jacobi (degree {args.check_jacobi}): {'pass' if rep['pass'] else 'fail'}")
+            if not rep["pass"] and rep["checks"]:
+                # the first failing case: check_law_jacobi stops at it
+                last = rep["checks"][-1]
+                witness = {k: last[k] for k in ("ltj", "l", "residual_monomials")}
+                reports["jacobi"]["witness"] = witness
+                em.text("  witness: " + " ".join(f"{k}={v}" for k, v in witness.items()))
             failed = failed or not rep["pass"]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

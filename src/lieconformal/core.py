@@ -7,8 +7,13 @@ with such combinations as coefficients; everything else (derivative
 shifts, antisymmetry-derived entries, products of composite elements) is
 computed from the presentation table.
 
-Values are immutable once constructed and operations are pure functions
-of their inputs, so everything here is safe to share across threads.
+A presentation does not change once built, and it keeps what it derives
+from its table: one lazily filled row per ordered symbol pair, for the
+bracket and for the Lie bracket, and its conformal weights.  A row is a
+function of the presentation alone, so filling it is idempotent: two
+threads that build the same row store equal values, and a reader sees
+either no row or a whole one.  Results handed out share no dict with a
+row.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
-from .linalg import Echelon, Sparse, SparsePoly, exact, iadd
+from .linalg import Echelon, Sparse, SparsePoly, exact, iadd, scale
 
-Q = Fraction
 Symbol = tuple  # (generator index, depth)
 
 
@@ -142,12 +148,35 @@ class AxiomReport:
         raise KeyError(name)
 
 
+def _exact_nonzero(acc: dict) -> dict:
+    return {k: exact(v) for k, v in acc.items() if v}
+
+
+def _clean(acc: dict) -> dict:
+    # a row {n: {symbol: c}} of exact nonzero coefficients, empty rows dropped
+    return {n: vec for n, raw in acc.items() if (vec := _exact_nonzero(raw))}
+
+
+def _lpoly(row: dict) -> LPoly:
+    return LPoly._like({n: CVec._like(dict(vec)) for n, vec in row.items()})
+
+
 class LcaPresentation:
     """Generators, torsion orders and the generator bracket table.
 
     Brackets are stored only for index pairs (i, j) with i <= j in
-    declaration order; the transposed entries are derived from the
-    stored ones, so they are never written by callers.
+    declaration order; the transposed entries are derived from the stored
+    ones by antisymmetry.
+
+    A presentation must not change once built: ``brackets`` is a read-only
+    mapping, and its polynomials are not to be changed either, since what
+    is derived from them is kept.  The symbol table maps an ordered symbol
+    pair (a, b) to the λ-coefficients ``{n: {symbol: coefficient}}`` of
+    [a λ b], extended from its generator pair by sesquilinearity and
+    antisymmetry; the Lie table maps the pair to the definite λ-integral
+    of that bracket.  A row is built on first use and never changed or
+    handed out afterwards: brackets, products and residuals are fresh sums
+    of rows scaled by coefficients.
     """
 
     def __init__(self, name: str, generators, brackets):
@@ -157,7 +186,7 @@ class LcaPresentation:
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         self._index = {g.name: i for i, g in enumerate(self.generators)}
-        self.brackets: dict = {}
+        table = {}
         for (i, j), poly in brackets.items():
             if not (0 <= i <= j < len(self.generators)):
                 raise ValueError(f"bracket key ({i}, {j}) out of order or range")
@@ -168,7 +197,10 @@ class LcaPresentation:
                     if not self.symbol_valid(sym):
                         raise ValueError(f"invalid symbol {sym} in bracket ({i},{j})")
             if poly:
-                self.brackets[(i, j)] = poly
+                table[(i, j)] = poly
+        self.brackets = MappingProxyType(table)
+        self._rows: dict = {}
+        self._lie_rows: dict = {}
         self._lie_conformal: bool | None = None
 
     # -- structure -------------------------------------------------------
@@ -209,8 +241,13 @@ class LcaPresentation:
         Δ_k + d = Δ_i + Δ_j - n - 1; then u_(n) v of homogeneous enveloping
         elements weighs Δu + Δv - n - 1.  Each free parameter of the solution
         is set to a distinct non-integer 1/97^t, which keeps apart the weights
-        of words that the grading tells apart.
+        of words that the grading tells apart.  Solved on the first call and
+        kept.
         """
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple | None:
         one = len(self.generators)  # label of the constant, after every Δ
         ech = Echelon()
         for (i, j), poly in self.brackets.items():
@@ -261,60 +298,110 @@ class LcaPresentation:
         """Full (undivided) derivative power."""
         return self.partial_div(v, times).scale(math.factorial(times))
 
+    def _add_shifted(self, acc: dict, vec: dict, times: int, c) -> None:
+        # acc += c * (divided derivative of order `times` of vec), on
+        # coefficient dicts; the sums are left for `_clean` to normalize
+        gens = self.generators
+        for (g, d), v in vec.items():
+            t = gens[g].torsion
+            if t is None or d + times < t:
+                key = (g, d + times)
+                acc[key] = acc.get(key, 0) + v * c * math.comb(d + times, times)
+
     # -- lambda bracket ----------------------------------------------------
 
-    def _stored_bracket(self, i: int, j: int) -> LPoly:
-        return self.brackets.get((i, j), LPoly())
+    def _antisym(self, row: dict) -> dict:
+        # [b λ a] = -[a_{-λ-∂} b]: λ^n becomes -(-1)^n Σ_s n!/(n-s)! λ^(n-s) ∂^(s)
+        acc: dict = {}
+        for n, vec in row.items():
+            for s in range(n + 1):
+                c = (-1) ** (n + 1) * math.perm(n, s)
+                self._add_shifted(acc.setdefault(n - s, {}), vec, s, c)
+        return _clean(acc)
+
+    def _row(self, a: Symbol, b: Symbol) -> dict:
+        """The symbol-table row of (a, b): [∂^(d)g λ ∂^(d')h] is
+        (-λ)^d/d! (λ+∂)^d'/d'! [g λ h], and [h λ g] for h > g the
+        antisymmetry image of the stored [g λ h]."""
+        row = self._rows.get((a, b))
+        if row is None:
+            (g, d), (h, dp) = a, b
+            if d or dp:
+                base = self._row((g, 0), (h, 0))
+                acc: dict = {}
+                for s in range(dp + 1):
+                    den = math.factorial(d) * math.factorial(dp - s)
+                    c = Fraction((-1) ** d, den) if den > 1 else (-1) ** d
+                    for n, vec in base.items():
+                        self._add_shifted(acc.setdefault(n + d + dp - s, {}), vec, s, c)
+                row = _clean(acc)
+            elif g <= h:
+                stored = self.brackets.get((g, h))
+                row = {n: vec.coeffs for n, vec in stored.coeffs.items()} if stored else {}
+            else:
+                row = self._antisym(self._row((h, 0), (g, 0)))
+            self._rows[(a, b)] = row
+        return row
+
+    def _bracket(self, v: dict, w: dict) -> dict:
+        # λ-coefficients of [v λ w] from coefficient dicts, sharing no dict with a row
+        out: dict = {}
+        rows = self._rows
+        for a, cv in v.items():
+            for b, cw in w.items():
+                row = rows.get((a, b))
+                if row is None:
+                    row = self._row(a, b)
+                if not row:
+                    continue
+                c = cv * cw
+                for n, vec in row.items():
+                    iadd(out.setdefault(n, {}), vec, c)
+        return {n: vec for n, vec in out.items() if vec}
 
     def antisym_image(self, poly: LPoly) -> LPoly:
         """The bracket the antisymmetry axiom assigns to the swapped pair."""
-        out = LPoly()
-        for n, vec in poly.coeffs.items():
-            sign = (-1) ** n
-            for s in range(n + 1):
-                c = -sign * math.comb(n, s) * math.factorial(s)
-                out.add_term(n - s, self.partial_div(vec, s), c)
-        return out
+        return _lpoly(self._antisym({n: vec.coeffs for n, vec in poly.coeffs.items()}))
 
     def gen_bracket(self, i: int, j: int) -> LPoly:
-        if i <= j:
-            return self._stored_bracket(i, j)
-        return self.antisym_image(self._stored_bracket(j, i))
+        return _lpoly(self._row((i, 0), (j, 0)))
 
     def bracket(self, v: CVec, w: CVec) -> LPoly:
         """Bilinear divided-power extension of the generator table."""
-        out = LPoly()
-        for (g, d), cv in v.coeffs.items():
-            for (h, dp), cw in w.coeffs.items():
-                base = self.gen_bracket(g, h)
-                if not base:
-                    continue
-                scale = cv * cw
-                # derivative on the right argument
-                for s in range(dp + 1):
-                    c1 = Q(1, math.factorial(dp - s))
-                    for n, vec in base.coeffs.items():
-                        shifted = self.partial_div(vec, s)
-                        if not shifted:
-                            continue
-                        # derivative power on the left argument
-                        c = scale * c1 * Q((-1) ** d, math.factorial(d))
-                        out.add_term(n + dp - s + d, shifted, c)
-        return out
+        out = self._bracket(v.coeffs, w.coeffs)
+        return LPoly._like({n: CVec._like(vec) for n, vec in out.items()})
 
     def nth_product(self, v: CVec, w: CVec, n: int) -> CVec:
         if n < 0:
             raise ValueError("negative products live in the enveloping algebra")
+        out: dict = {}
+        for a, cv in v.coeffs.items():
+            for b, cw in w.coeffs.items():
+                vec = self._row(a, b).get(n)
+                if vec:
+                    iadd(out, vec, cv * cw)
         # n! only for a nonzero coefficient: past the bracket's degree it is 0
-        vec = self.bracket(v, w).coeff(n)
-        return vec.scale(math.factorial(n)) if vec else CVec()
+        return CVec._like(scale(out, math.factorial(n)) if out else out)
+
+    def _lie_row(self, a: Symbol, b: Symbol) -> dict:
+        # the definite λ-integral of [a λ b]: Σ_n (-1)^n n! ∂^(n+1) of λ^n's coefficient
+        row = self._lie_rows.get((a, b))
+        if row is None:
+            acc: dict = {}
+            for n, vec in self._row(a, b).items():
+                self._add_shifted(acc, vec, n + 1, (-1) ** n * math.factorial(n))
+            row = self._lie_rows[(a, b)] = _exact_nonzero(acc)
+        return row
 
     def lie_bracket(self, v: CVec, w: CVec) -> CVec:
         """Bracket of the underlying Lie algebra (definite lambda integral)."""
-        out = CVec()
-        for n, vec in self.bracket(v, w).coeffs.items():
-            out.iadd_scaled(self.partial_div(vec, n + 1), (-1) ** n * math.factorial(n))
-        return out
+        out: dict = {}
+        for a, cv in v.coeffs.items():
+            for b, cw in w.coeffs.items():
+                row = self._lie_row(a, b)
+                if row:
+                    iadd(out, row, cv * cw)
+        return CVec._like(out)
 
     # -- axiom verification --------------------------------------------------
 
@@ -339,6 +426,7 @@ class LcaPresentation:
         its first case with a nonzero residual, in generator order."""
         ngen = len(self.generators)
         units = [CVec.unit((g, 0)) for g in range(ngen)]
+        paired = {(i, j) for i, j in product(range(ngen), repeat=2) if self._row((i, 0), (j, 0))}
 
         def first_failure(name, cases) -> CheckResult:
             hit = next(((w, r) for w, r in cases if r), None)
@@ -350,13 +438,14 @@ class LcaPresentation:
                 for (i, j), poly in sorted(self.brackets.items())
             )),
             first_failure("antisymmetry", (
-                ((i, j), self.bracket(units[i], units[j])
-                 - self.antisym_image(self.bracket(units[j], units[i])))
+                ((i, j), self.gen_bracket(i, j) - self.antisym_image(self.gen_bracket(j, i)))
                 for i in range(ngen) for j in range(i, ngen)
             )),
             first_failure("jacobi", (
                 ((i, j, k), self.jacobi_residual(units[i], units[j], units[k]))
                 for i, j, k in product(range(ngen), repeat=3)
+                # each term of the residual holds one of the three pair brackets
+                if (i, j) in paired or (i, k) in paired or (j, k) in paired
             )),
         ])
 
@@ -369,27 +458,27 @@ class LcaPresentation:
 
     def jacobi_residual(self, a: CVec, b: CVec, c: CVec) -> LMPoly:
         """Two-variable residual of the conformal Jacobi identity."""
-        out = LMPoly()
+        out: dict = {}
+
+        def add(key, vec, k=1):
+            iadd(out.setdefault(key, {}), vec, k)
+
+        br = self._bracket
+        a, b, c = a.coeffs, b.coeffs, c.coeffs
         # bracket of the bracket, evaluated at the summed variable
-        ab = self.bracket(a, b)
-        for n, vec in ab.coeffs.items():
-            inner = self.bracket(vec, c)
-            for m, w in inner.coeffs.items():
+        for n, vec in br(a, b).items():
+            for m, w in br(vec, c).items():
                 for s in range(m + 1):
-                    out.add_term((n + s, m - s), w, math.comb(m, s))
+                    add((n + s, m - s), w, math.comb(m, s))
         # nested bracket with the outer arguments swapped
-        ac = self.bracket(a, c)
-        for n, vec in ac.coeffs.items():
-            outer = self.bracket(b, vec)
-            for m, w in outer.coeffs.items():
-                out.add_term((n, m), w)
+        for n, vec in br(a, c).items():
+            for m, w in br(b, vec).items():
+                add((n, m), w)
         # the double bracket both are compared against
-        bc = self.bracket(b, c)
-        for m, vec in bc.coeffs.items():
-            outer = self.bracket(a, vec)
-            for n, w in outer.coeffs.items():
-                out.add_term((n, m), w, -1)
-        return out
+        for m, vec in br(b, c).items():
+            for n, w in br(a, vec).items():
+                add((n, m), w, -1)
+        return LMPoly._like({k: CVec._like(vec) for k, vec in out.items() if vec})
 
 
 def build_presentation(name: str, generators, brackets=None) -> LcaPresentation:

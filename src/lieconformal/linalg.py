@@ -93,9 +93,10 @@ class Sparse:
                     cs[k] = v
         self.coeffs = cs
 
-    def _like(self, coeffs: dict):
-        # a result of the same class around an already normalized dict
-        res = object.__new__(self.__class__)
+    @classmethod
+    def _like(cls, coeffs: dict):
+        # an element of the class around an already normalized dict
+        res = object.__new__(cls)
         res.coeffs = coeffs
         return res
 

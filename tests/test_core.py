@@ -1,10 +1,29 @@
+import math
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import golden
-from oracles import oracle_bracket, oracle_lie_bracket
+import pytest
+from oracles import (
+    direct_bracket,
+    direct_check_axioms,
+    direct_jacobi_residual,
+    oracle_bracket,
+    oracle_lie_bracket,
+)
 
+from lieconformal import build_presentation, dsl
+from lieconformal.cli import _report_json, _report_lines
 from lieconformal.core import CVec, LMPoly, LPoly
+
+DATA = Path(__file__).parent / "data"
+# every presentation under tests/data that parses, torsion ones included
+DATA_ALGEBRAS = sorted(p.stem for p in DATA.glob("*.lca") if p.stem != "badsyntax")
+
+
+def load(name):
+    return dsl.load_presentation((DATA / f"{name}.lca").read_text(encoding="utf-8"))[0]
 
 
 def rand_vec(rng, pres, depth=2):
@@ -201,8 +220,98 @@ def test_antisym_image_is_an_involution():
 
 
 def test_empty_presentation_edge():
-    from lieconformal import build_presentation
-
     empty = build_presentation("nothing", [])
     assert empty.check_axioms().ok
     assert empty.symbols_up_to(3) == []
+
+
+@pytest.mark.parametrize("name", DATA_ALGEBRAS)
+def test_table_products_match_the_direct_extension(name):
+    # the kept symbol table against the extension redone for every pair,
+    # on a presentation whose table fills up as the draws go on
+    rng = random.Random(sum(map(ord, name)))
+    pres = load(name)
+    for _ in range(30):
+        v, w, u = (rand_vec(rng, pres, depth=3) for _ in range(3))
+        want = direct_bracket(pres, v, w)
+        assert pres.bracket(v, w) == want
+        for n in range(want.degree + 2):
+            assert pres.nth_product(v, w, n) == want.coeff(n).scale(math.factorial(n))
+        assert pres.lie_bracket(v, w) == oracle_lie_bracket(pres, v, w)
+        assert pres.jacobi_residual(v, w, u) == direct_jacobi_residual(pres, v, w, u)
+
+
+def outer_pair_only():
+    """Jacobi first fails at (a, b, c), whose only nonzero pair bracket is
+    the outer one, [a λ c]: the residual is [b μ [a λ c]]."""
+    return build_presentation(
+        "outer", [("a", None), ("b", None), ("c", None)],
+        {("a", "c"): {0: {("b", 0): 1}}, ("b", "b"): {0: {("b", 1): 1}, 1: {("b", 0): 2}}},
+    )
+
+
+AXIOM_CASES = [(name, lambda name=name: load(name)) for name in DATA_ALGEBRAS] + [
+    (build.__name__, build)
+    for build in (golden.corrupted_heisenberg, golden.corrupted_jacobi, golden.corrupted_torsion,
+                  outer_pair_only)
+]
+
+
+@pytest.mark.parametrize("name, build", AXIOM_CASES, ids=[n for n, _ in AXIOM_CASES])
+def test_axiom_reports_match_the_direct_extension(name, build):
+    pres = build()
+    want = direct_check_axioms(pres)
+    got = pres.check_axioms()
+    assert [(c.name, c.passed, c.witness, c.residual) for c in got.checks] == \
+        [(c.name, c.passed, c.witness, c.residual) for c in want.checks]
+    # the reports render to the same witnesses and residual text
+    assert _report_lines(pres, got) == _report_lines(pres, want)
+    assert _report_json(pres, got) == _report_json(pres, want)
+
+
+def test_bracket_table_is_read_only():
+    pres = load("heisenberg")
+    with pytest.raises(TypeError):
+        pres.brackets[(0, 0)] = LPoly({0: {(1, 0): 1}})
+    with pytest.raises(TypeError):
+        pres.brackets[(0, 1)] = LPoly({0: {(1, 0): 1}})
+
+
+@pytest.mark.parametrize("name", DATA_ALGEBRAS)
+def test_a_filled_table_leaves_the_presentation_as_loaded(name):
+    rng = random.Random(3)
+    pres = load(name)
+    for _ in range(10):
+        v, w = rand_vec(rng, pres, depth=3), rand_vec(rng, pres, depth=3)
+        pres.bracket(v, w), pres.lie_bracket(v, w), pres.nth_product(v, w, 1)
+    pres.check_axioms(), pres.conformal_weights()
+    assert pres._rows and pres == load(name)
+    assert dsl.emit_algebra(pres) == dsl.emit_algebra(load(name))
+    assert dsl.load_presentation(dsl.emit_algebra(pres))[0] == pres
+
+
+def test_returned_values_share_nothing_with_the_table():
+    # changing a result in place leaves the next result as a fresh
+    # presentation computes it
+    L, C = CVec({(0, 0): 1}), CVec({(0, 1): 2, (1, 0): 1})
+    x, y, z = (CVec({(g, 0): 1}) for g in range(3))
+    calls = [
+        (golden.virasoro, lambda p: p.bracket(L, L)),
+        (golden.virasoro, lambda p: p.bracket(C, L)),
+        (golden.virasoro, lambda p: p.gen_bracket(0, 0)),
+        (golden.virasoro, lambda p: p.antisym_image(p.bracket(L, C))),
+        (golden.corrupted_jacobi, lambda p: p.jacobi_residual(x, y, z)),
+    ]
+    for build, call in calls:
+        pres = build()
+        got = call(pres)
+        assert got
+        got.add_term(next(iter(got.coeffs)), CVec({(0, 5): 1}), 3)
+        assert call(pres) == call(build())
+        for vec in call(pres).coeffs.values():
+            vec.iadd_scaled(CVec({(0, 7): 1}))
+        assert call(pres) == call(build())
+    for call in (lambda p: p.nth_product(L, L, 1), lambda p: p.lie_bracket(C, L)):
+        pres = golden.virasoro()
+        call(pres).iadd_scaled(CVec({(0, 7): 1}))
+        assert call(pres) == call(golden.virasoro())

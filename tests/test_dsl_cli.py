@@ -551,6 +551,21 @@ def test_nth_of_a_vanishing_coefficient_returns_at_once():
     assert time.monotonic() - start < 1
 
 
+def test_failing_law_jacobi_names_its_first_failing_case():
+    # text and JSON carry the same witness; a passing check prints none
+    argv = ["fvl", str(DATA / "badheis.lca"), "--deg", "2", "--depth", "0", "--window=-4..4",
+            "--check-jacobi", "2"]
+    assert run(argv) == (1, "jacobi (degree 2): fail\n"
+                            "  witness: ltj=[-1, -1, 1] l=k[0] residual_monomials=1\n"
+                            "entries: 5\n")
+    code, text = run(["--format", "json", *argv])
+    assert code == 1
+    assert json.loads(text)["reports"] == {"jacobi": {
+        "pass": False, "witness": {"ltj": [-1, -1, 1], "l": "k[0]", "residual_monomials": 1}}}
+    code, text = run(["fvl", str(DATA / "heisenberg.lca"), *argv[2:]])
+    assert (code, text) == (0, "jacobi (degree 2): pass\nentries: 5\n")
+
+
 def test_windows_beyond_the_limit_exit_2_at_once():
     heis = str(DATA / "heisenberg.lca")
     yprod = ["yprod", heis, "--left", ":a a:", "--right", "a"]
