@@ -112,6 +112,30 @@ def _check_pairs(args, positions: int) -> None:
         )
 
 
+# Most letter pairs `yprod` takes, a count known before any work: the
+# negative indices n = lo..-1 form u_(n)v from the C(J - 1 + L, L) words of
+# the divided powers ∂^(j)u, j < J = -lo, of an L-letter u, each multiplied
+# by every letter pair of u and an L'-letter v: C(J - 1 + L, L) L L'.
+# Measured as `nop` above, on words of depth 2: n3current's 4- and 4-letter
+# words make 560 pairs at --window=-4..4 (1.1 s), 2,016 at -6..6 (3.1 s and
+# 102 MB) and 5,280 at -8..8 (7.5 s); 2- and 2-letter words 2,112 at
+# -32..32 (0.15 s on virasoro); a 4-letter u and a letter 1,980 at -9..9
+# (0.5 s).  Depth-0 words cost less per pair: 3- and 2-letter n3current
+# words make 35,904 at -32..32 (3.3 s), a 4-letter u and a letter 209,440
+# (17 s and 675 MB).
+YPROD_LIMIT = 2_500
+
+
+def _check_yprod(left: tuple, right: tuple, lo: int) -> None:
+    powers = max(-lo, 0)  # J, the divided powers ∂^(j)u with j < J
+    pairs = math.comb(powers - 1 + len(left), len(left)) * len(left) * len(right) if powers else 0
+    if pairs > YPROD_LIMIT:
+        raise ValueError(
+            f"words of {len(left)} and {len(right)} letters from n={lo} make {pairs} "
+            f"letter pairs, beyond the limit {YPROD_LIMIT}"
+        )
+
+
 def _check_sizes(args) -> None:
     limits = {
         "primitives": (("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)),
@@ -137,19 +161,23 @@ def _load(path: str):
         return dsl.load_presentation(fh.read())
 
 
+@dsl._nesting_bounded
 def _parse_arg(arg: str, pres, key: str):
     """A word (``key`` "word") or point ("coords") as text, or @FILE holding
-    {"word": [letter, ...]} or {"coords": {letter: number or string}}."""
+    {"word": [letter, ...]} or {"coords": {letter: number or string}}.
+
+    Both forms pass through `dsl.word_from_letters` or `dsl.point_from_pairs`
+    and their limits; JSON nested past the recursion limit is a diagnostic."""
     if not arg.startswith("@"):
         return (dsl.parse_word if key == "word" else dsl.parse_point)(arg, pres)
     with open(arg[1:], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     value = doc.get(key) if isinstance(doc, dict) else None
     if key == "word" and isinstance(value, list) and all(isinstance(x, str) for x in value):
-        return tuple(sorted(dsl._parse_letter(x, pres) for x in value))
+        return dsl.word_from_letters(value, pres)
     if key == "coords" and isinstance(value, dict) and all(
             isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in value.values()):
-        return dsl.point_from_pairs(((k, str(v)) for k, v in sorted(value.items())), pres)
+        return dsl.point_from_pairs([(k, str(v)) for k, v in sorted(value.items())], pres)
     raise dsl.DslError(
         dsl.Diagnostic(f"unrecognized JSON argument in {arg[1:]!r}", dsl.SourceSpan(0, 0, 1, 1))
     )
@@ -402,10 +430,10 @@ def _dispatch(args, em: _Emitter) -> int:
         return EXIT_OK
 
     if cmd == "yprod":
-        left = UElem.monomial(_parse_arg(args.left, pres, "word"))
-        right = UElem.monomial(_parse_arg(args.right, pres, "word"))
+        left, right = _parse_arg(args.left, pres, "word"), _parse_arg(args.right, pres, "word")
         lo, hi = args.window
-        products, bound = alg.y_window(left, right, lo, hi)
+        _check_yprod(left, right, lo)
+        products, bound = alg.y_window(UElem.monomial(left), UElem.monomial(right), lo, hi)
         for n in range(lo, hi + 1):
             em.text(f"n={n}: " + render.uelem_text(alg.basis, products[n]))
         em.text(f"bound: {bound}")

@@ -14,6 +14,11 @@ function of the presentation alone, so filling it is idempotent: two
 threads that build the same row store equal values, and a reader sees
 either no row or a whole one.  Results handed out share no dict with a
 row.
+
+The row is the one sesquilinear extension of the table: brackets,
+n-th products, the Lie bracket and the three axiom checks all read it.
+Rows and ∂ shift symbols through one helper, and `symbol_valid` states
+the torsion rule for every other module.
 """
 
 from __future__ import annotations
@@ -104,9 +109,6 @@ class LPoly(SparsePoly):
     __slots__ = ()
     zero = ZERO_VEC
 
-    def shift_degree(self, p: int) -> "LPoly":
-        return self._like({n + p: v for n, v in self.coeffs.items()})
-
 
 class LMPoly(SparsePoly):
     """Polynomial in two formal variables with CVec coefficients, keyed (i, j)."""
@@ -176,7 +178,9 @@ class LcaPresentation:
     antisymmetry; the Lie table maps the pair to the definite λ-integral
     of that bracket.  A row is built on first use and never changed or
     handed out afterwards: brackets, products and residuals are fresh sums
-    of rows scaled by coefficients.
+    of rows scaled by coefficients.  Rows whose argument is a vanishing
+    power ∂^(t)g of a generator of torsion order t are built only for the
+    sesquilinearity check, which needs them to be zero.
     """
 
     def __init__(self, name: str, generators, brackets):
@@ -282,21 +286,12 @@ class LcaPresentation:
         """Divided derivative of order ``times`` in the symbol basis."""
         if times < 0:
             raise ValueError("negative derivative order")
-        if times == 0:
-            return v
-        gens = self.generators
-        return CVec({
-            (g, d + times): c * math.comb(d + times, times)
-            for (g, d), c in v.coeffs.items()
-            if gens[g].torsion is None or d + times < gens[g].torsion
-        })
+        acc: dict = {}
+        self._add_shifted(acc, v.coeffs, times, 1)
+        return CVec(acc)
 
     def partial(self, v: CVec) -> CVec:
         return self.partial_div(v, 1)
-
-    def partial_pow(self, v: CVec, times: int) -> CVec:
-        """Full (undivided) derivative power."""
-        return self.partial_div(v, times).scale(math.factorial(times))
 
     def _add_shifted(self, acc: dict, vec: dict, times: int, c) -> None:
         # acc += c * (divided derivative of order `times` of vec), on
@@ -405,25 +400,27 @@ class LcaPresentation:
 
     # -- axiom verification --------------------------------------------------
 
-    def _torsion_residual(self, i: int, j: int, poly: LPoly) -> LPoly | None:
-        """Derivative-compatibility residual forced by torsion arguments."""
-        gi, gj = self.generators[i], self.generators[j]
-        if gi.torsion is not None and poly:
-            # the bracket of a vanishing derivative power must vanish
-            return poly.shift_degree(gi.torsion).scale((-1) ** gi.torsion)
-        if gj.torsion is not None and poly:
-            m = gj.torsion
-            out = LPoly()
-            for s in range(m + 1):
-                c = math.comb(m, s)
-                for n, vec in poly.coeffs.items():
-                    out.add_term(n + m - s, self.partial_pow(vec, s), c)
-            return out if out else None
-        return None
+    def _torsion_residual(self, i: int, j: int) -> LPoly:
+        # a vanishing power ∂^(t)g of a torsion argument g brackets to zero,
+        # so t! times its row is the residual; the left argument is tried first
+        ti, tj = self.generators[i].torsion, self.generators[j].torsion
+        if ti is not None:
+            return _lpoly(self._row((i, ti), (j, 0))).scale(math.factorial(ti))
+        if tj is not None:
+            return _lpoly(self._row((i, 0), (j, tj))).scale(math.factorial(tj))
+        return LPoly()
 
     def check_axioms(self) -> AxiomReport:
-        """The three axioms on every generator pair or triple; each reports
-        its first case with a nonzero residual, in generator order."""
+        """The three axioms on generator pairs or triples; each reports its
+        first case with a nonzero residual, in generator order.
+
+        Sesquilinearity brackets the vanishing power of each torsion
+        argument of a stored pair.  Antisymmetry is checked on the diagonal
+        pairs [g λ g] alone: off the diagonal the row of [h λ g] is defined
+        as the antisymmetry image of the stored [g λ h], and the image is
+        an involution, so those pairs cannot fail.  Jacobi runs on every
+        triple that holds a nonzero pair bracket.
+        """
         ngen = len(self.generators)
         units = [CVec.unit((g, 0)) for g in range(ngen)]
         paired = {(i, j) for i, j in product(range(ngen), repeat=2) if self._row((i, 0), (j, 0))}
@@ -434,12 +431,11 @@ class LcaPresentation:
 
         return AxiomReport([
             first_failure("sesquilinearity", (
-                ((i, j), self._torsion_residual(i, j, poly))
-                for (i, j), poly in sorted(self.brackets.items())
+                ((i, j), self._torsion_residual(i, j)) for i, j in sorted(self.brackets)
             )),
             first_failure("antisymmetry", (
-                ((i, j), self.gen_bracket(i, j) - self.antisym_image(self.gen_bracket(j, i)))
-                for i in range(ngen) for j in range(i, ngen)
+                ((g, g), self.gen_bracket(g, g) - self.antisym_image(self.gen_bracket(g, g)))
+                for g in range(ngen)
             )),
             first_failure("jacobi", (
                 ((i, j, k), self.jacobi_residual(units[i], units[j], units[k]))

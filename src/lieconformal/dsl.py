@@ -127,6 +127,21 @@ POW_LIMIT = 64
 # 4,225, so both still expand, in 1.5 s and 0.15 s.
 MONOMIAL_LIMIT = 8192
 
+# Most letters a word or point argument takes, and the deepest letter.  A
+# product of two words straightens every letter of one past the other, and
+# each bracket of deep letters has a λ-polynomial of high degree, so the
+# work grows steeply with both.  Measured with in-process CPU time of `lcv
+# nop`, on one core of a shared 2-core x86-64 host, both words alike: four
+# letters of depth 2 take 0.26 s on n3current (x y z w1) and 3 s on
+# virasoro (L L L L), where depth 3 takes 0.4 s and 7.9 s, four letters of
+# depth 4 on n3current 1.6 s, of depth 8 17 s and 409 MB, and of depth 16
+# more than 1.9 GB; five letters take 1.5 s on n3current at depth 2 and
+# 3.2 s on virasoro at depth 0, twelve letters of heisenberg 3.6 s.  A
+# single letter costs less: `eval n3current.lca` of x[400] against y[400]
+# took 59 s and 710 MB at --window=-1..1.
+LETTER_LIMIT = 4
+LETTER_DEPTH_LIMIT = 2
+
 
 # -- expression AST -----------------------------------------------------------
 
@@ -503,7 +518,17 @@ def _parse_letter(tok: str, pres: LcaPresentation):
         sym = None
     if sym is None or not pres.symbol_valid(sym):
         raise DslError(Diagnostic(f"invalid depth for generator {name!r}", SourceSpan(0, 0, 1, 1)))
+    if sym[1] > LETTER_DEPTH_LIMIT:
+        raise DslError(Diagnostic(
+            f"letter {tok!r} of depth {sym[1]} is beyond the limit {LETTER_DEPTH_LIMIT}",
+            SourceSpan(0, 0, 1, 1)))
     return sym
+
+
+def _check_letters(kind: str, count: int) -> None:
+    if count > LETTER_LIMIT:
+        raise DslError(Diagnostic(
+            f"{kind} of {count} letters is beyond the limit {LETTER_LIMIT}", SourceSpan(0, 0, 1, 1)))
 
 
 def parse_word(text: str, pres: LcaPresentation) -> tuple:
@@ -512,7 +537,12 @@ def parse_word(text: str, pres: LcaPresentation) -> tuple:
     if text == "1":
         return ()
     colons = text.startswith(":") and text.endswith(":") and len(text) >= 2
-    letters = text[1:-1].split() if colons else [text]
+    return word_from_letters(text[1:-1].split() if colons else [text], pres)
+
+
+def word_from_letters(letters: list, pres: LcaPresentation) -> tuple:
+    """Ordered word of letter texts, at most LETTER_LIMIT of them."""
+    _check_letters("word", len(letters))
     return tuple(sorted(_parse_letter(tok, pres) for tok in letters))
 
 
@@ -528,8 +558,10 @@ def parse_point(text: str, pres: LcaPresentation) -> dict:
     return point_from_pairs(pairs, pres)
 
 
-def point_from_pairs(pairs, pres: LcaPresentation) -> dict:
-    """Point of (letter, value) text pairs; a coordinate given twice is an error."""
+def point_from_pairs(pairs: list, pres: LcaPresentation) -> dict:
+    """Point of (letter, value) text pairs, at most LETTER_LIMIT of them; a
+    coordinate given twice is an error."""
+    _check_letters("point", len(pairs))
     out: dict = {}
     for tok, value in pairs:
         sym = _parse_letter(tok.strip(), pres)

@@ -32,12 +32,11 @@ def vec_to_column(pres: LcaPresentation, v: CVec) -> tuple:
 
 
 def column_to_vec(pres: LcaPresentation, col) -> CVec:
-    gens = pres.generators
     return CVec({
         (g, d): c * math.factorial(d)
         for g, poly in enumerate(col)
         for d, c in poly.coeffs.items()
-        if gens[g].torsion is None or d < gens[g].torsion
+        if pres.symbol_valid((g, d))
     })
 
 
@@ -232,9 +231,8 @@ class AdaptedBasis:
 
     def _extend_graded(self, cap: int) -> None:
         pres = self.pres
-        for g, spec in enumerate(pres.generators):
-            top = cap if spec.is_free else min(cap, spec.torsion - 1)
-            for d in range(self.depth_cap + 1, top + 1):
+        for g, d in pres.symbols_up_to(cap):
+            if d > self.depth_cap:
                 key = (self._grades[g], g, d)
                 label = pres.symbol_label((g, d))
                 self._add(BasisVector(key, CVec.unit((g, d)), self._grades[g], label))

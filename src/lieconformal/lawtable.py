@@ -303,7 +303,7 @@ class _Grading:
             return
         self.step = step = math.lcm(*(Q(x).denominator for x in delta))
         gen_w = [int(x * step) for x in delta]
-        torsion = [g.torsion for g in env.pres.generators]
+        symbol_valid = env.pres.symbol_valid
 
         def key_weight(key) -> int:
             ((g, d),) = basis.vector(key).coeffs
@@ -318,9 +318,9 @@ class _Grading:
             def __missing__(self, w: int) -> tuple:
                 ds = self[w] = tuple(
                     d
-                    for wg, t in zip(gen_w, torsion)
+                    for g, wg in enumerate(gen_w)
                     for d, r in (divmod(w - wg, step),)
-                    if not r and d >= 0 and (t is None or d < t)
+                    if not r and symbol_valid((g, d))
                 )
                 return ds
 

@@ -250,10 +250,25 @@ def outer_pair_only():
     )
 
 
+def torsion_pair(left: int | None, right: int | None):
+    """A presentation failing sesquilinearity on its one stored pair
+    [l λ r], whose arguments have the given torsion orders (None: free).
+    The bracket has λ-degrees 0 and 1 and torsion targets, so the
+    vanishing powers shift it past the torsion of its own terms."""
+    def build():
+        gens = [("l", left), ("r", right), ("a", None), ("k", 3)]
+        bracket = {0: {("a", 1): 1, ("k", 1): 2}, 1: {("k", 0): Q(1, 2), ("a", 0): -1}}
+        return build_presentation(f"tor_{left}_{right}", gens, {("l", "r"): bracket})
+    build.__name__ = f"torsion_pair_{left}_{right}"
+    return build
+
+
 AXIOM_CASES = [(name, lambda name=name: load(name)) for name in DATA_ALGEBRAS] + [
     (build.__name__, build)
     for build in (golden.corrupted_heisenberg, golden.corrupted_jacobi, golden.corrupted_torsion,
-                  outer_pair_only)
+                  outer_pair_only,
+                  *(torsion_pair(left, right) for left, right in
+                    ((1, None), (2, None), (3, None), (None, 2), (None, 3), (2, 3), (3, 1))))
 ]
 
 

@@ -536,6 +536,130 @@ def test_json_arguments_read_like_their_text_forms(tmp_path):
         assert run(from_file) == run(as_text) and run(as_text)[0] == 0, as_text
 
 
+def test_word_and_point_limits_exit_2_with_one_line(tmp_path):
+    # each refusal names its value and its limit, in text and @FILE form
+    # alike, before any work
+    heis, n3 = str(DATA / "heisenberg.lca"), str(DATA / "n3current.lca")
+    lim, dlim, ylim = dsl.LETTER_LIMIT, dsl.LETTER_DEPTH_LIMIT, cli.YPROD_LIMIT
+    deep = f"a[{dlim + 1}]"
+    docs = {
+        "word": {"word": ["a"] * (lim + 1)},
+        "point": {"coords": {g: 1 for g in ["x", "y", "z", "w1", "w2"][:lim + 1]}},
+        "deep_word": {"word": ["a", deep]},
+        "deep_point": {"coords": {deep: 1}},
+        "four": {"word": ["x", "y", "z", "w1"]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # 100,000 nested arrays overflow the JSON reader's recursion
+    (tmp_path / "nested.json").write_text('{"word": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+    def at(name):
+        return f"@{tmp_path / name}.json"
+
+    long_word = ":" + " ".join(["a"] * (lim + 1)) + ":"
+    long_point = ", ".join(f"{g}=1" for g in ["x", "y", "z", "w1", "w2"][:lim + 1])
+    word_line = f"1:1: word of {lim + 1} letters is beyond the limit {lim}\n"
+    point_line = f"1:1: point of {lim + 1} letters is beyond the limit {lim}\n"
+    depth_line = f"1:1: letter {deep!r} of depth {dlim + 1} is beyond the limit {dlim}\n"
+    four = ":x y z w1:"
+    # C(J - 1 + 4, 4) * 4 * 4 letter pairs from n = -J: 2,016 at J = 6, 3,360 at J = 7
+    yprod_line = f"invalid argument: words of 4 and 4 letters from n=-7 make 3360 letter pairs, " \
+                 f"beyond the limit {ylim}\n"
+    refusals = [
+        (["nop", heis, "--left", long_word, "--right", "a"], word_line),
+        (["nop", heis, "--left", "a", "--right", at("word")], word_line),
+        (["coproduct", heis, "--elem", long_word], word_line),
+        (["coproduct", heis, "--elem", at("word")], word_line),
+        (["yprod", heis, "--left", long_word, "--right", "a", "--window=0..1"], word_line),
+        (["eval", n3, "--a", long_point, "--b", "0", "--window=-1..1"], point_line),
+        (["eval", n3, "--a", "0", "--b", at("point"), "--window=-1..1"], point_line),
+        (["nop", heis, "--left", f":a {deep}:", "--right", "a"], depth_line),
+        (["nop", heis, "--left", at("deep_word"), "--right", "a"], depth_line),
+        (["eval", heis, "--a", f"{deep}=1", "--b", "0", "--window=-1..1"], depth_line),
+        (["eval", heis, "--a", at("deep_point"), "--b", "0", "--window=-1..1"], depth_line),
+        (["eval", n3, "--a", "x[400]=1", "--b", "y[400]=1", "--window=-1..1"],
+         f"1:1: letter 'x[400]' of depth 400 is beyond the limit {dlim}\n"),
+        (["yprod", n3, "--left", four, "--right", four, "--window=-7..7"], yprod_line),
+        (["yprod", n3, "--left", at("four"), "--right", at("four"), "--window=-7..7"], yprod_line),
+        (["nop", heis, "--left", at("nested"), "--right", "a"], "1:1: expression nested too deeply\n"),
+        (["yprod", heis, "--left", "a", "--right", at("nested"), "--window=0..1"],
+         "1:1: expression nested too deeply\n"),
+    ]
+    for argv, want in refusals:
+        start = time.process_time()
+        assert run(argv) == (2, want), argv
+        assert time.process_time() - start < 1, argv
+    # the limits themselves are admitted
+    at_limits = [
+        ["nop", heis, "--left", f":a a a a[{dlim}]:", "--right", f":a[{dlim}] k k a:"],
+        ["eval", n3, "--a", f"x=1, y[{dlim}]=2, z=1, w1=1", "--b", "x=1", "--window=-1..1"],
+        ["yprod", n3, "--left", four, "--right", at("four"), "--window=-6..6"],
+    ]
+    for argv in at_limits:
+        assert run(argv)[0] == 0, argv
+    # the library parses through the same limits
+    pres, _ = dsl.load_presentation(read("heisenberg.lca"))
+    with pytest.raises(dsl.DslError, match="beyond the limit"):
+        dsl.parse_word(long_word, pres)
+    with pytest.raises(dsl.DslError, match="beyond the limit"):
+        dsl.parse_point(f"{deep}=1", pres)
+
+
+LIMIT_LETTERS = ["a", "k", "q", "a[1]", "a[2]", "a[3]", "k[1]", "a[x]", "a[-1]",
+                 "a[1000000]", "a[", "1", ""]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_word_and_point_arguments_near_the_limits_exit_with_a_code(tmp_path, data):
+    # words and points of up to two letters past LETTER_LIMIT, letters past
+    # LETTER_DEPTH_LIMIT and deeply nested JSON, as text or @FILE
+    draw = data.draw
+    heis = str(DATA / "heisenberg.lca")
+    letters = st.lists(st.sampled_from(LIMIT_LETTERS), max_size=dsl.LETTER_LIMIT + 2)
+    values = st.sampled_from(["1", "-3/2", "0", "x", "1/0"]) | st.integers(-2, 2) | st.floats()
+    docs = itertools.count()
+
+    def from_file(doc) -> str:
+        path = tmp_path / f"arg{next(docs)}.json"
+        if draw(st.booleans()):
+            text = json.dumps(doc)
+        else:
+            depth = draw(st.sampled_from([10, 1000, 100_000]))
+            text = json.dumps(doc)[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}"
+        path.write_text(text)
+        return f"@{path}"
+
+    def word_arg() -> str:
+        ls = draw(letters)
+        if draw(st.booleans()):
+            return from_file({"word": ls})
+        return ":" + " ".join(ls) + ":" if len(ls) != 1 else ls[0]
+
+    def point_arg() -> str:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(LIMIT_LETTERS), values),
+                              max_size=dsl.LETTER_LIMIT + 2))
+        if draw(st.booleans()):
+            return from_file({"coords": {k: v for k, v in pairs}})
+        return ", ".join(f"{k}={v}" for k, v in pairs) or "0"
+
+    window = draw(st.builds(lambda lo, width: f"--window={lo}..{lo + width}",
+                            st.integers(-8, 1), st.integers(0, 3)))
+    argv = draw(st.sampled_from([
+        lambda: ["nop", heis, "--left", word_arg(), "--right", word_arg()],
+        lambda: ["coproduct", heis, "--elem", word_arg()],
+        lambda: ["yprod", heis, "--left", word_arg(), "--right", word_arg(), window],
+        lambda: ["eval", heis, "--a", point_arg(), "--b", point_arg(), window],
+    ]))()
+    code, text = run(argv)
+    assert 0 <= code <= 4, (argv, text)
+    assert "Traceback" not in text, argv
+    if "beyond the limit" in text or "nested too deeply" in text:
+        assert code == 2 and text.count("\n") == 1, (argv, text)
+
+
 def test_nth_of_a_vanishing_coefficient_returns_at_once():
     # a product index past the kept products' top index is read as zero at once
     heis = str(DATA / "heisenberg.lca")
