@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import dsl, render
 from .bialgebra import coproduct, counit, primitives_up_to
-from .core import CVec, LMPoly, LPoly
+from .core import CVec, LPoly
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import (
     AxiomFailure,
@@ -194,12 +194,11 @@ def _uelem_json(basis, u: UElem) -> list:
     return out
 
 
-def _residual_text(pres, residual) -> str | None:
+def _residual_text(pres, residual) -> str:
+    # a failing check's residual: an LPoly, or the LMPoly of the Jacobi check
     if isinstance(residual, LPoly):
         return render.lpoly_text(pres, residual)
-    if isinstance(residual, LMPoly):
-        return render.lmpoly_text(pres, residual)
-    return None
+    return render.lmpoly_text(pres, residual)
 
 
 def _report_lines(pres, report) -> list[str]:
@@ -209,9 +208,7 @@ def _report_lines(pres, report) -> list[str]:
         if not c.passed:
             names = tuple(pres.gen_name(i) for i in c.witness)
             lines.append(f"  witness: {names}")
-            residual = _residual_text(pres, c.residual)
-            if residual is not None:
-                lines.append("  residual: " + residual)
+            lines.append("  residual: " + _residual_text(pres, c.residual))
     return lines
 
 
@@ -221,9 +218,7 @@ def _report_json(pres, report) -> dict:
         entry = {"name": c.name, "pass": c.passed}
         if not c.passed:
             entry["witness"] = [pres.gen_name(i) for i in c.witness]
-            residual = _residual_text(pres, c.residual)
-            if residual is not None:
-                entry["residual"] = residual
+            entry["residual"] = _residual_text(pres, c.residual)
         out.append(entry)
     return {"algebra": pres.name, "checks": out, "pass": report.ok}
 
@@ -374,10 +369,8 @@ def run(argv) -> tuple[int, str]:
 
 def _not_nilpotent_text(exc: NotNilpotent) -> str:
     lines = [f"not nilpotent: {exc}"]
-    rendered = getattr(exc, "rendered", None)
-    if rendered is None:
-        rendered = [str(sorted(v.coeffs.items())) for v in exc.stable_generators]
-    for txt in rendered:
+    # `_dispatch` renders the stable generators of the one NotNilpotent it lets out
+    for txt in exc.rendered:
         lines.append(f"  stable: {txt}")
     return "\n".join(lines) + "\n"
 

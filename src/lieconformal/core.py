@@ -8,15 +8,15 @@ shifts, antisymmetry-derived entries, products of composite elements) is
 computed from the presentation table.
 
 A presentation does not change once built, and it keeps what it derives
-from its table: one lazily filled row per ordered symbol pair, for the
-bracket and for the Lie bracket, and its conformal weights.  A row is a
-function of the presentation alone, so filling it is idempotent: two
-threads that build the same row store equal values, and a reader sees
-either no row or a whole one.  Results handed out share no dict with a
-row.
+from its table: one lazily filled bracket row per ordered symbol pair,
+and its conformal weights.  A row is a function of the presentation
+alone, so filling it is idempotent: two threads that build the same row
+store equal values, and a reader sees either no row or a whole one.
+Results handed out share no dict with a row.
 
-The row is the one sesquilinear extension of the table: brackets,
-n-th products, the Lie bracket and the three axiom checks all read it.
+The row is the one sesquilinear extension of the table, and one pair
+sum reads it: brackets, n-th products, the Lie bracket and the Jacobi
+residual all take their λ-coefficients from that sum.
 Rows and ∂ shift symbols through one helper, and `symbol_valid` states
 the torsion rule for every other module.
 """
@@ -45,11 +45,6 @@ def binom_z(n: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-def _sum_length(top: int, count: int) -> int:
-    # binomials C(top, i) for i < count; past a nonnegative top they vanish
-    return min(count, top + 1) if top >= 0 else count
-
-
 def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     """Residual of the Borcherds three-sum identity at indices (l, t, j).
 
@@ -62,7 +57,8 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     first, second, third = terms
 
     def weights(top, count):
-        return ((i, binom_z(top, i)) for i in range(_sum_length(top, count)))
+        # binomials C(top, i) for i < count; past a nonnegative top they vanish
+        return ((i, binom_z(top, i)) for i in range(min(count, top + 1) if top >= 0 else count))
 
     out: dict = {}
     for i, c in weights(l, stops[0] - j):
@@ -72,19 +68,6 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     for i, c in weights(t, stops[2] - l):
         iadd(out, third(t + j - i, l + i), -c)
     return out
-
-
-def three_sum_outer(l: int, t: int, j: int, stops) -> tuple:
-    """The outer indices each sum of `three_sum` asks for under ``stops``,
-    in the order it asks for them.
-
-    One descending ``range`` per sum, empty when the sum has no term.
-    """
-    return tuple(
-        range(first, first - _sum_length(top, stop - inner), -1)
-        for first, top, stop, inner in ((t + l, l, stops[0], j), (j + l, l, stops[1], t),
-                                        (t + j, t, stops[2], l))
-    )
 
 
 class CVec(Sparse):
@@ -175,12 +158,12 @@ class LcaPresentation:
     is derived from them is kept.  The symbol table maps an ordered symbol
     pair (a, b) to the λ-coefficients ``{n: {symbol: coefficient}}`` of
     [a λ b], extended from its generator pair by sesquilinearity and
-    antisymmetry; the Lie table maps the pair to the definite λ-integral
-    of that bracket.  A row is built on first use and never changed or
-    handed out afterwards: brackets, products and residuals are fresh sums
-    of rows scaled by coefficients.  Rows whose argument is a vanishing
-    power ∂^(t)g of a generator of torsion order t are built only for the
-    sesquilinearity check, which needs them to be zero.
+    antisymmetry.  A row is built on first use and never changed or
+    handed out afterwards: ``_bracket`` is the one sum of rows scaled by
+    coefficients, and n-th products and the Lie bracket are read off its
+    λ-coefficients.  Rows whose argument is a vanishing power ∂^(t)g of a
+    generator of torsion order t are built only for the sesquilinearity
+    check, which needs them to be zero.
     """
 
     def __init__(self, name: str, generators, brackets):
@@ -204,7 +187,6 @@ class LcaPresentation:
                 table[(i, j)] = poly
         self.brackets = MappingProxyType(table)
         self._rows: dict = {}
-        self._lie_rows: dict = {}
         self._lie_conformal: bool | None = None
 
     # -- structure -------------------------------------------------------
@@ -369,34 +351,17 @@ class LcaPresentation:
     def nth_product(self, v: CVec, w: CVec, n: int) -> CVec:
         if n < 0:
             raise ValueError("negative products live in the enveloping algebra")
-        out: dict = {}
-        for a, cv in v.coeffs.items():
-            for b, cw in w.coeffs.items():
-                vec = self._row(a, b).get(n)
-                if vec:
-                    iadd(out, vec, cv * cw)
+        vec = self._bracket(v.coeffs, w.coeffs).get(n)
         # n! only for a nonzero coefficient: past the bracket's degree it is 0
-        return CVec._like(scale(out, math.factorial(n)) if out else out)
-
-    def _lie_row(self, a: Symbol, b: Symbol) -> dict:
-        # the definite λ-integral of [a λ b]: Σ_n (-1)^n n! ∂^(n+1) of λ^n's coefficient
-        row = self._lie_rows.get((a, b))
-        if row is None:
-            acc: dict = {}
-            for n, vec in self._row(a, b).items():
-                self._add_shifted(acc, vec, n + 1, (-1) ** n * math.factorial(n))
-            row = self._lie_rows[(a, b)] = _exact_nonzero(acc)
-        return row
+        return CVec._like(scale(vec, math.factorial(n)) if vec else {})
 
     def lie_bracket(self, v: CVec, w: CVec) -> CVec:
-        """Bracket of the underlying Lie algebra (definite lambda integral)."""
-        out: dict = {}
-        for a, cv in v.coeffs.items():
-            for b, cw in w.coeffs.items():
-                row = self._lie_row(a, b)
-                if row:
-                    iadd(out, row, cv * cw)
-        return CVec._like(out)
+        """Bracket of the underlying Lie algebra: the definite λ-integral
+        Σ_n (-1)^n n! ∂^(n+1) of the λ^n coefficient of [v λ w]."""
+        acc: dict = {}
+        for n, vec in self._bracket(v.coeffs, w.coeffs).items():
+            self._add_shifted(acc, vec, n + 1, (-1) ** n * math.factorial(n))
+        return CVec._like(_exact_nonzero(acc))
 
     # -- axiom verification --------------------------------------------------
 

@@ -85,11 +85,10 @@ class LowerCentralSeries:
                     h = column_to_vec(pres, bcol)
                     if not h:
                         continue
-                    poly = pres.bracket(gvec, h)
-                    for n in poly.coeffs:
-                        prod = poly.coeff(n).scale(math.factorial(n))
-                        if prod:
-                            cols.append(vec_to_column(pres, prod))
+                    # the n-th product is n! times the λ^n coefficient, and a
+                    # Q[t]-module holds every rational multiple of its members
+                    for vec in pres.bracket(gvec, h).coeffs.values():
+                        cols.append(vec_to_column(pres, vec))
             nxt = PolyModule(len(pres.generators), cols)
             if nxt == cur:
                 self.stabilized = True

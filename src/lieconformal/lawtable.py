@@ -34,14 +34,13 @@ reduction independent of completion order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
-from .core import three_sum, three_sum_outer
+from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
@@ -212,9 +211,6 @@ class LawTable:
             "bounds": bounds,
             "overflow_degrees": sorted(self.overflow_degrees),
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
 
     @classmethod
     def from_json(cls, doc: dict) -> "LawTable":
@@ -399,8 +395,10 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
 
 
 def check_identities(table: LawTable) -> dict:
-    """Left and right identity slices of the law."""
-    failures = []
+    """Left and right identity slices of the law; a table with no
+    positions holds neither slice, so both fail."""
+    failures = [{"side": side, "reason": "table has no positions"}
+                for side in ("left", "right") if not table.positions]
     for (l, n), cell in sorted(
         table.entries.items(), key=lambda kv: (table.pos_index[kv[0][0]], kv[0][1])
     ):
@@ -574,7 +572,12 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     entries = []
     lo = table.window[0]
     for (l, t, j) in samples:
-        below = [bool(r) and r[-1] < lo for r in three_sum_outer(l, t, j, comp.global_stops)]
+        # the outer indices each sum asks for under the global stops: each
+        # term records the index it is asked for and adds nothing
+        asked = ([], [], [])
+        three_sum(l, t, j, comp.global_stops,
+                  [lambda outer, _, seen=seen: seen.append(outer) or {} for seen in asked])
+        below = [bool(seen) and min(seen) < lo for seen in asked]
         for pos in table.positions:
             own = comp.stops.get(pos, (0, 0, 0))
             stops = [g if b else s for g, s, b in zip(comp.global_stops, own, below)]

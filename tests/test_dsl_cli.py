@@ -362,6 +362,35 @@ def test_empty_generator_block_parses():
     assert pres.check_axioms().ok
 
 
+def test_identities_fail_on_a_table_with_no_positions(tmp_path):
+    # a table with no positions holds neither identity slice
+    path = tmp_path / "e.lca"
+    path.write_text("algebra e { generators { } }\n")
+    argv = ["fvl", str(path), "--deg", "1", "--depth", "0", "--window=-1..1",
+            "--check-identities"]
+    assert run(argv) == (1, "left identity: fail\nright identity: fail\n"
+                            "  fail: {'side': 'left', 'reason': 'table has no positions'}\n"
+                            "  fail: {'side': 'right', 'reason': 'table has no positions'}\n"
+                            "entries: 0\n")
+    code, text = run(["--format", "json", *argv])
+    assert code == 1
+    assert json.loads(text)["reports"] == {"identities": {
+        "left_identity": False, "right_identity": False,
+        "failures": [{"side": "left", "reason": "table has no positions"},
+                     {"side": "right", "reason": "table has no positions"}]}}
+
+
+def test_check_prints_lowering_warnings_before_its_lines(tmp_path):
+    path = tmp_path / "w.lca"
+    path.write_text("algebra w {\n  generators { a: free; k: torsion(1); }\n"
+                    "  bracket [a, a] = D*k + lambda*k;\n}\n")
+    assert run(["check", str(path)]) == (
+        0, "warning: 3:22: derivative power 1 annihilates torsion generator 'k'; term dropped\n"
+           "sesquilinearity: pass\nantisymmetry: pass\njacobi: pass\n")
+    code, text = run(["--format", "json", "check", str(path)])
+    assert code == 0 and json.loads(text)["pass"]
+
+
 def test_global_flags_before_or_after_the_subcommand(monkeypatch):
     heis = str(DATA / "heisenberg.lca")
     before = run(["--format", "json", "check", heis])

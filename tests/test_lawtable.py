@@ -362,8 +362,10 @@ def test_position_stops_report_as_the_global_stop_does():
                 cut += any(s != comp.global_stops for s in comp.stops.values())
                 for cap in (2, 3):
                     # l = t = -2 carries the first sum's outer index deepest,
-                    # where the stop decides the index a raise names
-                    samples = rng.sample(triples, 3) + [(-2, -2, 0), (-2, -2, 1)]
+                    # where the stop decides the index a raise names; at
+                    # (-2, 1, -2) it starts inside the window and the stop
+                    # alone carries it below
+                    samples = rng.sample(triples, 3) + [(-2, -2, 0), (-2, -2, 1), (-2, 1, -2)]
                     for ltj in [samples, *([s] for s in samples)]:
                         got = _outcome(check_law_jacobi, table, ltj, cap)
                         want = _outcome(global_stop_law_jacobi, table, ltj, cap)
@@ -505,8 +507,8 @@ def test_json_roundtrip_and_order():
     assert doc["algebra"] == "heisenberg"
     assert doc["window"] == [-8, 6]
     # deterministic serialization
-    assert T.dumps() == T.dumps()
-    T2 = LawTable.from_json(json.loads(T.dumps()))
+    assert json.dumps(T.to_json(), indent=1) == json.dumps(T.to_json(), indent=1)
+    T2 = LawTable.from_json(json.loads(json.dumps(T.to_json(), indent=1)))
     assert len(T2.entries) == len(T.entries)
     assert T2.complete_above
     # reloaded tables drive the same checks
@@ -517,7 +519,7 @@ def test_json_roundtrip_and_order():
 def test_from_json_rejects_entries_the_document_cannot_hold():
     # an entry outside the window, or over a label outside the basis, is a
     # malformed document, not a cell to use or to ignore
-    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    doc = json.loads(json.dumps(heis_table(window=(-8, 8)).to_json(), indent=1))
     assert LawTable.from_json(doc).window == (-8, 8)
     stray = doc["entries"][0]
     with pytest.raises(ValueError, match="entry index 10 outside window"):
@@ -556,7 +558,7 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
     (lambda doc: doc.update(overflow_degrees=[3]), r"overflow degrees \[3\] are not integers in 0..2"),
 ])
 def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, message):
-    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    doc = json.loads(json.dumps(heis_table(window=(-8, 8)).to_json(), indent=1))
     assert LawTable.from_json(doc).complete_above
     change(doc)
     with pytest.raises(ValueError, match=message):
@@ -565,7 +567,7 @@ def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, me
 
 def test_from_json_rejects_an_output_label_outside_the_basis():
     # a cell filed under a label the basis lacks is no cell any check reads
-    doc = json.loads(heis_table(window=(-8, 8)).dumps())
+    doc = json.loads(json.dumps(heis_table(window=(-8, 8)).to_json(), indent=1))
     stray = {**doc["entries"][0], "l": "b[0]"}
     with pytest.raises(ValueError, match="output label 'b\\[0\\]' is not in the basis"):
         LawTable.from_json({**doc, "entries": doc["entries"] + [stray]})
@@ -612,7 +614,7 @@ def test_n3_jacobi_degree_three():
 def test_law_hom_through_json_interchange():
     # a table written to JSON and reloaded drives the homomorphism check
     T = heis_table()
-    doc = json.loads(T.dumps())
+    doc = json.loads(json.dumps(T.to_json(), indent=1))
     T2 = LawTable.from_json(doc)
     resc = {}
     for label in doc["basis"]:
