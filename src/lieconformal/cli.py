@@ -489,8 +489,10 @@ def _dispatch(args, em: _Emitter) -> int:
         if args.check_jacobi is not None:
             samples = [(l, t, j) for l in (-1, 0, 1) for t in (-1, 0, 1) for j in (-1, 0, 1)]
             rep = check_law_jacobi(table, samples, args.check_jacobi)
-            reports["jacobi"] = {"pass": rep["pass"]}
+            reports["jacobi"] = {k: rep[k] for k in ("pass", "reason") if k in rep}
             em.text(f"jacobi (degree {args.check_jacobi}): {'pass' if rep['pass'] else 'fail'}")
+            if "reason" in rep:
+                em.text(f"  fail: {rep['reason']}")
             if not rep["pass"] and rep["checks"]:
                 # the first failing case: check_law_jacobi stops at it
                 last = rep["checks"][-1]

@@ -50,7 +50,10 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
 
     ``terms`` are the three nested products as callables of an (outer,
     inner) index pair returning sparse dicts: u_outer (v_inner w),
-    v_outer (u_inner w) and (u_inner v)_outer w.  ``stops`` are exclusive
+    v_outer (u_inner w) and (u_inner v)_outer w.  Their values are what
+    `linalg.iadd` adds: coefficients, or values with ``+``, truth testing
+    and ``* c``, such as a map from positions to `Sparse` polynomials,
+    which carries one residual per position.  ``stops`` are exclusive
     upper bounds on the inner index of each, past which the term vanishes.
     The residual is zero exactly when the identity holds.
     """

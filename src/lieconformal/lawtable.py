@@ -22,10 +22,11 @@ presentation without conformal weights, or a basis whose letters are not
 one symbol, takes the trivial grading, under which every cell weighs 0
 and is computed.
 
-The law Jacobi check runs each of its three sums at a position only up
-to that position's own stop, past which its terms are zero; a sum that
-the stop over all positions would carry to an outer index below the
-window keeps that stop; such a sum always raises.
+The law Jacobi check runs one three-sum per sample, whose terms carry
+every position's polynomial at once, up to the stops over all positions;
+a position's terms from its own stop on are zero and left out, and each
+position keeps the first raise its own terms meet.  The pairs with an
+empty side are read off the vacuum axiom (`law_cell`), not built.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -44,7 +45,7 @@ from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
-from .linalg import iadd, scale
+from .linalg import Sparse, iadd, scale
 
 Q = Fraction
 
@@ -270,10 +271,14 @@ def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
 
 
 def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
-    """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter."""
-    if k == EMPTY and n != -1:
-        # the vacuum's only nonzero product is its (-1)-product
-        return {}
+    """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter.
+
+    The vacuum's products are read off the vacuum axiom, 1_(n)v = δ_{n,-1} v
+    (Kac 1998), so the left-vacuum row holds only the (-1)-cell of a single
+    letter, with coefficient 1.
+    """
+    if k == EMPTY:
+        return {kp[0][0]: 1} if n == -1 and midx_norm(kp) == 1 else {}
     u, v, norm = _cell_pair(k, kp)
     return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
 
@@ -337,6 +342,8 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     one list per pair weight and top index, built once per table: the
     indices from the top down to the window's bottom at which some letter
     has the cell's weight, each with the shallowest depth of such a letter.
+    A pair with an empty side takes bound 0 from the vacuum axiom, and of
+    the left-vacuum cells only the (-1)-cells are read (`law_cell`).
     """
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
@@ -374,13 +381,15 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
-            bound = env.word_bound(words[k], words[kp])
+            # by the vacuum axiom 1_(n)v and u_(n)1 vanish for n >= 0
+            bound = env.word_bound(words[k], words[kp]) if k and kp else 0
             table.pair_bounds[(k, kp)] = bound
             deg = dk + midx_norm(kp)
             overflowed = deg in table.overflow_degrees
-            # cell (k, k', n) weighs base - step * n
+            # cell (k, k', n) weighs base - step * n; the vacuum's only nonzero
+            # product is its (-1)-product (`law_cell`)
             for n, shallowest in walks[grading.cell(k, kp, 0), min(hi, bound - 1)]:
-                if overflowed and shallowest > depth:
+                if (overflowed and shallowest > depth) or (not k and n != -1):
                     continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
@@ -457,12 +466,15 @@ class _Composer:
         self.cap = cap
         self.lo, self.hi = table.window
         # each position's law series {n: {(k, k'): c}} over the window, by
-        # ascending n, with the terms of degree above cap dropped
+        # ascending n, with the terms of degree above cap dropped, and each
+        # outer index's (position, kept cell) pairs
         self._law: dict = {}
+        self._cells: dict = {}
         for (l, n), cell in sorted(table.entries.items(), key=lambda e: e[0][1]):
             kept = {kk: c for kk, c in cell.items() if midx_norm(kk[0]) + midx_norm(kk[1]) <= cap}
             if kept and self.lo <= n <= self.hi:
                 self._law.setdefault(l, {})[n] = kept
+                self._cells.setdefault(n, []).append((l, kept))
         self._maxn = {l: max(law) for l, law in self._law.items()}
         self._slotted: dict = {}
         # word product series per slot pair, seeded with the empty word's
@@ -473,8 +485,10 @@ class _Composer:
         # certified stops of the three-sum terms at each position: one past
         # the top index of the product series of any multi-index its kept
         # cells substitute, per substitution side (the second multi-index in
-        # the first two terms, the first in the third); `global_stops` are
-        # the largest over all positions
+        # the first two terms, the first in the third); a term at an inner
+        # index from its position's stop on is zero there, and the
+        # `global_stops` that the sums run to are the largest over all
+        # positions
         self.stops: dict = {}
         for pos, law in self._law.items():
             kept = [pair for cell in law.values() for pair in cell]
@@ -506,35 +520,51 @@ class _Composer:
         if q < floor:
             # the least index of a position series that coefficient q needs
             raise TruncationInsufficient(
-                f"composition needs index {self.lo + q - floor} below window {self.table.window}"
-            )
+                f"composition needs index {self.lo + q - floor} below window {self.table.window}")
         memo = self._conv_memo[slots]
         return word_series(word, self.slotted(slots), self.maxn, self.lo, self._madd, memo).get(q, {})
 
-    def composed(self, l, outer_n: int, inner_n: int, direct_slot: int,
+    def composed(self, outer_n: int, inner_n: int, direct_slot: int,
                  inner_slots, substitute_first: bool) -> dict:
-        """One mixed coefficient of the law applied to a law.
+        """One mixed coefficient of the law applied to a law, {position: value}.
 
         ``direct_slot`` receives the unsubstituted multi-index; the other
         multi-index is substituted by the composed series over
-        ``inner_slots`` and the ``inner_n`` coefficient is taken.
+        ``inner_slots`` and the ``inner_n`` coefficient is taken.  A value
+        is a nonzero `Sparse` polynomial, or the `TruncationInsufficient`
+        the position's coefficient meets: every position's when
+        ``outer_n`` is below the window, else that of a position whose
+        substituted series needs an index below it.  A position whose own
+        stop for the substituted side is at most ``inner_n`` is left out:
+        its coefficient is zero.
         """
-        key = (l, outer_n, inner_n, direct_slot, inner_slots, substitute_first)
+        if outer_n < self.lo:
+            exc = TruncationInsufficient(f"outer index {outer_n} outside window {self.table.window}")
+            return dict.fromkeys(self.table.positions, exc)
+        key = (outer_n, inner_n, direct_slot, inner_slots, substitute_first)
         out = self._composed_memo.get(key)
         if out is not None:
             return out
-        if outer_n < self.lo:
-            raise TruncationInsufficient(
-                f"outer index {outer_n} outside window {self.table.window}"
-            )
-        out = {}
-        for (k, kp), c in self._law.get(l, {}).get(outer_n, {}).items():
-            direct, subst = (kp, k) if substitute_first else (k, kp)
-            inner = self.conv(word_from_midx(subst), inner_n, inner_slots)
-            if inner:
-                _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
-        # kept only once complete, so a raise above leaves nothing behind
-        self._composed_memo[key] = out
+        out = self._composed_memo[key] = {}
+        # the substituted series' coefficient, by multi-index
+        inners: dict = {}
+        for pos, cell in self._cells.get(outer_n, ()):
+            if self.stops[pos][2 if substitute_first else 0] <= inner_n:
+                continue
+            poly: dict = {}
+            try:
+                for (k, kp), c in cell.items():
+                    direct, subst = (kp, k) if substitute_first else (k, kp)
+                    inner = inners.get(subst)
+                    if inner is None:
+                        inner = inners[subst] = self.conv(word_from_midx(subst), inner_n, inner_slots)
+                    if inner:
+                        _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
+            except TruncationInsufficient as exc:
+                out[pos] = exc
+                continue
+            if poly:
+                out[pos] = Sparse._like(poly)
         return out
 
 
@@ -560,47 +590,45 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
 
     Verifies, for every output position and every monomial of total
     degree at most ``cap``, the three binomial-weighted composition sums.
-    Each sum stops at its position's own stop, one past the top inner
-    index over the multi-indices that position's kept cells substitute;
-    the terms past it are zero.  A sum that the stop over all positions
-    would carry to an outer index below the window keeps that stop; such
-    a sum always raises `TruncationInsufficient`.
+    One three-sum per sample carries every position: its terms map each
+    position to its polynomial, and each sum runs to the stop over all
+    positions, while a position's terms from its own stop on, one past the
+    top inner index over the multi-indices its kept cells substitute, are
+    zero and left out.  An outer index below the window raises
+    `TruncationInsufficient` for every position, a composition needing an
+    index below it only for the positions that substitute that word; each
+    position keeps the first its own terms meet.  Positions are judged in
+    order: a position's raise is raised, else a nonzero residual fails.
     Stops at the first failing entry; fails when no entry was checked.
     """
     _guard_table(table, cap)
+    if not table.positions:
+        return {"pass": False, "checks": [], "reason": "table has no positions"}
     comp = _Composer(table, cap)
+    # each position's first raise in the current sample
+    raised: dict = {}
+
+    def term(args, outer, inner):
+        values = comp.composed(outer, inner, *args)
+        for pos, value in values.items():
+            if isinstance(value, TruncationInsufficient):
+                raised.setdefault(pos, value)
+        # a position's terms from its first raise on are left out
+        return {pos: value for pos, value in values.items() if pos not in raised} if raised else values
+
+    # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
+    terms = [partial(term, args) for args in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))]
     entries = []
-    lo = table.window[0]
     for (l, t, j) in samples:
-        # the outer indices each sum asks for under the global stops: each
-        # term records the index it is asked for and adds nothing
-        asked = ([], [], [])
-        three_sum(l, t, j, comp.global_stops,
-                  [lambda outer, _, seen=seen: seen.append(outer) or {} for seen in asked])
-        below = [bool(seen) and min(seen) < lo for seen in asked]
+        raised.clear()
+        resid = three_sum(l, t, j, comp.global_stops, terms)
         for pos in table.positions:
-            own = comp.stops.get(pos, (0, 0, 0))
-            stops = [g if b else s for g, s, b in zip(comp.global_stops, own, below)]
-            # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
-            terms = (
-                partial(comp.composed, pos, direct_slot=0, inner_slots=(1, 2),
-                        substitute_first=False),
-                partial(comp.composed, pos, direct_slot=1, inner_slots=(0, 2),
-                        substitute_first=False),
-                partial(comp.composed, pos, direct_slot=2, inner_slots=(0, 1),
-                        substitute_first=True),
-            )
-            resid = three_sum(l, t, j, stops, terms)
-            good = not resid
-            entries.append(
-                {
-                    "ltj": [l, t, j],
-                    "l": table.labels.get(pos, str(pos)),
-                    "pass": good,
-                    "residual_monomials": len(resid),
-                }
-            )
-            if not good:
+            if pos in raised:
+                raise raised[pos]
+            monomials = len(resid[pos].coeffs) if pos in resid else 0
+            entries.append({"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
+                            "pass": not monomials, "residual_monomials": monomials})
+            if monomials:
                 return {"pass": False, "checks": entries}
     return {"pass": bool(entries), "checks": entries}
 
@@ -650,14 +678,8 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
                 iadd(rhs, poly, c)
             resid = iadd(dict(lhs), rhs, -1)
             good = not resid
-            entries.append(
-                {
-                    "target": dst.labels.get(dpos, str(dpos)),
-                    "n": n,
-                    "pass": good,
-                    "residual_monomials": len(resid),
-                }
-            )
+            entries.append({"target": dst.labels.get(dpos, str(dpos)), "n": n,
+                            "pass": good, "residual_monomials": len(resid)})
             if not good:
                 return {"pass": False, "checks": entries}
     return {"pass": bool(entries), "checks": entries}

@@ -16,8 +16,9 @@ report's sesquilinearity residual expands the bracket of a vanishing
 derivative power by the binomial theorem, where the package reads that
 power's row, and its antisymmetry check runs on every generator pair,
 where the package checks the diagonal alone.
-The law Jacobi check is rerun with every sum carried to the stop over all
-positions, none cut at its own position's stop.
+The law Jacobi check is rerun with one three-sum per position, each
+carried to the stop over all positions, none cut at its own position's
+stop, and each composed coefficient built for its one position.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
@@ -32,9 +33,12 @@ from itertools import combinations_with_replacement, product
 from lieconformal.bialgebra import TensorElem
 from lieconformal.core import AxiomReport, CheckResult, CVec, LMPoly, LPoly, three_sum
 from lieconformal.enveloping import UElem, ULPoly
+from lieconformal.errors import TruncationInsufficient
 from lieconformal.lawtable import (
     _Composer,
     _guard_table,
+    _poly_madd,
+    _slot_monomial,
     midx_from_word,
     word_from_midx,
     word_top,
@@ -373,14 +377,43 @@ class LambdaPeel:
         return out
 
 
+def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_slot: int,
+                       inner_slots, substitute_first: bool) -> dict:
+    """One position's mixed coefficient of the law applied to a law.
+
+    ``direct_slot`` receives the unsubstituted multi-index; the other is
+    substituted by the composed series over ``inner_slots`` and the
+    ``inner_n`` coefficient is taken.  A composition needing an index
+    below the window raises at the position's first cell that needs it.
+    """
+    key = (l, outer_n, inner_n, direct_slot, inner_slots, substitute_first)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if outer_n < comp.lo:
+        raise TruncationInsufficient(f"outer index {outer_n} outside window {comp.table.window}")
+    out = {}
+    for (k, kp), c in comp._law.get(l, {}).get(outer_n, {}).items():
+        direct, subst = (kp, k) if substitute_first else (k, kp)
+        inner = comp.conv(word_from_midx(subst), inner_n, inner_slots)
+        if inner:
+            _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, c)
+    memo[key] = out
+    return out
+
+
 def global_stop_law_jacobi(table, samples, cap: int) -> dict:
     """`check_law_jacobi` with every sum run to the one stop over all positions.
 
     The stops are one past the top inner index over every kept cell of the
-    table, per substitution side, whatever the position.
+    table, per substitution side, whatever the position.  Each position
+    runs a three-sum of its own, whose terms `_position_composed` builds.
     """
     _guard_table(table, cap)
+    if not table.positions:
+        return {"pass": False, "checks": [], "reason": "table has no positions"}
     comp = _Composer(table, cap)
+    memo: dict = {}
     kept = [pair for law in comp._law.values() for cell in law.values() for pair in cell]
     first = max((word_top(word_from_midx(k), comp.maxn) for k, _ in kept), default=-1)
     second = max((word_top(word_from_midx(kp), comp.maxn) for _, kp in kept), default=-1)
@@ -390,7 +423,7 @@ def global_stop_law_jacobi(table, samples, cap: int) -> dict:
         for pos in table.positions:
             terms = [
                 lambda outer, inner, slot=slot, slots=slots, subst=subst:
-                    comp.composed(pos, outer, inner, slot, slots, subst)
+                    _position_composed(comp, memo, pos, outer, inner, slot, slots, subst)
                 for slot, slots, subst in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))
             ]
             resid = three_sum(l, t, j, stops, terms)

@@ -380,6 +380,18 @@ def test_identities_fail_on_a_table_with_no_positions(tmp_path):
                      {"side": "right", "reason": "table has no positions"}]}}
 
 
+def test_jacobi_fails_on_a_table_with_no_positions_and_says_why(tmp_path):
+    # a table with no positions checks no (l, t, j) case, and the report
+    # names that in check_identities' words
+    path = tmp_path / "e.lca"
+    path.write_text("algebra e { generators { } }\n")
+    argv = ["fvl", str(path), "--deg", "1", "--depth", "0", "--window=-1..1", "--check-jacobi", "1"]
+    assert run(argv) == (1, "jacobi (degree 1): fail\n  fail: table has no positions\nentries: 0\n")
+    code, text = run(["--format", "json", *argv])
+    assert code == 1
+    assert json.loads(text)["reports"] == {"jacobi": {"pass": False, "reason": "table has no positions"}}
+
+
 def test_check_prints_lowering_warnings_before_its_lines(tmp_path):
     path = tmp_path / "w.lca"
     path.write_text("algebra w {\n  generators { a: free; k: torsion(1); }\n"

@@ -33,6 +33,7 @@ from lieconformal.lawtable import (
     word_series,
     word_top,
 )
+from lieconformal.linalg import Sparse
 
 A0, A1, A2, K0 = (0, 0), (0, 1), (0, 2), (1, 0)
 
@@ -162,8 +163,9 @@ def test_composition_matches_enveloping_oracle():
     for l_key in T.positions:
         for p in range(-3, 3):
             for q in range(-2, 3):
-                got = comp.composed(l_key, p, q, 0, (1, 2), False)
-                assert got == _h_oracle(U, T, l_key, p, q, 2), (l_key, p, q)
+                # every position's coefficient at once; read this position's
+                got = comp.composed(p, q, 0, (1, 2), False).get(l_key, Sparse())
+                assert got.coeffs == _h_oracle(U, T, l_key, p, q, 2), (l_key, p, q)
 
 
 def _reference_table(env, degree, depth, window):
@@ -230,7 +232,9 @@ def test_pair_bounds_equal_the_bounds_of_directly_built_brackets(name):
             wu, wv = word_from_midx(k), word_from_midx(kp)
             want = direct.bracket(UElem.monomial(wu), UElem.monomial(wv)).degree + 1
             assert bound == want, (degree, depth, k, kp)
-            shortcuts += (wu, wv) not in env._lead_memo
+            # a vacuum pair's bound is the vacuum axiom's, built from no form
+            if k and kp:
+                shortcuts += (wu, wv) not in env._lead_memo
     # the comparison covers read-off bounds exactly on the valid presentations
     assert (shortcuts > 0) == pres.check_axioms().ok, shortcuts
 
@@ -265,7 +269,8 @@ def test_failing_presentation_builds_both_brackets_of_a_pair(monkeypatch):
     # antisymmetry, every pair's bracket is built in both orders
     env = EnvelopingAlgebra(_data("badheis"))
     table = extract_law(env, 2, 1, (-3, 3))
-    for k, kp in table.pair_bounds:
+    # a vacuum pair's bound is the vacuum axiom's, built from no bracket
+    for k, kp in filter(all, table.pair_bounds):
         wu, wv = word_from_midx(k), word_from_midx(kp)
         assert (wu, wv) in env._bracket_memo and (wv, wu) in env._bracket_memo, (k, kp)
     # and the output is the one computed before bounds were read off, pinned
@@ -326,17 +331,20 @@ def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
     assert check_law_jacobi(table, ltj, 2)["pass"]
     (comp,) = made
     kept = comp._composed_memo
-    assert len(kept) > 100, len(kept)
+    # a kept entry holds every position's nonzero coefficient at once: 90
+    # entries of 24 values on heisenberg, 75 of 144 on n3current
+    assert len(kept) > 50 and sum(map(len, kept.values())) > 20, kept
     for key, value in kept.items():
         assert _Composer(table, 2).composed(*key) == value, key
-    # a raise leaves nothing behind
+    # a raise is the value of each position it reaches, never a partial sum:
+    # below the window every position's, and nothing is kept
     lo = table.window[0]
-    pos = table.positions[0]
-    for args in [(pos, lo - 1, 0, 0, (1, 2), False), (pos, -1, 10 * lo, 0, (1, 2), False)]:
-        fresh = _Composer(table, 2)
-        with pytest.raises(TruncationInsufficient):
-            fresh.composed(*args)
-        assert args not in fresh._composed_memo
+    fresh = _Composer(table, 2)
+    below = fresh.composed(lo - 1, 0, 0, (1, 2), False)
+    assert list(below) == table.positions and not fresh._composed_memo
+    assert {str(exc) for exc in below.values()} == {f"outer index {lo - 1} outside window {table.window}"}
+    deep = fresh.composed(-1, 10 * lo, 0, (1, 2), False)
+    assert deep and all(isinstance(exc, TruncationInsufficient) for exc in deep.values()), deep
 
 
 def _outcome(check, table, samples, cap):
@@ -347,33 +355,82 @@ def _outcome(check, table, samples, cap):
 
 
 def test_position_stops_report_as_the_global_stop_does():
-    # each sum of the law Jacobi stops at its own position's stop, or at the
-    # stop over all positions when that one reaches below the window; the
-    # report, or the raise and its message, is the global-stop loop's
+    # one three-sum per sample carries every position, whose terms from its
+    # own stop on are left out; the report, or the raise and its message, is
+    # that of one sum per position run to the stop over all positions.  At
+    # the window (-1, 2) positions meet different raises first
     rng = random.Random(7)
     triples = list(product(range(-2, 3), repeat=3))
     seen, cut = set(), 0
-    for name in ALL_DATA:
-        pres = _data(name)
-        for degree, depth in ((2, 1), (3, 0)):
-            for window in ((-2, 1), (-3, 3), (-8, 8)):
-                table = extract_law(EnvelopingAlgebra(pres), degree, depth, window)
-                comp = _Composer(table, 2)
-                cut += any(s != comp.global_stops for s in comp.stops.values())
-                for cap in (2, 3):
-                    # l = t = -2 carries the first sum's outer index deepest,
-                    # where the stop decides the index a raise names; at
-                    # (-2, 1, -2) it starts inside the window and the stop
-                    # alone carries it below
-                    samples = rng.sample(triples, 3) + [(-2, -2, 0), (-2, -2, 1), (-2, 1, -2)]
-                    for ltj in [samples, *([s] for s in samples)]:
-                        got = _outcome(check_law_jacobi, table, ltj, cap)
-                        want = _outcome(global_stop_law_jacobi, table, ltj, cap)
-                        assert got == want, (name, degree, depth, window, cap, ltj)
-                        seen.add(got["pass"] if isinstance(got, dict) else "raise")
-    assert seen == {True, False, "raise"}, seen
+    cases = [(name, degree, depth, window, (2, 3))
+             for name in ALL_DATA
+             for degree, depth in ((2, 1), (3, 0))
+             for window in ((-2, 1), (-3, 3), (-1, 2), (-8, 8))]
+    for name, degree, depth, window, caps in cases + [("virasoro", 3, 1, (-8, 8), (3,))]:
+        table = extract_law(EnvelopingAlgebra(_data(name)), degree, depth, window)
+        comp = _Composer(table, 2)
+        cut += any(s != comp.global_stops for s in comp.stops.values())
+        for cap in caps:
+            # l = t = -2 carries the first sum's outer index deepest,
+            # where the stop decides the index a raise names; at
+            # (-2, 1, -2) it starts inside the window and the stop
+            # alone carries it below
+            samples = rng.sample(triples, 3) + [(-2, -2, 0), (-2, -2, 1), (-2, 1, -2)]
+            for ltj in [samples, *([s] for s in samples)]:
+                got = _outcome(check_law_jacobi, table, ltj, cap)
+                want = _outcome(global_stop_law_jacobi, table, ltj, cap)
+                assert got == want, (name, degree, depth, window, cap, ltj)
+                seen.add(got["pass"] if isinstance(got, dict) else got[1].split()[0])
+    assert seen == {True, False, "outer", "composition", "check", "table"}, seen
     # some positions stop short of the global stop
     assert cut, cut
+    # the first position's own terms meet the outer index below the window
+    # first; a later position's meet a composition below it earlier in the
+    # sum, and that raise belongs to the later position alone
+    table = extract_law(EnvelopingAlgebra(_data("heisenberg")), 2, 0, (-1, 2))
+    assert _outcome(check_law_jacobi, table, [(-1, -2, 2)], 2) == (
+        "TruncationInsufficient", "outer index -2 outside window (-1, 2)")
+
+
+@pytest.mark.parametrize("name", [*ALL_DATA, "ungraded"])
+def test_vacuum_rows_equal_the_cellwise_products(name):
+    # pairs with an empty side are read off the vacuum axiom, 1_(n)v =
+    # δ_{n,-1} v and u_(n)1 = 0 for n >= 0, so no enveloping product of the
+    # empty left word is built; the table is the cell-by-cell one, also at
+    # windows without the index -1
+    pres = golden.ungraded() if name == "ungraded" else _data(name)
+    for degree, depth, window in product((2, 3), (0, 1), ((-4, 4), (0, 3), (-3, -2))):
+        env = EnvelopingAlgebra(pres)
+        got = extract_law(env, degree, depth, window).to_json()
+        want = _reference_table(EnvelopingAlgebra(pres), degree, depth, window).to_json()
+        assert got == want, (degree, depth, window)
+        for memo in (env._bracket_memo, env._nop_memo, env._lead_memo):
+            assert all(wu for wu, _ in memo), (degree, depth, window)
+
+
+def law_table_specs() -> list:
+    """(algebra, degree, depth, half window) of the benchmark's law tables."""
+    specs = [("n3current", 3, 2, 8)]
+    for name in ("heisenberg", "mixed", "virasoro", "n3current"):
+        for degree, depth, half in product((2, 3), (0, 1, 2), (2, 4, 6, 8)):
+            if not (name == "n3current" and degree == 3 and depth > 0):
+                specs.append((name, degree, depth, half))
+    return specs
+
+
+def test_law_tables_keep_their_tables_and_check_outcomes():
+    # one digest over every benchmark table, its identity report and its
+    # law Jacobi report (or raise message) at the 27 samples in -1..1
+    ltj = list(product((-1, 0, 1), repeat=3))
+    digest = hashlib.sha256()
+    specs = law_table_specs()
+    for name, degree, depth, half in specs:
+        table = extract_law(EnvelopingAlgebra(_data(name)), degree, depth, (-half, half))
+        jacobi = _outcome(check_law_jacobi, table, ltj, 2)
+        doc = [table.to_json(), check_identities(table), jacobi]
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert len(specs) == 89
+    assert digest.hexdigest() == "2230d2c48fe7a6f3fa9bcb2de6abab838d5ee695ced09761ac40f7aa0fc0f448"
 
 
 def test_ungraded_extraction_computes_every_cell():
@@ -392,7 +449,9 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
     # overflowed or no deeper letter has it; a manifold (depth -1) skips it
     # when no letter has it.  Letters come from keys_up_to_depth.  The
     # extraction must compute the cells that rule picks, in order: at
-    # degree 2 up to depth 3, and at degree 3 up to depth 2.
+    # degree 2 up to depth 3, and at degree 3 up to depth 2.  Of the
+    # left-vacuum cells, which the vacuum axiom fixes, it reads only the
+    # (-1)-cells.
     calls = []
     monkeypatch.setattr(lawtable, "law_cell", lambda *args: calls.append(args[1:]) or law_cell(*args))
     for build in [golden.heisenberg, golden.virasoro, golden.n3_current, golden.mixed]:
@@ -444,6 +503,8 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
                             continue
                         top = min(8, env.word_bound(word_from_midx(k), word_from_midx(kp)) - 1)
                         for n in range(top, -9, -1):
+                            if k == EMPTY and n != -1:
+                                continue
                             if not old_skips(weight[k] + weight[kp] - step * (n + 1), deg in overflow):
                                 want.append((k, kp, n))
                                 if set(law_cell(env, k, kp, n)) - set(positions):
@@ -643,6 +704,10 @@ def test_sampled_law_checks_fail_when_nothing_is_checked():
     # a check that examined nothing must say so and must not pass
     T = heis_table(depth=1, window=(-4, 4))
     assert check_law_jacobi(T, [], 2) == {"pass": False, "checks": []}
+    # a table with no positions checks no case, and says so
+    empty = extract_law(EnvelopingAlgebra(dsl.load_presentation("algebra e { generators { } }")[0]), 1, 0, (-1, 1))
+    assert check_law_jacobi(empty, [(0, 0, 0)], 1) == {
+        "pass": False, "checks": [], "reason": "table has no positions"}
     # below degree 1 every composed polynomial is empty, so nothing is compared
     for cap in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
