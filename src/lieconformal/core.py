@@ -35,41 +35,37 @@ from .linalg import Echelon, Sparse, SparsePoly, exact, iadd, scale
 Symbol = tuple  # (generator index, depth)
 
 
-def binom_z(n: int, k: int) -> int:
-    """Binomial coefficient with integer (possibly negative) upper index."""
-    if k < 0:
-        return 0
-    num = 1
-    for s in range(k):
-        num *= n - s
-    return num // math.factorial(k)
-
-
 def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     """Residual of the Borcherds three-sum identity at indices (l, t, j).
 
     ``terms`` are the three nested products as callables of an (outer,
     inner) index pair returning sparse dicts: u_outer (v_inner w),
     v_outer (u_inner w) and (u_inner v)_outer w.  Their values are what
-    `linalg.iadd` adds: coefficients, or values with ``+``, truth testing
-    and ``* c``, such as a map from positions to `Sparse` polynomials,
-    which carries one residual per position.  ``stops`` are exclusive
-    upper bounds on the inner index of each, past which the term vanishes.
-    The residual is zero exactly when the identity holds.
+    `linalg.iadd` adds: exact scalars, keyed by whatever the caller likes
+    (the law check keys them by position and monomial), or values with
+    ``+``, truth testing and ``* c``.  ``stops`` are exclusive upper bounds
+    on the inner index of each, past which the term vanishes.  Each sum's
+    weights C(top, i) come from one pass of C(top, i+1) = C(top, i) (top - i)
+    / (i + 1), in exact integer division; past a nonnegative top they are
+    zero and the sum ends.  Every term is called, in order, but an empty
+    one is not added.  The residual is zero exactly when the identity holds.
     """
-    first, second, third = terms
-
-    def weights(top, count):
-        # binomials C(top, i) for i < count; past a nonnegative top they vanish
-        return ((i, binom_z(top, i)) for i in range(min(count, top + 1) if top >= 0 else count))
-
     out: dict = {}
-    for i, c in weights(l, stops[0] - j):
-        iadd(out, first(t + l - i, j + i), -c if i & 1 else c)
-    for i, c in weights(l, stops[1] - t):
-        iadd(out, second(j + l - i, t + i), c if (l + i) & 1 else -c)
-    for i, c in weights(t, stops[2] - l):
-        iadd(out, third(t + j - i, l + i), -c)
+    # (term, top, outer index at i = 0, inner index at i = 0, count, sign at
+    # i = 0, sign step): the three sums, the second signed -(-1)^(l+i) and
+    # the third subtracted
+    for term, top, outer, inner, count, c, alt in (
+        (terms[0], l, t + l, j, stops[0] - j, 1, -1),
+        (terms[1], l, j + l, t, stops[1] - t, 1 if l & 1 else -1, -1),
+        (terms[2], t, t + j, l, stops[2] - l, -1, 1),
+    ):
+        for i in range(count):
+            value = term(outer - i, inner + i)
+            if value:
+                iadd(out, value, c)
+            c = c * alt * (top - i) // (i + 1)
+            if not c:
+                break
     return out
 
 

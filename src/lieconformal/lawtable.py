@@ -23,10 +23,12 @@ one symbol, takes the trivial grading, under which every cell weighs 0
 and is computed.
 
 The law Jacobi check runs one three-sum per sample, whose terms carry
-every position's polynomial at once, up to the stops over all positions;
-a position's terms from its own stop on are zero and left out, and each
-position keeps the first raise its own terms meet.  The pairs with an
-empty side are read off the vacuum axiom (`law_cell`), not built.
+every position's polynomial at once as one flat map from (position,
+slotted monomial) to a coefficient, so the residual adds exact scalars,
+up to the stops over all positions; a position's terms from its own stop
+on are zero and left out, and each position keeps the first raise its
+own terms meet.  The pairs with an empty side are read off the vacuum
+axiom (`law_cell`, `word_pair_bound`), not built.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -36,7 +38,7 @@ reduction independent of completion order.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -45,7 +47,7 @@ from .core import three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
-from .linalg import Sparse, iadd, scale
+from .linalg import iadd, scale
 
 Q = Fraction
 
@@ -78,14 +80,23 @@ def midx_factorial(m: MIdx) -> int:
     return out
 
 
-def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, c=1) -> dict:
+class _Degrees(dict):
+    """Total degree of each slotted monomial, summed once when first asked."""
+
+    def __missing__(self, m: tuple) -> int:
+        d = self[m] = sum(e for _, e in m)
+        return d
+
+
+def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, degree: _Degrees, c=1) -> dict:
     """out += c * p1 * p2 for slotted polynomials, in place, dropping
-    terms of degree above cap; returns out."""
+    terms of degree above cap; returns out.  ``degree`` gives each
+    monomial's total degree and is kept by the caller."""
     for m1, c1 in p1.items():
-        room = cap - sum(e for _, e in m1)
+        room = cap - degree[m1]
         row: dict = {}
         for m2, c2 in p2.items():
-            if sum(e for _, e in m2) > room:
+            if degree[m2] > room:
                 continue
             merged: dict = dict(m1)
             for v, e in m2:
@@ -273,14 +284,29 @@ def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
 def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter.
 
-    The vacuum's products are read off the vacuum axiom, 1_(n)v = δ_{n,-1} v
-    (Kac 1998), so the left-vacuum row holds only the (-1)-cell of a single
-    letter, with coefficient 1.
+    The vacuum's products are read off the vacuum axiom (Kac 1998), so no
+    product with an empty side is built: 1_(n)v = δ_{n,-1} v, so the
+    left-vacuum row holds only the (-1)-cell of a single letter, with
+    coefficient 1; u_(n)1 is zero for n >= 0 and the divided power
+    ∂^(-n-1)u / (-n-1)! for n < 0.
     """
     if k == EMPTY:
         return {kp[0][0]: 1} if n == -1 and midx_norm(kp) == 1 else {}
+    if kp == EMPTY and n >= 0:
+        return {}
     u, v, norm = _cell_pair(k, kp)
-    return scale({w[0]: c for w, c in env.nth(u, v, n).terms.items() if len(w) == 1}, norm)
+    prod = env.partial_div(u, -n - 1) if kp == EMPTY else env.nth(u, v, n)
+    return scale({w[0]: c for w, c in prod.terms.items() if len(w) == 1}, norm)
+
+
+def word_pair_bound(env: EnvelopingAlgebra, wu: tuple, wv: tuple) -> int:
+    """Index from which every product of the words ``wu`` and ``wv`` vanishes.
+
+    By the vacuum axiom, 1_(n)v and u_(n)1 vanish for n >= 0 (Kac 1998),
+    so a pair with an empty side takes 0 and builds nothing; any other
+    takes `EnvelopingAlgebra.word_bound`.
+    """
+    return env.word_bound(wu, wv) if wu and wv else 0
 
 
 class _Grading:
@@ -381,8 +407,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     for k in midxes:
         dk = midx_norm(k)
         for kp in midxes[: ends[degree - dk]]:
-            # by the vacuum axiom 1_(n)v and u_(n)1 vanish for n >= 0
-            bound = env.word_bound(words[k], words[kp]) if k and kp else 0
+            bound = word_pair_bound(env, words[k], words[kp])
             table.pair_bounds[(k, kp)] = bound
             deg = dk + midx_norm(kp)
             overflowed = deg in table.overflow_degrees
@@ -479,7 +504,9 @@ class _Composer:
         self._slotted: dict = {}
         # word product series per slot pair, seeded with the empty word's
         self._conv_memo = defaultdict(lambda: {(): {-1: {(): 1}}})
-        self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap)
+        # the total degree of every slotted monomial the composer multiplies
+        self.degree = degree = _Degrees()
+        self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap, degree)
         # composed coefficients by their arguments; callers only read them
         self._composed_memo: dict = {}
         # certified stops of the three-sum terms at each position: one past
@@ -525,27 +552,29 @@ class _Composer:
         return word_series(word, self.slotted(slots), self.maxn, self.lo, self._madd, memo).get(q, {})
 
     def composed(self, outer_n: int, inner_n: int, direct_slot: int,
-                 inner_slots, substitute_first: bool) -> dict:
-        """One mixed coefficient of the law applied to a law, {position: value}.
+                 inner_slots, substitute_first: bool) -> tuple:
+        """One mixed coefficient of the law applied to a law, for every
+        position at once, as (values, raises).
 
         ``direct_slot`` receives the unsubstituted multi-index; the other
         multi-index is substituted by the composed series over
-        ``inner_slots`` and the ``inner_n`` coefficient is taken.  A value
-        is a nonzero `Sparse` polynomial, or the `TruncationInsufficient`
-        the position's coefficient meets: every position's when
-        ``outer_n`` is below the window, else that of a position whose
-        substituted series needs an index below it.  A position whose own
-        stop for the substituted side is at most ``inner_n`` is left out:
-        its coefficient is zero.
+        ``inner_slots`` and the ``inner_n`` coefficient is taken.  The
+        values map (position, slotted monomial) to a nonzero coefficient;
+        the raises map a position to the `TruncationInsufficient` its
+        coefficient meets, and such a position has no values: every
+        position when ``outer_n`` is below the window, else a position
+        whose substituted series needs an index below it.  A position
+        whose own stop for the substituted side is at most ``inner_n`` is
+        left out: its coefficient is zero.
         """
         if outer_n < self.lo:
             exc = TruncationInsufficient(f"outer index {outer_n} outside window {self.table.window}")
-            return dict.fromkeys(self.table.positions, exc)
+            return {}, dict.fromkeys(self.table.positions, exc)
         key = (outer_n, inner_n, direct_slot, inner_slots, substitute_first)
         out = self._composed_memo.get(key)
         if out is not None:
             return out
-        out = self._composed_memo[key] = {}
+        values, raises = out = self._composed_memo[key] = {}, {}
         # the substituted series' coefficient, by multi-index
         inners: dict = {}
         for pos, cell in self._cells.get(outer_n, ()):
@@ -559,12 +588,12 @@ class _Composer:
                     if inner is None:
                         inner = inners[subst] = self.conv(word_from_midx(subst), inner_n, inner_slots)
                     if inner:
-                        _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
+                        _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, self.degree, c)
             except TruncationInsufficient as exc:
-                out[pos] = exc
+                raises[pos] = exc
                 continue
-            if poly:
-                out[pos] = Sparse._like(poly)
+            for m, c in poly.items():
+                values[pos, m] = c
         return out
 
 
@@ -590,15 +619,17 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
 
     Verifies, for every output position and every monomial of total
     degree at most ``cap``, the three binomial-weighted composition sums.
-    One three-sum per sample carries every position: its terms map each
-    position to its polynomial, and each sum runs to the stop over all
-    positions, while a position's terms from its own stop on, one past the
-    top inner index over the multi-indices its kept cells substitute, are
-    zero and left out.  An outer index below the window raises
+    One three-sum per sample carries every position: its terms and its
+    residual are flat maps from (position, slotted monomial) to an exact
+    coefficient, and each sum runs to the stop over all positions, while
+    a position's terms from its own stop on, one past the top inner index
+    over the multi-indices its kept cells substitute, are zero and left
+    out.  An outer index below the window raises
     `TruncationInsufficient` for every position, a composition needing an
     index below it only for the positions that substitute that word; each
     position keeps the first its own terms meet.  Positions are judged in
-    order: a position's raise is raised, else a nonzero residual fails.
+    order: a position's raise is raised, else a nonzero residual fails,
+    naming its number of monomials, the residual's keys at the position.
     Stops at the first failing entry; fails when no entry was checked.
     """
     _guard_table(table, cap)
@@ -609,12 +640,11 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     raised: dict = {}
 
     def term(args, outer, inner):
-        values = comp.composed(outer, inner, *args)
-        for pos, value in values.items():
-            if isinstance(value, TruncationInsufficient):
-                raised.setdefault(pos, value)
+        values, raises = comp.composed(outer, inner, *args)
+        for pos, exc in raises.items():
+            raised.setdefault(pos, exc)
         # a position's terms from its first raise on are left out
-        return {pos: value for pos, value in values.items() if pos not in raised} if raised else values
+        return {key: c for key, c in values.items() if key[0] not in raised} if raised else values
 
     # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
     terms = [partial(term, args) for args in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))]
@@ -622,10 +652,11 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     for (l, t, j) in samples:
         raised.clear()
         resid = three_sum(l, t, j, comp.global_stops, terms)
+        monomials_of = Counter(pos for pos, _ in resid)
         for pos in table.positions:
             if pos in raised:
                 raise raised[pos]
-            monomials = len(resid[pos].coeffs) if pos in resid else 0
+            monomials = monomials_of[pos]
             entries.append({"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
                             "pass": not monomials, "residual_monomials": monomials})
             if monomials:
@@ -674,7 +705,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
                 poly = {(): 1}
                 for slot, m in ((0, k), (1, kp)):
                     for p in word_from_midx(m):
-                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap)
+                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap, comp.degree)
                 iadd(rhs, poly, c)
             resid = iadd(dict(lhs), rhs, -1)
             good = not resid

@@ -23,7 +23,9 @@ Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
 as idempotent inserts.  The same holds for the other memos, all kept for
 the manifold's life and never released: the truncation bound per joint
-support of two points, the powers p^m per point, and the inner series
+support of two points, the three Jacobi three-sum stops per point triple
+(N times the bound of each pair, at least 1, plus 1), the powers p^m per
+point, and the inner series
 memo, the coefficients of the product series of a point pair, kept per
 pair because every outer index and outer point of a composed product
 reads the same ones.  Its fill builds a word only from a prefix that kept
@@ -32,8 +34,9 @@ A composed product keeps its grouped exponent pairs per outer point,
 inner pair and series index, for every outer index to read.  The memos
 key a point by its (key, numerator, denominator) triples, which hash as
 ints, and an int and the equal Fraction give the same key; a Jacobi
-residual keys its three points once for all the products it reads.  The
-inner series multiply as exact rationals through `word_series`.
+residual keys its three points once for all the products and stops it
+reads.  The inner series multiply as exact rationals through
+`word_series`.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
 from .lawtable import (
-    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
+    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_pair_bound,
+    word_series,
 )
 from .linalg import exact, iadd
 
@@ -94,6 +98,8 @@ class VertexManifold:
         # the cell weights against every letter
         self._grading = _Grading(env)
         self._composed_memo: dict = {}
+        # the three-sum stops of a Jacobi residual, per point-key triple
+        self._stops_memo: dict = {}
         self._weights_memo: dict = {}
         self._inner_memo: dict = {}
 
@@ -102,7 +108,7 @@ class VertexManifold:
     def pair_bound(self, k, kp) -> int:
         key = (k, kp)
         if key not in self._bounds:
-            self._bounds[key] = self.env.word_bound(word_from_midx(k), word_from_midx(kp))
+            self._bounds[key] = word_pair_bound(self.env, word_from_midx(k), word_from_midx(kp))
         return self._bounds[key]
 
     def table_entry(self, k, kp, n: int) -> Point:
@@ -290,13 +296,13 @@ class VertexManifold:
     # -- axiom suite ------------------------------------------------------------
 
     def jacobi_residual(self, a: Point, b: Point, c: Point, l: int, t: int, j: int) -> Point:
-        def stop(x, y):
-            return self.N * max(self.truncation_bound(x, y), 1) + 1
-
         ka, kb, kc = point_key(a), point_key(b), point_key(c)
+        stops = self._stops_memo.get((ka, kb, kc))
+        if stops is None:
+            stops = self._stops_memo[ka, kb, kc] = tuple(
+                self.N * max(self.truncation_bound(x, y), 1) + 1 for x, y in ((b, c), (a, c), (a, b)))
         return three_sum(
-            l, t, j,
-            (stop(b, c), stop(a, c), stop(a, b)),
+            l, t, j, stops,
             (
                 partial(self._composed, ("second", ka, kb, kc), a, b, c),
                 partial(self._composed, ("second", kb, ka, kc), b, a, c),

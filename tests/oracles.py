@@ -18,7 +18,9 @@ power's row, and its antisymmetry check runs on every generator pair,
 where the package checks the diagonal alone.
 The law Jacobi check is rerun with one three-sum per position, each
 carried to the stop over all positions, none cut at its own position's
-stop, and each composed coefficient built for its one position.
+stop, and each composed coefficient built for its one position.  The
+three-sum itself is rerun naively: each binomial weight from its own
+falling product, and every term added, empty or not.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
@@ -31,7 +33,7 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
 
 from lieconformal.bialgebra import TensorElem
-from lieconformal.core import AxiomReport, CheckResult, CVec, LMPoly, LPoly, three_sum
+from lieconformal.core import AxiomReport, CheckResult, CVec, LMPoly, LPoly
 from lieconformal.enveloping import UElem, ULPoly
 from lieconformal.errors import TruncationInsufficient
 from lieconformal.lawtable import (
@@ -43,6 +45,39 @@ from lieconformal.lawtable import (
     word_from_midx,
     word_top,
 )
+from lieconformal.linalg import iadd
+
+
+def binom_z(n: int, k: int) -> int:
+    """Binomial coefficient with integer (possibly negative) upper index."""
+    if k < 0:
+        return 0
+    num = 1
+    for s in range(k):
+        num *= n - s
+    return num // math.factorial(k)
+
+
+def naive_three_sum(l: int, t: int, j: int, stops, terms) -> dict:
+    """Residual of the Borcherds three-sum identity, term by term.
+
+    The same sums as `core.three_sum`, each weight C(top, i) taken by
+    `binom_z` on its own and every term added, also an empty one.
+    """
+    first, second, third = terms
+
+    def weights(top, count):
+        # binomials C(top, i) for i < count; past a nonnegative top they vanish
+        return ((i, binom_z(top, i)) for i in range(min(count, top + 1) if top >= 0 else count))
+
+    out: dict = {}
+    for i, c in weights(l, stops[0] - j):
+        iadd(out, first(t + l - i, j + i), -c if i & 1 else c)
+    for i, c in weights(l, stops[1] - t):
+        iadd(out, second(j + l - i, t + i), c if (l + i) & 1 else -c)
+    for i, c in weights(t, stops[2] - l):
+        iadd(out, third(t + j - i, l + i), -c)
+    return out
 
 
 def oracle_bracket(pres, v: CVec, w: CVec) -> LPoly:
@@ -397,7 +432,7 @@ def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_s
         direct, subst = (kp, k) if substitute_first else (k, kp)
         inner = comp.conv(word_from_midx(subst), inner_n, inner_slots)
         if inner:
-            _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, c)
+            _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, comp.degree, c)
     memo[key] = out
     return out
 
@@ -407,7 +442,8 @@ def global_stop_law_jacobi(table, samples, cap: int) -> dict:
 
     The stops are one past the top inner index over every kept cell of the
     table, per substitution side, whatever the position.  Each position
-    runs a three-sum of its own, whose terms `_position_composed` builds.
+    runs a three-sum of its own, `naive_three_sum`, whose terms
+    `_position_composed` builds.
     """
     _guard_table(table, cap)
     if not table.positions:
@@ -426,7 +462,7 @@ def global_stop_law_jacobi(table, samples, cap: int) -> dict:
                     _position_composed(comp, memo, pos, outer, inner, slot, slots, subst)
                 for slot, slots, subst in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))
             ]
-            resid = three_sum(l, t, j, stops, terms)
+            resid = naive_three_sum(l, t, j, stops, terms)
             entries.append({"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
                             "pass": not resid, "residual_monomials": len(resid)})
             if resid:

@@ -31,7 +31,6 @@ from lieconformal.lawtable import (
     midx_norm,
     word_from_midx,
 )
-from lieconformal.linalg import Sparse
 from lieconformal.manifold import integrate
 from lieconformal.errors import NotNilpotent
 
@@ -236,8 +235,11 @@ def test_criterion_5_law_axioms():
     ]
     for (p, q) in [(0, 0), (-1, 0), (0, -1), (-2, 1)]:
         for l_key in [(2, 0), (3, 0)]:
-            # every position's coefficient at once; read this position's
-            got = comp.composed(p, q, 0, (1, 2), False).get(l_key, Sparse())
+            # every position's coefficients at once, keyed by position and
+            # monomial; read this position's
+            values, raises = comp.composed(p, q, 0, (1, 2), False)
+            assert l_key not in raises, (l_key, p, q)
+            got = {m: c for (pos, m), c in values.items() if pos == l_key}
             expect = {}
             for k, kp, kpp in triples:
                 u = UElem.monomial(word_from_midx(k))
@@ -258,7 +260,7 @@ def test_criterion_5_law_axioms():
                     c = c / (midx_factorial(k) * midx_factorial(kp) * midx_factorial(kpp))
                     expect[mono] = expect.get(mono, Q(0)) + c
             expect = {m: c for m, c in expect.items() if c}
-            assert got.coeffs == expect, (l_key, p, q)
+            assert got == expect, (l_key, p, q)
     elapsed = time.time() - t0
     assert elapsed < 120.0, elapsed
     print(f"PASS criterion 5: law identity, convergence and Jacobi checks ({elapsed:.1f}s)")

@@ -1,21 +1,24 @@
 import math
 import random
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import golden
 import pytest
 from oracles import (
+    binom_z,
     direct_bracket,
     direct_check_axioms,
     direct_jacobi_residual,
+    naive_three_sum,
     oracle_bracket,
     oracle_lie_bracket,
 )
 
 from lieconformal import build_presentation, dsl
 from lieconformal.cli import _report_json, _report_lines
-from lieconformal.core import CVec, LMPoly, LPoly
+from lieconformal.core import CVec, LMPoly, LPoly, three_sum
 
 DATA = Path(__file__).parent / "data"
 # every presentation under tests/data that parses, torsion ones included
@@ -330,3 +333,48 @@ def test_returned_values_share_nothing_with_the_table():
         pres = golden.virasoro()
         call(pres).iadd_scaled(CVec({(0, 7): 1}))
         assert call(pres) == call(golden.virasoro())
+
+
+def test_three_sum_matches_the_naive_sum():
+    # seeded term tables whose values are empty, int-valued, Fraction-valued
+    # or mixed, some cancelling across terms; each residual is the naive
+    # sum's, and the terms are called in the same order
+    rng = random.Random(28)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return {}
+        keys = rng.sample("pqr", rng.randint(1, 3))
+        if kind == 1:
+            return {k: rng.choice([-2, -1, 1, 3]) for k in keys}
+        if kind == 2:
+            return {k: Q(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3])) for k in keys}
+        return {k: rng.choice([1, -1, Q(1, 2), Q(-5, 6)]) for k in keys}
+
+    tables = [{(p, q): value() for p in range(-14, 5) for q in range(-3, 6)} for _ in range(3)]
+    calls: list = []
+
+    def reader(i):
+        return lambda p, q: calls.append((i, p, q)) or tables[i][p, q]
+
+    terms = [reader(i) for i in range(3)]
+    triples = list(product(range(7), repeat=3))
+    nonzero = fractions = 0
+    for l, t, j in product(range(-3, 3), repeat=3):
+        # every stop 0..6 on each sum, and a sample of the other triples
+        for stops in [(s, 6 - s, 3 * s % 7) for s in range(7)] + rng.sample(triples, 20):
+            calls.clear()
+            got = three_sum(l, t, j, stops, terms)
+            seen = list(calls)
+            calls.clear()
+            assert got == naive_three_sum(l, t, j, stops, terms), (l, t, j, stops)
+            assert seen == calls, (l, t, j, stops)
+            nonzero += bool(got)
+            fractions += any(type(c) is Q for c in got.values())
+            # integral coefficients are stored as ints, as `iadd` stores them
+            assert all(c and type(c) is (int if Q(c).denominator == 1 else Q) for c in got.values())
+    assert nonzero > 5_000 and fractions > 4_000, (nonzero, fractions)
+    # the reference binomial, at a negative and a nonnegative upper index
+    assert [binom_z(-3, i) for i in range(5)] == [1, -3, 6, -10, 15]
+    assert [binom_z(2, i) for i in range(5)] == [1, 2, 1, 0, 0]

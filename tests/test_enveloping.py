@@ -7,7 +7,7 @@ from pathlib import Path
 
 import golden
 import pytest
-from oracles import LambdaPeel, oracle_mul, oracle_straighten, skew_bracket
+from oracles import LambdaPeel, naive_three_sum, oracle_mul, oracle_straighten, skew_bracket
 
 from lieconformal import dsl
 from lieconformal.core import CVec
@@ -420,6 +420,28 @@ class TestBorcherds:
         resid = U.borcherds_residual(u, v, w, *ltj)
         assert resid.terms == expected
         assert all(type(c) is Fraction for c in resid.terms.values())
+
+    def test_residuals_equal_the_naive_sum(self):
+        # badheis fails antisymmetry, so its residuals are not zero; each is
+        # the naive three-sum's over the same nested products, whole
+        U = data_alg("badheis")
+        keys = U.basis.keys_up_to_depth(1)
+        rng = random.Random(28)
+        nonzero = 0
+        for _ in range(6):
+            u, v, w = (rand_monomial(rng, keys, 2).scale(Fraction(rng.choice([1, -2, 3]), 2))
+                       for _ in range(3))
+
+            def nested(x, y):
+                return lambda p, q: U.nth(x, U.nth(y, w, q), p).terms
+
+            terms = (nested(u, v), nested(v, u), lambda p, q: U.nth(U.nth(u, v, q), w, p).terms)
+            stops = (U.trunc_bound(v, w), U.trunc_bound(u, w), U.trunc_bound(u, v))
+            for l, t, j in iproduct(range(-2, 2), repeat=3):
+                got = U.borcherds_residual(u, v, w, l, t, j)
+                assert got.terms == naive_three_sum(l, t, j, stops, terms), (u, v, w, l, t, j)
+                nonzero += bool(got.terms)
+        assert nonzero > 20, nonzero
 
 
 class TestDepthBudget:

@@ -18,6 +18,7 @@ from lieconformal.lawtable import (
     EMPTY,
     LawTable,
     _Composer,
+    _Degrees,
     _Grading,
     _poly_madd,
     check_convergence_bound,
@@ -33,7 +34,6 @@ from lieconformal.lawtable import (
     word_series,
     word_top,
 )
-from lieconformal.linalg import Sparse
 
 A0, A1, A2, K0 = (0, 0), (0, 1), (0, 2), (1, 0)
 
@@ -163,9 +163,11 @@ def test_composition_matches_enveloping_oracle():
     for l_key in T.positions:
         for p in range(-3, 3):
             for q in range(-2, 3):
-                # every position's coefficient at once; read this position's
-                got = comp.composed(p, q, 0, (1, 2), False).get(l_key, Sparse())
-                assert got.coeffs == _h_oracle(U, T, l_key, p, q, 2), (l_key, p, q)
+                # every position's coefficients at once, keyed by position
+                # and monomial; read this position's
+                values, raises = comp.composed(p, q, 0, (1, 2), False)
+                got = {m: c for (pos, m), c in values.items() if pos == l_key}
+                assert l_key not in raises and got == _h_oracle(U, T, l_key, p, q, 2), (l_key, p, q)
 
 
 def _reference_table(env, degree, depth, window):
@@ -331,20 +333,24 @@ def test_composed_coefficients_kept_equal_fresh_ones(name, monkeypatch):
     assert check_law_jacobi(table, ltj, 2)["pass"]
     (comp,) = made
     kept = comp._composed_memo
-    # a kept entry holds every position's nonzero coefficient at once: 90
-    # entries of 24 values on heisenberg, 75 of 144 on n3current
-    assert len(kept) > 50 and sum(map(len, kept.values())) > 20, kept
+    # a kept entry holds every position's nonzero coefficients at once,
+    # keyed by (position, monomial), and the raises beside them: 90 entries
+    # of 24 positions and 58 coefficients on heisenberg, 75 of 144 and 485
+    # on n3current
+    assert len(kept) > 50 and len({(key, pos) for key, (values, _) in kept.items() for pos, _ in values}) > 20
     for key, value in kept.items():
         assert _Composer(table, 2).composed(*key) == value, key
-    # a raise is the value of each position it reaches, never a partial sum:
-    # below the window every position's, and nothing is kept
+    # a raise stands for the whole coefficient of each position it reaches,
+    # which holds no value, never a partial sum: below the window every
+    # position's, and nothing is kept
     lo = table.window[0]
     fresh = _Composer(table, 2)
-    below = fresh.composed(lo - 1, 0, 0, (1, 2), False)
-    assert list(below) == table.positions and not fresh._composed_memo
+    values, below = fresh.composed(lo - 1, 0, 0, (1, 2), False)
+    assert not values and list(below) == table.positions and not fresh._composed_memo
     assert {str(exc) for exc in below.values()} == {f"outer index {lo - 1} outside window {table.window}"}
-    deep = fresh.composed(-1, 10 * lo, 0, (1, 2), False)
+    values, deep = fresh.composed(-1, 10 * lo, 0, (1, 2), False)
     assert deep and all(isinstance(exc, TruncationInsufficient) for exc in deep.values()), deep
+    assert not {pos for pos, _ in values} & deep.keys(), values
 
 
 def _outcome(check, table, samples, cap):
@@ -744,7 +750,7 @@ def _convolve(factors, q, series, maxn, window, cap, memo):
         if head:
             tail = _convolve(rest, q - m - 1, series, maxn, window, cap, memo)
             if tail:
-                _poly_madd(out, head, tail, cap)
+                _poly_madd(out, head, tail, cap, _Degrees())
     memo[key] = out
     return out
 
@@ -799,7 +805,7 @@ def test_word_series_matches_recursive_convolution_and_brute_force():
         series = _reader(slotted)
 
         def poly_madd(out, q, tail, head):
-            _poly_madd(out.setdefault(q, {}), tail, head, cap)
+            _poly_madd(out.setdefault(q, {}), tail, head, cap, _Degrees())
 
         scalar_memo, slotted_memo = {(): {-1: 1}}, {(): {-1: {(): 1}}}
         for s in range(4):

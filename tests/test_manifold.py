@@ -1,14 +1,21 @@
 import random
 from fractions import Fraction as Q
+from functools import partial
+from itertools import permutations, product
+from pathlib import Path
 
 import golden
 import pytest
-from oracles import brute_combine, brute_inner_series, point_add
+from oracles import brute_combine, brute_inner_series, naive_three_sum, point_add
 
-from lieconformal.core import CVec
+from lieconformal import dsl
+from lieconformal.core import CVec, three_sum
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
+from lieconformal.lawtable import word_from_midx
 from lieconformal.manifold import integrate, point_key
+
+DATA = Path(__file__).parent / "data"
 
 
 def rand_point(rng, M, depth=1, bound=4):
@@ -594,3 +601,82 @@ def test_fault_injection_reports_pinned():
                  "witness": {"ltj": ltj, "points": points}},
             ],
         }
+
+
+def _data_manifolds() -> dict:
+    """Every presentation under tests/data that integrates, by name."""
+    out = {}
+    for path in sorted(DATA.glob("*.lca")):
+        if path.stem != "badsyntax":
+            try:
+                out[path.stem] = integrate(dsl.load_presentation(path.read_text(encoding="utf-8"))[0])
+            except (AxiomFailure, NotNilpotent):
+                pass
+    return out
+
+
+def _stops(M, a, b, c) -> tuple:
+    """The three-sum stops of a Jacobi residual, from the truncation bounds."""
+    return tuple(M.N * max(M.truncation_bound(x, y), 1) + 1 for x, y in ((b, c), (a, c), (a, b)))
+
+
+def test_jacobi_residuals_equal_the_naive_sums():
+    # every nilpotent tests/data algebra, seeded points, (l, t, j) in -2..1:
+    # each residual is the naive three-sum's over the public composed
+    # products, as a whole dict.  The identity holds, so both are empty;
+    # with the first term also in the second's place it does not, and the
+    # driver's nonzero sums are the naive ones too
+    manifolds = _data_manifolds()
+    assert sorted(manifolds) == ["abelian1", "abelian2", "heisenberg", "mixed", "n3current"]
+    rng = random.Random(28)
+    nonzero = 0
+    for name, M in manifolds.items():
+        for _ in range(2):
+            a, b, c = (rand_point(rng, M, bound=3) for _ in range(3))
+            stops = _stops(M, a, b, c)
+            terms = (partial(M.composed, a, b, c), partial(M.composed, b, a, c),
+                     partial(M.composed_first, a, b, c))
+            broken = (terms[0], terms[0], terms[2])
+            for l, t, j in product(range(-2, 2), repeat=3):
+                got = M.jacobi_residual(a, b, c, l, t, j)
+                assert got == naive_three_sum(l, t, j, stops, terms) == {}, (name, l, t, j)
+                got = three_sum(l, t, j, stops, broken)
+                assert got == naive_three_sum(l, t, j, stops, broken), (name, l, t, j)
+                nonzero += bool(got)
+    assert nonzero > 100, nonzero
+
+
+def test_kept_stops_equal_fresh_ones():
+    # each residual keeps its three stops per point-key triple; each kept
+    # triple is the stops of a manifold that has kept nothing
+    for build in (golden.heisenberg, golden.n3_current):
+        M = integrate(build())
+        rng = random.Random(5)
+        points = [rand_point(rng, M) for _ in range(3)]
+        for x, y, z in permutations(points):
+            for ltj in [(-1, 0, 1), (0, -1, -1)]:
+                assert not M.jacobi_residual(x, y, z, *ltj), (build.__name__, ltj)
+        assert len(M._stops_memo) == 6, M._stops_memo
+        fresh = integrate(build())
+        for keys, stops in M._stops_memo.items():
+            a, b, c = ({k: Q(n, d) for k, n, d in pk} for pk in keys)
+            assert stops == _stops(fresh, a, b, c), (build.__name__, keys)
+
+
+@pytest.mark.parametrize("build", [golden.heisenberg, golden.n3_current])
+def test_vacuum_pairs_build_no_product(build):
+    # by the vacuum axiom a pair with an empty side takes bound 0 and its
+    # cells without an enveloping product; every kept bound is the one a
+    # fresh algebra's word_bound gives
+    M = integrate(build())
+    rng = random.Random(3)
+    a, b, c = (rand_point(rng, M) for _ in range(3))
+    M.truncation_bound(a, b)
+    assert not M.jacobi_residual(a, b, c, -1, 0, 1)
+    env = M.env
+    for memo in (env._lead_memo, env._bracket_memo, env._nop_memo):
+        assert all(wu and wv for wu, wv in memo), build.__name__
+    assert any(not k or not kp for k, kp in M._bounds), M._bounds
+    fresh = integrate(build()).env
+    for (k, kp), bound in M._bounds.items():
+        assert bound == fresh.word_bound(word_from_midx(k), word_from_midx(kp)), (k, kp)
