@@ -8,7 +8,9 @@ computed by the two recursion rules that peel one basis letter at a time
 (Kac 1998, §3-4); their weights are binomials or 1, so integral structure
 constants give integral products.  Only `bracket` divides by n! for the
 λ view.  Negative-index products come from divided powers of the ordered
-product.  Each peel rule is stated once, in `_peel`, as its parts, and
+product.  `word_nth` reads a word pair's n-th product off what is kept,
+the vacuum's by the vacuum axiom, and `nth` is its bilinear extension.
+Each peel rule is stated once, in `_peel`, as its parts, and
 read two ways: `_word_products` sums every part in full, and `_lead`
 builds only the tops of the parts at the overall top index.  A word pair's
 vanishing bound is read off that leading form, the top product index and
@@ -293,19 +295,36 @@ class EnvelopingAlgebra:
         memo[key] = res
         return res
 
-    def nth(self, u: UElem, v: UElem, n: int) -> UElem:
-        out = UElem()
+    def word_nth(self, wu: Word, wv: Word, n: int) -> UElem:
+        """wu_(n)wv for two ordered words, read off what is kept; the result
+        may be a kept value, so callers must not change it.
+
+        For n >= 0 it is the pair's kept product (`_word_products`), so a
+        large n costs nothing; for n = -j - 1 < 0 it is the ordered product
+        (∂^j wu / j!)_(-1) wv, read off the divided-power chain (`_dpow`)
+        and the kept ordered products (`_nop_words`).  A side that is the
+        vacuum takes the vacuum axiom (Kac 1998) and builds nothing:
+        1_(n)v = δ_{n,-1} v, u_(n)1 = 0 for n >= 0 and ∂^j u / j! for n < 0.
+        """
+        if not wu:
+            return UElem.monomial(wv) if n == -1 else ZERO_U
         if n >= 0:
-            # read off each word pair's kept products, so a large n costs nothing
-            for wu, cu in u.terms.items():
-                for wv, cv in v.terms.items():
-                    r = self._word_products(wu, wv).coeff(n)
-                    if r:
-                        out.iadd_scaled(r, cu * cv)
-            return out
-        # u_(n) v = (∂^j u / j!)_(-1) v for n = -j - 1 < 0
-        for w, c in u.terms.items():
-            self._nop_into(out, self._dpow(w, -n - 1), v, c)
+            return self._word_products(wu, wv).coeffs.get(n, ZERO_U) if wv else ZERO_U
+        if not wv:
+            return self._dpow(wu, -n - 1)
+        if n == -1:
+            return self._nop_words(wu, wv)
+        out = UElem()
+        for w, c in self._dpow(wu, -n - 1).terms.items():
+            out.iadd_scaled(self._nop_words(w, wv), c)
+        return out
+
+    def nth(self, u: UElem, v: UElem, n: int) -> UElem:
+        """u_(n)v, the bilinear extension of `word_nth`."""
+        out = UElem()
+        for wu, cu in u.terms.items():
+            for wv, cv in v.terms.items():
+                out.iadd_scaled(self.word_nth(wu, wv, n), cu * cv)
         return out
 
     def trunc_bound(self, u: UElem, v: UElem) -> int:

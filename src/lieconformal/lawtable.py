@@ -11,6 +11,15 @@ Monomial bookkeeping: a multi-index is a sorted tuple of (basis key,
 positive exponent) pairs; composed-series polynomials live over slotted
 variables (slot, basis key) with slots numbering the argument groups.
 
+Extraction builds one record (multi-index, word, norm, weight) per
+multi-index, once per table and by ascending norm, so a pair reads its
+norm, weight and words off two records.  The left-vacuum row is filled
+from the vacuum axiom before the other pairs: every bound is 0 and only
+a (-1)-cell is read.  Every cell is read by `law_cell`, the one reader,
+shared with `manifold`: the single letters of the product of the two
+words that `EnvelopingAlgebra.word_nth` reads off the kept word
+products, divided by k! k'! when that is not 1.
+
 By conformal weight (``LcaPresentation.conformal_weights``) the cell
 (k, k', n) can only hold letters of weight W(k) + W(k') - n - 1, so
 extraction skips a cell when no letter has that weight, or only letters
@@ -40,11 +49,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .core import three_sum
-from .enveloping import EnvelopingAlgebra, UElem
+from .enveloping import EnvelopingAlgebra
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
 from .linalg import iadd, scale
@@ -147,6 +156,19 @@ def _slot_monomial(m: MIdx, slot: int) -> tuple:
     return tuple(((slot, k), e) for k, e in m)
 
 
+def _check_ranges(degree, depth, window) -> None:
+    """Raise ValueError unless degree and depth are nonnegative ints and the
+    window is two ints lo <= hi, as a list or a tuple: the ranges a table
+    document holds (`LawTable.from_json`)."""
+    for name, value in (("degree", degree), ("depth", depth)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} {value!r} is not a nonnegative integer")
+    if type(window) not in (list, tuple) or len(window) != 2 \
+            or any(type(e) is not int for e in window) or window[0] > window[1]:
+        shown = list(window) if type(window) is tuple else window
+        raise ValueError(f"window {shown!r} is not two integers lo <= hi")
+
+
 class LawTable:
     """Coefficient law of a presentation, truncated in degree, depth, index."""
 
@@ -226,13 +248,8 @@ class LawTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LawTable":
-        for name in ("degree", "depth"):
-            if type(doc[name]) is not int or doc[name] < 0:
-                raise ValueError(f"{name} {doc[name]!r} is not a nonnegative integer")
         window = doc["window"]
-        if type(window) is not list or len(window) != 2 or any(type(e) is not int for e in window) \
-                or window[0] > window[1]:
-            raise ValueError(f"window {window!r} is not two integers lo <= hi")
+        _check_ranges(doc["degree"], doc["depth"], window)
         basis = list(doc["basis"])
         if any(type(k) is not str for k in basis) or len(set(basis)) != len(basis):
             raise ValueError(f"basis {basis!r} is not of distinct string labels")
@@ -272,31 +289,19 @@ class LawTable:
         return table
 
 
-@lru_cache(maxsize=1)
-def _cell_pair(k: MIdx, kp: MIdx) -> tuple:
-    # one pair's words and normalization; extraction reads every index of
-    # a pair in a row, so one entry spares rebuilding them per cell
-    u = UElem.monomial(word_from_midx(k))
-    v = UElem.monomial(word_from_midx(kp))
-    return u, v, Q(1, midx_factorial(k) * midx_factorial(kp))
-
-
 def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter.
 
-    The vacuum's products are read off the vacuum axiom (Kac 1998), so no
-    product with an empty side is built: 1_(n)v = δ_{n,-1} v, so the
-    left-vacuum row holds only the (-1)-cell of a single letter, with
-    coefficient 1; u_(n)1 is zero for n >= 0 and the divided power
-    ∂^(-n-1)u / (-n-1)! for n < 0.
+    The one reading of a table cell, shared with `manifold`: the product
+    of the multi-indices' words is read off the kept word products by
+    `EnvelopingAlgebra.word_nth`, which takes a product with an empty side
+    from the vacuum axiom and builds none, and it is scaled only when
+    k! k'! is not 1.
     """
-    if k == EMPTY:
-        return {kp[0][0]: 1} if n == -1 and midx_norm(kp) == 1 else {}
-    if kp == EMPTY and n >= 0:
-        return {}
-    u, v, norm = _cell_pair(k, kp)
-    prod = env.partial_div(u, -n - 1) if kp == EMPTY else env.nth(u, v, n)
-    return scale({w[0]: c for w, c in prod.terms.items() if len(w) == 1}, norm)
+    prod = env.word_nth(word_from_midx(k), word_from_midx(kp), n)
+    cell = {w[0]: c for w, c in prod.terms.items() if len(w) == 1}
+    norm = midx_factorial(k) * midx_factorial(kp)
+    return scale(cell, Q(1, norm)) if norm != 1 and cell else cell
 
 
 def word_pair_bound(env: EnvelopingAlgebra, wu: tuple, wv: tuple) -> int:
@@ -314,9 +319,10 @@ class _Grading:
 
     The cell (k, k', n) can only hold letters weighing
     ``weight[k] + weight[k'] - step * (n + 1)``; a multi-index's weight is
-    kept once asked for.  ``depths[w]`` holds the depths d < torsion at
-    which some letter (g, d) weighs w, at most one per generator, kept once
-    asked for.  A presentation without conformal weights, or a basis whose
+    kept once asked for, summed from its letters' weights, each also kept
+    once asked for.  ``depths[w]`` holds the depths d < torsion at which
+    some letter (g, d) weighs w, at most one per generator, kept once asked
+    for.  A presentation without conformal weights, or a basis whose
     letters are not one symbol, takes the trivial grading: ∂ and every
     letter weigh 0, so every cell weighs 0 and a depth-0 letter can fill it.
     """
@@ -332,13 +338,17 @@ class _Grading:
         gen_w = [int(x * step) for x in delta]
         symbol_valid = env.pres.symbol_valid
 
-        def key_weight(key) -> int:
-            ((g, d),) = basis.vector(key).coeffs
-            return gen_w[g] + step * d
+        class Letters(dict):
+            def __missing__(self, key) -> int:
+                ((g, d),) = basis.vector(key).coeffs
+                w = self[key] = gen_w[g] + step * d
+                return w
+
+        letter = Letters()
 
         class Weights(dict):
             def __missing__(self, m: MIdx) -> int:
-                w = self[m] = sum(e * key_weight(key) for key, e in m)
+                w = self[m] = sum(e * letter[key] for key, e in m)
                 return w
 
         class Depths(dict):
@@ -368,27 +378,33 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     one list per pair weight and top index, built once per table: the
     indices from the top down to the window's bottom at which some letter
     has the cell's weight, each with the shallowest depth of such a letter.
-    A pair with an empty side takes bound 0 from the vacuum axiom, and of
-    the left-vacuum cells only the (-1)-cells are read (`law_cell`).
+    A pair reads its norms, weights and words off one record per
+    multi-index.  The left-vacuum row comes first, from the vacuum axiom:
+    each of its pairs takes bound 0, and its (-1)-cell is read
+    (`law_cell`) when the window holds -1 and some letter has the weight
+    of k'.  A pair with an empty right side takes bound 0 as well.
+    Raises ValueError on a degree, depth or window that
+    `LawTable.from_json` would refuse, before anything is built.
     """
+    _check_ranges(degree, depth, window)
     basis = env.basis
     positions = basis.keys_up_to_depth(depth)
     table = LawTable(env.pres.name, degree, depth, window, positions)
     table.labels = {k: basis.label(k) for k in positions}
     lo, hi = table.window
     pos_set = set(positions)
+    grading = _Grading(env)
+    step, depths, weight = grading.step, grading.depths, grading.weight
 
-    # multi-indices by ascending norm; the first ends[d] have norm <= d
-    midxes = [EMPTY]
+    # one record (multi-index, word, norm, weight) per multi-index, by
+    # ascending norm; the first ends[d] have norm <= d
+    records = [(EMPTY, (), 0, 0)]
     ends = [1]
     for size in range(1, degree + 1):
-        midxes.extend(
-            midx_from_word(w) for w in combinations_with_replacement(positions, size)
-        )
-        ends.append(len(midxes))
-    words = {m: word_from_midx(m) for m in midxes}
-    grading = _Grading(env)
-    step, depths = grading.step, grading.depths
+        for w in combinations_with_replacement(positions, size):
+            m = midx_from_word(w)
+            records.append((m, word_from_midx(m), size, weight[m]))
+        ends.append(len(records))
 
     class Walks(dict):
         # (base, top) -> the indices n from top down to lo at which a letter
@@ -404,23 +420,29 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             return walk
 
     walks = Walks()
-    for k in midxes:
-        dk = midx_norm(k)
-        for kp in midxes[: ends[degree - dk]]:
-            bound = word_pair_bound(env, words[k], words[kp])
-            table.pair_bounds[(k, kp)] = bound
-            deg = dk + midx_norm(kp)
-            overflowed = deg in table.overflow_degrees
-            # cell (k, k', n) weighs base - step * n; the vacuum's only nonzero
-            # product is its (-1)-product (`law_cell`)
-            for n, shallowest in walks[grading.cell(k, kp, 0), min(hi, bound - 1)]:
-                if (overflowed and shallowest > depth) or (not k and n != -1):
+    bounds, overflow = table.pair_bounds, table.overflow_degrees
+    # the left-vacuum row by the vacuum axiom: 1_(n)v = δ_{n,-1} v, so every
+    # bound is 0 and only a (-1)-cell can be nonzero, one weighing W(k')
+    for kp, *_, wkp in records[: ends[degree]]:
+        bounds[EMPTY, kp] = 0
+        if lo <= -1 <= hi and depths[wkp]:
+            for l, c in law_cell(env, EMPTY, kp, -1).items():
+                table.add_entry(l, -1, EMPTY, kp, c)
+    for k, wu, dk, wk in records[1:]:
+        # cell (k, k', n) weighs wk + wkp - step * (n + 1)
+        base = wk - step
+        for kp, wv, dkp, wkp in records[: ends[degree - dk]]:
+            bound = bounds[k, kp] = word_pair_bound(env, wu, wv)
+            deg = dk + dkp
+            overflowed = deg in overflow
+            for n, shallowest in walks[base + wkp, min(hi, bound - 1)]:
+                if overflowed and shallowest > depth:
                     continue
                 for l, c in law_cell(env, k, kp, n).items():
                     if l in pos_set:
                         table.add_entry(l, n, k, kp, c)
                     else:
-                        table.overflow_degrees.add(deg)
+                        overflow.add(deg)
                         overflowed = True
     return table
 

@@ -21,6 +21,9 @@ carried to the stop over all positions, none cut at its own position's
 stop, and each composed coefficient built for its one position.  The
 three-sum itself is rerun naively: each binomial weight from its own
 falling product, and every term added, empty or not.
+A law table cell is rebuilt from the products' definitions, the λ-bracket
+and the ordered product of a divided power, the vacuum taking no
+shortcut, where the package reads kept word products and the axiom.
 The coalgebra helpers split words over position subsets on their own,
 and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
@@ -41,6 +44,7 @@ from lieconformal.lawtable import (
     _guard_table,
     _poly_madd,
     _slot_monomial,
+    midx_factorial,
     midx_from_word,
     word_from_midx,
     word_top,
@@ -262,6 +266,21 @@ def skew_bracket(alg, u: UElem, v: UElem):
                 cur = out.setdefault(n - s, UElem())
                 cur.iadd_scaled(shifted, 1)
     return ULPoly({k: v2 for k, v2 in out.items() if v2})
+
+
+def nth_law_cell(env, k, kp, n: int) -> dict:
+    """Single-letter part of e_k (n) e_k' divided by k! k'!, by letter, from
+    the products' definitions: for n >= 0 the λ^n coefficient of [u_λ v]
+    times n!, for n < 0 the ordered product (∂^(-n-1) u / (-n-1)!)_(-1) v,
+    with the vacuum on either side built like any other word."""
+    u = UElem.monomial(word_from_midx(k))
+    v = UElem.monomial(word_from_midx(kp))
+    if n >= 0:
+        prod = env.bracket(u, v).coeff(n).scale(math.factorial(n))
+    else:
+        prod = env.nop(env.partial_div(u, -n - 1), v)
+    norm = Q(1, midx_factorial(k) * midx_factorial(kp))
+    return {w[0]: c * norm for w, c in prod.terms.items() if len(w) == 1}
 
 
 def brute_combine(M, left: list, right: list, n: int) -> dict:

@@ -2,13 +2,16 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import golden
 import pytest
-from oracles import LambdaPeel, global_stop_law_jacobi
+from generated import nilpotent_current
+from oracles import LambdaPeel, global_stop_law_jacobi, nth_law_cell
+from test_generated import CASES
 
 from lieconformal import dsl, lawtable
 from lieconformal.cli import run
@@ -412,6 +415,61 @@ def test_vacuum_rows_equal_the_cellwise_products(name):
         assert got == want, (degree, depth, window)
         for memo in (env._bracket_memo, env._nop_memo, env._lead_memo):
             assert all(wu for wu, _ in memo), (degree, depth, window)
+
+
+@pytest.mark.parametrize("name", [*ALL_DATA, "ungraded"])
+def test_law_cell_equals_the_products_by_definition(name):
+    # every pair of degree <= 3 over the letters to depth 1, at every index
+    # in -4..4, the vacuum on either side included; on n3current and
+    # virasoro some nonzero cells are divided by k! k'! > 1
+    pres = golden.ungraded() if name == "ungraded" else _data(name)
+    env, fresh = EnvelopingAlgebra(pres), EnvelopingAlgebra(pres)
+    positions = env.basis.keys_up_to_depth(1)
+    midxes = [midx_from_word(w) for size in range(4) for w in combinations_with_replacement(positions, size)]
+    scaled = 0
+    for k in midxes:
+        for kp in midxes:
+            if midx_norm(k) + midx_norm(kp) > 3:
+                continue
+            for n in range(-4, 5):
+                got = law_cell(env, k, kp, n)
+                assert got == nth_law_cell(fresh, k, kp, n), (k, kp, n)
+                scaled += bool(got) and midx_factorial(k) * midx_factorial(kp) > 1
+    assert scaled or name not in ("n3current", "virasoro"), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: "n{}_draws{}_seed{}".format(*c))
+def test_extraction_matches_cellwise_products_on_generated(case):
+    # degree 3, with the index -1 inside and outside the window
+    n, draws, seed = case
+    pres = nilpotent_current(seed, n, draws)
+    reference = EnvelopingAlgebra(pres)
+    for depth, window in product((0, 1), ((-4, 4), (0, 3), (-3, -2))):
+        got = extract_law(EnvelopingAlgebra(pres), 3, depth, window).to_json()
+        assert got == _reference_table(reference, 3, depth, window).to_json(), (depth, window)
+
+
+@pytest.mark.parametrize("degree, depth, window, message", [
+    (2, 0, (3, -3), "window [3, -3] is not two integers lo <= hi"),
+    (-1, 0, (-2, 2), "degree -1 is not a nonnegative integer"),
+    (2, -1, (-2, 2), "depth -1 is not a nonnegative integer"),
+])
+def test_extraction_refuses_what_from_json_refuses(degree, depth, window, message):
+    # with from_json's own message, before any product is built
+    env = EnvelopingAlgebra(golden.heisenberg())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extract_law(env, degree, depth, window)
+    assert not (env._straighten_memo or env._bracket_memo or env._lead_memo or env._partial_memo)
+    doc = heis_table(2, 0, (-2, 2)).to_json()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LawTable.from_json({**doc, "degree": degree, "depth": depth, "window": list(window)})
+
+
+def test_extracted_tables_reload():
+    for name in ("heisenberg", "virasoro"):
+        for degree, depth, window in product((0, 1, 2), (0, 1), ((-2, 2), (0, 0), (-3, -3), (1, 4))):
+            doc = extract_law(EnvelopingAlgebra(_data(name)), degree, depth, window).to_json()
+            assert LawTable.from_json(doc).to_json() == doc, (name, degree, depth, window)
 
 
 def law_table_specs() -> list:
