@@ -562,6 +562,11 @@ def _dispatch(args, em: _Emitter) -> int:
         report = manifold.check_axioms(args.samples, args.seed, (lo, hi))
         for c in report["checks"]:
             em.text(f"{c['axiom']}: {'pass' if c['pass'] else 'fail'}")
+            if "witness" in c:
+                # each point as `eval --a` spells it, in the JSON report's order
+                w = c["witness"]
+                points = [", ".join(f"{k}={v}" for k, v in sorted(p.items())) or "0" for p in w["points"]]
+                em.text(f"  witness: ltj={w['ltj']} points={' | '.join(points)}")
         em.payload(report)
         return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 

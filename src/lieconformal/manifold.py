@@ -23,20 +23,24 @@ Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
 as idempotent inserts.  The same holds for the other memos, all kept for
 the manifold's life and never released: the truncation bound per joint
-support of two points, the three Jacobi three-sum stops per point triple
-(N times the bound of each pair, at least 1, plus 1), the powers p^m per
-point, and the inner series
-memo, the coefficients of the product series of a point pair, kept per
-pair because every outer index and outer point of a composed product
-reads the same ones.  Its fill builds a word only from a prefix that kept
-a coefficient, and only if it can reach a stored index: no other can.
-A composed product keeps its grouped exponent pairs per outer point,
-inner pair and series index, for every outer index to read.  The memos
-key a point by its (key, numerator, denominator) triples, which hash as
-ints, and an int and the equal Fraction give the same key; a Jacobi
-residual keys its three points once for all the products and stops it
-reads.  The inner series multiply as exact rationals through
-`word_series`.
+support of two points, the powers p^m per point, the inner series memo,
+the coefficients of the product series of a point pair, kept per pair
+because every outer index and outer point of a composed product reads
+the same ones, and the Jacobi entries.  The inner series fill builds a
+word only from a prefix that kept a coefficient, and only if it can
+reach a stored index: no other can.  A Jacobi residual keeps one entry
+per point triple: its three three-sum stops (N times the bound of each
+pair, at least 1, plus 1) and its three sides.  A side is one composed
+product over three points, kept per side and points for every triple
+that reads it: copies of its points, its values per (outer, series)
+index pair, and its grouped exponent pairs per series index for every
+outer index to read.  The memos key a point by its (key,
+numerator, denominator) triples, which hash as ints, and an int and the
+equal Fraction give the same key; a warm residual keys its three points,
+makes one lookup and reads its terms by int pairs.  Kept entries hold
+data only, no callable over the manifold, so a dropped manifold is freed
+without the cyclic collector.  The inner series multiply as exact
+rationals through `word_series`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement, product
 
 from .core import CVec, LcaPresentation, LPoly, three_sum
@@ -97,10 +100,10 @@ class VertexManifold:
         self._powers_memo: dict = {}
         # the cell weights against every letter
         self._grading = _Grading(env)
-        self._composed_memo: dict = {}
-        # the three-sum stops of a Jacobi residual, per point-key triple
-        self._stops_memo: dict = {}
-        self._weights_memo: dict = {}
+        # per point-key triple of a Jacobi residual: (its stops, its sides)
+        self._triples: dict = {}
+        # per (side, ka, kb, kc): (side, point copies, {(p, q): point}, {q: groups})
+        self._sides: dict = {}
         self._inner_memo: dict = {}
 
     # -- table cells ------------------------------------------------------
@@ -267,48 +270,74 @@ class VertexManifold:
                     words.extend((word + (letters[j],), j) for j in range(i, len(letters)) if tops[j] >= need)
         return filled[1].get(q, [])
 
-    def _composed(self, points: tuple, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
-        """Coefficient q of a composed product; ``points`` is the side and
-        the `point_key`s of a, b and c.  Side "second" substitutes the
-        (b, c) series into the second slot, "first" the (a, b) series into
-        the first.  The grouped exponent pairs are kept per q for every p."""
-        key = points + (p, q)
-        cached = self._composed_memo.get(key)
-        if cached is None:
-            weights = self._weights_memo.get(points + (q,))
-            if weights is None:
-                if points[0] == "second":
-                    weights = self._weights(self._powers(a), self._inner_series(b, c, q))
+    def _side(self, kind: str, keys: tuple, a: Point, b: Point, c: Point) -> tuple:
+        """The kept entry of a composed product over the points keyed
+        ``keys``; side "second" substitutes the (b, c) series into the second
+        slot, "first" the (a, b) series into the first.  It keeps copies of
+        the points, so a point changed in place leaves it intact."""
+        side = self._sides.get((kind, *keys))
+        if side is None:
+            side = self._sides[(kind, *keys)] = (kind, (dict(a), dict(b), dict(c)), {}, {})
+        return side
+
+    def _term(self, side: tuple, p: int, q: int) -> Point:
+        """Coefficient q of a side's composed product; the grouped exponent
+        pairs are kept per q for every p."""
+        kind, (a, b, c), products, weights = side
+        value = products.get((p, q))
+        if value is None:
+            groups = weights.get(q)
+            if groups is None:
+                if kind == "second":
+                    groups = self._weights(self._powers(a), self._inner_series(b, c, q))
                 else:
-                    weights = self._weights(self._inner_series(a, b, q), self._powers(c))
-                self._weights_memo[points + (q,)] = weights
-            cached = self._composed_memo[key] = self._combine(weights, p)
-        return cached
+                    groups = self._weights(self._inner_series(a, b, q), self._powers(c))
+                weights[q] = groups
+            value = products[p, q] = self._combine(groups, p)
+        return value
 
     def composed(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of a with the (b, c) product series."""
-        return self._composed(("second", point_key(a), point_key(b), point_key(c)), a, b, c, p, q)
+        return self._term(self._side("second", (point_key(a), point_key(b), point_key(c)), a, b, c), p, q)
 
     def composed_first(self, a: Point, b: Point, c: Point, p: int, q: int) -> Point:
         """Coefficient q of the product of the (a, b) series with point c."""
-        return self._composed(("first", point_key(a), point_key(b), point_key(c)), a, b, c, p, q)
+        return self._term(self._side("first", (point_key(a), point_key(b), point_key(c)), a, b, c), p, q)
 
     # -- axiom suite ------------------------------------------------------------
 
     def jacobi_residual(self, a: Point, b: Point, c: Point, l: int, t: int, j: int) -> Point:
-        ka, kb, kc = point_key(a), point_key(b), point_key(c)
-        stops = self._stops_memo.get((ka, kb, kc))
-        if stops is None:
-            stops = self._stops_memo[ka, kb, kc] = tuple(
-                self.N * max(self.truncation_bound(x, y), 1) + 1 for x, y in ((b, c), (a, c), (a, b)))
-        return three_sum(
-            l, t, j, stops,
-            (
-                partial(self._composed, ("second", ka, kb, kc), a, b, c),
-                partial(self._composed, ("second", kb, ka, kc), b, a, c),
-                partial(self._composed, ("first", ka, kb, kc), a, b, c),
-            ),
-        )
+        """Residual of the Jacobi (Borcherds three-sum) identity of a, b and c
+        at (l, t, j), in adapted coordinates; empty exactly when it holds.
+
+        Its sums read a_(p)(b_(q)c), b_(p)(a_(q)c) and (a_(q)b)_(p)c.  The
+        residual keys its points once and keeps one entry per point-key
+        triple: the stops, N times the truncation bound of (b, c), (a, c)
+        and (a, b), at least 1, plus 1, and the three sides (`_side`).  A
+        side is kept per its own keys, so triples that share it share its
+        values, and holds copies of its points, so a point dict changed in
+        place after the call does not change what it computes.  A warm
+        residual makes one lookup and reads the values by (p, q).  The term
+        readers are made per call, so nothing kept refers to the manifold.
+        """
+        ka, kb, kc = keys = point_key(a), point_key(b), point_key(c)
+        entry = self._triples.get(keys)
+        if entry is None:
+            stops = tuple(self.N * max(self.truncation_bound(x, y), 1) + 1 for x, y in ((b, c), (a, c), (a, b)))
+            sides = (self._side("second", keys, a, b, c), self._side("second", (kb, ka, kc), b, a, c),
+                     self._side("first", keys, a, b, c))
+            entry = self._triples[keys] = (stops, sides)
+        term = self._term
+
+        def reader(side):
+            products = side[2]
+
+            def read(p, q):
+                value = products.get((p, q))
+                return term(side, p, q) if value is None else value
+            return read
+
+        return three_sum(l, t, j, entry[0], [reader(side) for side in entry[1]])
 
     def check_axioms(self, sample_count: int, seed: int, window) -> dict:
         """Randomized verification of the four product axioms.

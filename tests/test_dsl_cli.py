@@ -17,7 +17,7 @@ from lieconformal import cli, dsl, filtration
 from lieconformal.cli import DEG_LIMIT, DEPTH_LIMIT, MAX_LEN_LIMIT, SAMPLES_LIMIT, WINDOW_LIMIT, run
 from lieconformal.core import CVec, LPoly
 from lieconformal.enveloping import EnvelopingAlgebra, UElem
-from lieconformal.manifold import VertexManifold
+from lieconformal.manifold import VertexManifold, integrate
 
 DATA = Path(__file__).parent / "data"
 
@@ -729,6 +729,34 @@ def test_failing_law_jacobi_names_its_first_failing_case():
         "pass": False, "witness": {"ltj": [-1, -1, 1], "l": "k[0]", "residual_monomials": 1}}}
     code, text = run(["fvl", str(DATA / "heisenberg.lca"), *argv[2:]])
     assert (code, text) == (0, "jacobi (degree 2): pass\nentries: 5\n")
+
+
+def test_failing_manifold_jacobi_names_its_witness(monkeypatch):
+    # the corrupted heisenberg cell of test_fault_injection_reports_pinned:
+    # text and JSON name the same (l, t, j) and points, and each text point
+    # reads back, as `eval --a` reads it, to the JSON one
+    def corrupted(pres):
+        M = integrate(pres)
+        a0, a1, k0 = (M.basis.key_for_symbol(sym) for sym in [(0, 0), (0, 1), (1, 0)])
+        key = (((a1, 1),), ((a0, 1),), 2)
+        M.table_entry(*key)
+        M._table[key] = {k0: Q(5)}
+        return M
+
+    monkeypatch.setattr(cli, "integrate", corrupted)
+    argv = ["verify-manifold", str(DATA / "heisenberg.lca"), "--samples", "8", "--seed", "5",
+            "--window=-4..4"]
+    code, text = run(argv)
+    assert (code, text) == (1, "weak_truncation: pass\nleft_identity: pass\ncreation: pass\n"
+                               "jacobi: fail\n  witness: ltj=[1, -1, 1] points=a[0]=-1, a[2]=-1/2 | "
+                               "a[1]=-2, k[0]=-2/3 | a[0]=-1, a[2]=-2, k[0]=-4\n")
+    code, out = run(["--format", "json", *argv])
+    witness = json.loads(out)["checks"][3]["witness"]
+    assert code == 1 and witness["ltj"] == [1, -1, 1]
+    pres = dsl.load_presentation((DATA / "heisenberg.lca").read_text(encoding="utf-8"))[0]
+    points = text.split("points=")[1].strip().split(" | ")
+    assert [dsl.parse_point(p, pres) for p in points] == [
+        dsl.point_from_pairs(list(p.items()), pres) for p in witness["points"]]
 
 
 def test_windows_beyond_the_limit_exit_2_at_once():

@@ -234,7 +234,8 @@ def test_no_float_or_integral_fraction_is_stored(monkeypatch):
     # manifold cells and accumulated point products
     M = integrate(golden.mixed())
     assert M.check_axioms(3, seed=1, window=(-2, 2))["pass"]
-    assert _assert_exact([M._table, M._composed_memo], "manifold") > 0
+    products = [side[2] for side in M._sides.values()]
+    assert _assert_exact([M._table, products], "manifold") > 0
     # every JSON payload of the recorded session: numbers in exact form only
     transcript = json.loads((DATA / "cli_transcript.json").read_text(encoding="utf-8"))
     payloads = 0

@@ -296,6 +296,16 @@ def test_residuals_key_each_point_once(monkeypatch):
             for j in (-1, 0, 1):
                 assert not M.jacobi_residual(a, b, c, l, t, j), (l, t, j)
     assert len(calls) <= 200, len(calls)
+    # a second pass reads kept entries only: it makes no product, grouping,
+    # series or bound, and keys each residual's three points once
+    calls.clear()
+    work = []
+    for name in ("_combine", "_weights", "_inner_series", "truncation_bound"):
+        monkeypatch.setattr(M, name, partial(lambda name, f, *args: work.append(name) or f(*args),
+                                             name, getattr(M, name)))
+    for ltj in product((-1, 0, 1), repeat=3):
+        assert not M.jacobi_residual(a, b, c, *ltj), ltj
+    assert not work and len(calls) == 3 * 27, (work, len(calls))
     # each value is filed under the keys of the points it was computed from,
     # here and on a heisenberg triple taken in both orders of its first two
     H = integrate(golden.heisenberg())
@@ -306,10 +316,12 @@ def test_residuals_key_each_point_once(monkeypatch):
         assert not H.jacobi_residual(y, x, z, l, t, j), (l, t, j)
     for warm, build in [(M, golden.n3_current), (H, golden.heisenberg)]:
         fresh = integrate(build())
-        for (side, *keys, p, q), got in warm._composed_memo.items():
+        for (side, *keys), (kind, copies, products, _) in warm._sides.items():
             pts = [{k: Q(n, d) for k, n, d in pk} for pk in keys]
+            assert kind == side and list(copies) == pts, (build.__name__, side)
             entry = fresh.composed if side == "second" else fresh.composed_first
-            assert entry(*pts, p, q) == got, (build.__name__, side, p, q)
+            for (p, q), got in products.items():
+                assert entry(*pts, p, q) == got, (build.__name__, side, p, q)
 
 
 def test_inner_series_builds_every_word_that_keeps_a_coefficient():
@@ -378,13 +390,14 @@ def test_memos_survive_points_in_swapped_roles():
         fresh = integrate(build())
         # the fresh manifold reads the keys in reverse order, so its memos
         # fill in another order than the warm one's
-        for key, got in reversed(list(M._composed_memo.items())):
-            slot, p, q = key[0], key[4], key[5]
+        for key, (_, _, products, _) in reversed(list(M._sides.items())):
+            slot = key[0]
             pts = [{k: Q(n, d) for k, n, d in pk} for pk in key[1:4]]
-            if slot == "second":
-                assert fresh.composed(*pts, p, q) == got, (build.__name__, key)
-            else:
-                assert fresh.composed_first(*pts, p, q) == got, (build.__name__, key)
+            for (p, q), got in reversed(list(products.items())):
+                if slot == "second":
+                    assert fresh.composed(*pts, p, q) == got, (build.__name__, key, p, q)
+                else:
+                    assert fresh.composed_first(*pts, p, q) == got, (build.__name__, key, p, q)
         for x, y in [(a, b), (b, a), (b, c), (c, b), (a, c)]:
             window = M.product_window(x, y, -4, 3)
             for n, got in window.slices.items():
@@ -647,8 +660,8 @@ def test_jacobi_residuals_equal_the_naive_sums():
 
 
 def test_kept_stops_equal_fresh_ones():
-    # each residual keeps its three stops per point-key triple; each kept
-    # triple is the stops of a manifold that has kept nothing
+    # each residual keeps its three stops and sides per point-key triple;
+    # each kept triple is the stops of a manifold that has kept nothing
     for build in (golden.heisenberg, golden.n3_current):
         M = integrate(build())
         rng = random.Random(5)
@@ -656,11 +669,60 @@ def test_kept_stops_equal_fresh_ones():
         for x, y, z in permutations(points):
             for ltj in [(-1, 0, 1), (0, -1, -1)]:
                 assert not M.jacobi_residual(x, y, z, *ltj), (build.__name__, ltj)
-        assert len(M._stops_memo) == 6, M._stops_memo
+        assert len(M._triples) == 6, M._triples
         fresh = integrate(build())
-        for keys, stops in M._stops_memo.items():
-            a, b, c = ({k: Q(n, d) for k, n, d in pk} for pk in keys)
-            assert stops == _stops(fresh, a, b, c), (build.__name__, keys)
+        for (ka, kb, kc), (stops, sides) in M._triples.items():
+            a, b, c = ({k: Q(n, d) for k, n, d in pk} for pk in (ka, kb, kc))
+            assert stops == _stops(fresh, a, b, c), (build.__name__, ka, kb, kc)
+            kept = [M._sides[key] for key in [("second", ka, kb, kc), ("second", kb, ka, kc),
+                                              ("first", ka, kb, kc)]]
+            assert all(x is y for x, y in zip(sides, kept)), (build.__name__, ka, kb, kc)
+
+
+def test_manifold_is_freed_without_the_cyclic_collector():
+    # kept entries hold data only, so a manifold that has read residuals,
+    # composed products and the axiom suite is freed once dropped
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        M = integrate(golden.heisenberg())
+        rng = random.Random(4)
+        a, b, c = (rand_point(rng, M) for _ in range(3))
+        assert not M.jacobi_residual(a, b, c, -1, 0, 1)
+        M.composed(a, b, c, -1, 0)
+        M.composed_first(a, b, c, -1, 0)
+        assert M.check_axioms(3, seed=1, window=(-2, 2))["pass"]
+        ref = weakref.ref(M)
+        del M
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_kept_points_are_copies():
+    # after a residual one of its point dicts changes in place; the entries
+    # kept under the old keys still compute from the old content, so warm
+    # reads of old and new content equal a fresh manifold's
+    for build in (golden.heisenberg, golden.n3_current):
+        M = integrate(build())
+        rng = random.Random(6)
+        a, b, c = (rand_point(rng, M) for _ in range(3))
+        old = [dict(x) for x in (a, b, c)]
+        assert not M.jacobi_residual(a, b, c, -1, -1, -1)
+        b[next(iter(b))] += 1
+        fresh = integrate(build())
+        nonzero = 0
+        for pts in ([dict(x) for x in old], [a, b, c]):
+            for ltj in [(0, 1, -1), (1, 1, 1), (-1, 0, 0)]:
+                assert M.jacobi_residual(*pts, *ltj) == fresh.jacobi_residual(*pts, *ltj) == {}, ltj
+            for p, q in product((-2, -1, 0), repeat=2):
+                for entry in ("composed", "composed_first"):
+                    got = getattr(M, entry)(*pts, p, q)
+                    assert got == getattr(fresh, entry)(*pts, p, q), (build.__name__, entry, p, q)
+                    nonzero += bool(got)
+        assert nonzero, build.__name__
 
 
 @pytest.mark.parametrize("build", [golden.heisenberg, golden.n3_current])
