@@ -13,14 +13,27 @@ Bracket expressions are sums of products of rational constants, the
 variable ``lambda``, the derivative symbol ``D`` and generator names,
 with ``^`` for natural powers.  ``D`` is an operator: lowering requires
 it to act from the left on the generator of its monomial.
+
+Tokens are plain tuples ``(kind, text, begin, end, line, column)`` from
+one pass of a compiled regex; the kind of a punctuation token is its
+character.  Line and column come from the newlines between tokens, and
+a comment advances no column.  A `SourceSpan` is built only for a token
+the AST keeps, a name, a literal or the start of a compound node or
+declaration, and for a token a diagnostic names.  Integer literals stay
+ints and only ``p/q`` makes a Fraction, so a monomial's coefficient is
+an int until a fraction enters; the lowering passes every coefficient
+through `linalg.iadd`, which stores ints where they are integral either
+way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import GeneratorSpec, LPoly, LcaPresentation
 from .linalg import iadd
@@ -28,8 +41,7 @@ from .linalg import iadd
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     begin: int
     end: int
     line: int
@@ -56,55 +68,41 @@ class DslError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass
-class Token:
-    kind: str  # name, int, punct, eof
-    text: str
-    span: SourceSpan
+# Blanks and comments, then one token: a newline, an ASCII name, decimal
+# digits, punctuation, a name starting past ASCII (its first character
+# must be alphabetic), the end, or any other character.  The groups are
+# numbered in that order.
+_TOKEN = re.compile(
+    r"(?:[ \t\r]+|#[^\n]*)*(?:(\n)|([A-Za-z_]\w*)|(\d+)|([][{}(),;:=+*^/-])|([^\W\d]\w*)|()\Z|(.))")
+_KIND = (None, None, "name", "int", None, "name")
 
 
-_PUNCT = ("[", "]", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "^", "/")
+def _span(tok) -> SourceSpan:
+    return SourceSpan(tok[2], tok[3], tok[4], tok[5])
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple]:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            i += 1
+    append = toks.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        i = m.lastindex
+        if i == 1:
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start, sl, sc = i, line, col
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            toks.append(Token("int", text[start:i], SourceSpan(start, i, sl, sc)))
-            continue
-        if ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            toks.append(Token("name", text[start:i], SourceSpan(start, i, sl, sc)))
-            continue
-        if ch in _PUNCT:
-            i += 1
-            col += 1
-            toks.append(Token("punct", ch, SourceSpan(start, i, sl, sc)))
-            continue
-        raise DslError(Diagnostic(f"unexpected character {ch!r}", SourceSpan(start, start + 1, sl, sc)))
-    toks.append(Token("eof", "", SourceSpan(n, n, line, col)))
+        if i == 6:
+            break
+        begin, end = m.span(i)
+        if i >= 5 and (i == 7 or not text[begin].isalpha()):
+            raise DslError(Diagnostic(f"unexpected character {text[begin]!r}",
+                                      SourceSpan(begin, begin + 1, line, begin - line_start + 1)))
+        tok = m.group(i)
+        append((_KIND[i] or tok, tok, begin, end, line, begin - line_start + 1))
+    # a trailing comment on the last line advances no column
+    n = len(text)
+    hash_at = text.find("#", line_start)
+    append(("eof", "", n, n, line, (n if hash_at < 0 else hash_at) - line_start + 1))
     return toks
 
 
@@ -145,7 +143,7 @@ LETTER_DEPTH_LIMIT = 2
 
 # -- expression AST -----------------------------------------------------------
 
-# nodes: ("num", Q, span) | ("sym", name, span) | ("neg", node, span)
+# nodes: ("num", int | Q, span) | ("sym", name, span) | ("neg", node, span)
 #        | ("add", [nodes], span) | ("mul", [nodes], span) | ("pow", node, int, span)
 
 
@@ -180,127 +178,121 @@ class Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
+    def fail(self, expected: str):
         t = self.toks[self.pos]
+        got = t[1] or "end of input"
+        raise DslError(Diagnostic(f"expected {expected}, found {got!r}", _span(t)))
+
+    def expect(self, kind: str, text: str | None = None) -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind or (text is not None and t[1] != text):
+            self.fail(text if text is not None else kind)
         self.pos += 1
         return t
 
-    def fail(self, expected: str):
-        t = self.peek()
-        got = t.text or "end of input"
-        raise DslError(Diagnostic(f"expected {expected}, found {got!r}", t.span))
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            self.fail(text if text is not None else kind)
-        return self.next()
-
-    def accept(self, kind: str, text: str | None = None):
-        t = self.peek()
-        if t.kind == kind and (text is None or t.text == text):
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
     # -- grammar -----------------------------------------------------------
 
     def parse_algebra(self) -> AlgebraFile:
         start = self.expect("name", "algebra")
-        name = self.expect("name").text
-        self.expect("punct", "{")
+        name = self.expect("name")[1]
+        self.expect("{")
         self.expect("name", "generators")
-        self.expect("punct", "{")
+        self.expect("{")
         gens = []
         seen = set()
-        while not self.accept("punct", "}"):
+        while not self.accept("}"):
             gname = self.expect("name")
-            if gname.text in seen:
-                raise DslError(Diagnostic(f"duplicate generator {gname.text!r}", gname.span))
-            seen.add(gname.text)
-            self.expect("punct", ":")
+            if gname[1] in seen:
+                raise DslError(Diagnostic(f"duplicate generator {gname[1]!r}", _span(gname)))
+            seen.add(gname[1])
+            self.expect(":")
             kind = self.expect("name")
             torsion = None
-            if kind.text == "torsion":
-                self.expect("punct", "(")
+            if kind[1] == "torsion":
+                self.expect("(")
                 m = self.expect("int")
-                torsion = int(m.text)
+                torsion = int(m[1])
                 if torsion < 1:
-                    raise DslError(Diagnostic("torsion order must be positive", m.span))
-                self.expect("punct", ")")
-            elif kind.text != "free":
-                raise DslError(Diagnostic("expected 'free' or 'torsion(m)'", kind.span))
-            self.expect("punct", ";")
-            gens.append(GeneratorDecl(gname.text, torsion, gname.span))
+                    raise DslError(Diagnostic("torsion order must be positive", _span(m)))
+                self.expect(")")
+            elif kind[1] != "free":
+                raise DslError(Diagnostic("expected 'free' or 'torsion(m)'", _span(kind)))
+            self.expect(";")
+            gens.append(GeneratorDecl(gname[1], torsion, _span(gname)))
         brackets = []
-        while not self.accept("punct", "}"):
+        while not self.accept("}"):
             kw = self.expect("name", "bracket")
-            self.expect("punct", "[")
-            left = self.expect("name").text
-            self.expect("punct", ",")
-            right = self.expect("name").text
-            self.expect("punct", "]")
-            self.expect("punct", "=")
+            self.expect("[")
+            left = self.expect("name")[1]
+            self.expect(",")
+            right = self.expect("name")[1]
+            self.expect("]")
+            self.expect("=")
             expr = self.parse_expr()
-            self.expect("punct", ";")
-            brackets.append(BracketDecl(left, right, expr, kw.span))
+            self.expect(";")
+            brackets.append(BracketDecl(left, right, expr, _span(kw)))
         self.expect("eof")
-        return AlgebraFile(name, gens, brackets, start.span)
+        return AlgebraFile(name, gens, brackets, _span(start))
 
     def parse_expr(self):
-        span = self.peek().span
-        terms = []
-        negate = bool(self.accept("punct", "-"))
+        first = self.toks[self.pos]
+        negate = self.accept("-")
         node = self.parse_term()
-        terms.append(("neg", node, span) if negate else node)
+        terms = [("neg", node, _span(first)) if negate else node]
         while True:
-            if self.accept("punct", "+"):
+            if self.accept("+"):
                 terms.append(self.parse_term())
-            elif self.accept("punct", "-"):
+            elif self.accept("-"):
                 t = self.parse_term()
                 terms.append(("neg", t, t[-1]))
             else:
                 break
         if len(terms) == 1:
             return terms[0]
-        return ("add", terms, span)
+        return ("add", terms, _span(first))
 
     def parse_term(self):
-        span = self.peek().span
+        first = self.toks[self.pos]
         factors = [self.parse_factor()]
-        while self.accept("punct", "*"):
+        while self.accept("*"):
             factors.append(self.parse_factor())
         if len(factors) == 1:
             return factors[0]
-        return ("mul", factors, span)
+        return ("mul", factors, _span(first))
 
     def parse_factor(self):
         node = self.parse_atom()
-        if self.accept("punct", "^"):
+        if self.accept("^"):
             e = self.expect("int")
-            if int(e.text) > POW_LIMIT:
-                raise DslError(Diagnostic(f"exponent {e.text} is beyond the limit {POW_LIMIT}", e.span))
-            return ("pow", node, int(e.text), node[-1])
+            if int(e[1]) > POW_LIMIT:
+                raise DslError(Diagnostic(f"exponent {e[1]} is beyond the limit {POW_LIMIT}", _span(e)))
+            return ("pow", node, int(e[1]), node[-1])
         return node
 
     def parse_atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            num = int(t.text)
-            if self.accept("punct", "/"):
-                den = self.expect("int")
-                return ("num", Q(num, int(den.text)), t.span)
-            return ("num", Q(num), t.span)
-        if t.kind == "name":
-            self.next()
-            return ("sym", t.text, t.span)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        t = self.toks[self.pos]
+        kind = t[0]
+        if kind == "int":
+            self.pos += 1
+            if not self.accept("/"):
+                return ("num", int(t[1]), _span(t))
+            den = self.expect("int")
+            if not int(den[1]):
+                raise DslError(Diagnostic("division by zero", _span(den)))
+            return ("num", Q(int(t[1]), int(den[1])), _span(t))
+        if kind == "name":
+            self.pos += 1
+            return ("sym", t[1], _span(t))
+        if kind == "(":
+            self.pos += 1
             node = self.parse_expr()
-            self.expect("punct", ")")
+            self.expect(")")
             return node
         self.fail("a number, name or parenthesized expression")
 
@@ -332,8 +324,8 @@ def _expand(node) -> list:
         return [(node[1], 0, [])]
     if kind == "sym":
         if node[1] == "lambda":
-            return [(Q(1), 1, [])]
-        return [(Q(1), 0, [(node[1], node[2])])]
+            return [(1, 1, [])]
+        return [(1, 0, [(node[1], node[2])])]
     if kind == "neg":
         return [(-c, p, syms) for (c, p, syms) in _expand(node[1])]
     if kind == "add":
@@ -342,14 +334,14 @@ def _expand(node) -> list:
             out.extend(_expand(sub))
         return out
     if kind == "mul":
-        out = [(Q(1), 0, [])]
+        out = [(1, 0, [])]
         for sub in node[1]:
             out = _times(out, _expand(sub), node[-1])
         return out
     if kind == "pow":
         # the base expanded once, then multiplied in exponent times
         base = _expand(node[1])
-        out = [(Q(1), 0, [])]
+        out = [(1, 0, [])]
         for _ in range(node[2]):
             out = _times(out, base, node[-1])
         return out
@@ -362,6 +354,10 @@ def _times(left: list, right: list, span) -> list:
     if len(left) * len(right) > MONOMIAL_LIMIT:
         raise DslError(Diagnostic(
             f"expansion forms {len(left) * len(right)} monomials, beyond the limit {MONOMIAL_LIMIT}", span))
+    if len(left) == 1 == len(right):
+        (c1, p1, s1), (c2, p2, s2) = left[0], right[0]
+        c = c1 * c2
+        return [(c, p1 + p2, s1 + s2)] if c else []
     return _merge((c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in left for (c2, p2, s2) in right)
 
 
@@ -492,7 +488,7 @@ def parse_vector(text: str, pres: LcaPresentation):
     span = SourceSpan(0, len(text), 1, 1)
     # refused before the expansion, which a power of a sum with lambda
     # makes long, and even where the lambda terms would cancel
-    if any(t.kind == "name" and t.text == "lambda" for t in parser.toks):
+    if any(t[1] == "lambda" for t in parser.toks):
         raise DslError(Diagnostic("lambda is not allowed here", span))
     gen_index = {g.name: i for i, g in enumerate(pres.generators)}
     torsion = [g.torsion for g in pres.generators]
@@ -567,5 +563,9 @@ def point_from_pairs(pairs: list, pres: LcaPresentation) -> dict:
         sym = _parse_letter(tok.strip(), pres)
         if sym in out:
             raise DslError(Diagnostic(f"coordinate {tok.strip()!r} given twice", SourceSpan(0, 0, 1, 1)))
-        out[sym] = Q(value.strip())
+        try:
+            out[sym] = Q(value.strip())
+        except ZeroDivisionError:
+            raise DslError(Diagnostic(
+                f"division by zero in coordinate {tok.strip()!r}", SourceSpan(0, 0, 1, 1))) from None
     return iadd({}, out)

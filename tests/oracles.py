@@ -29,14 +29,30 @@ and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
 formulas of their own: the n!, the integral weights and the derivative
 shifts the package's n-th-product form does without.
+The `.lca` format is read by its first implementation: a lexer that steps
+one character at a time and builds a span for every token, the same
+grammar over its tokens, and a lowering that keeps every literal and
+monomial coefficient a Fraction.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
 
 from lieconformal.bialgebra import TensorElem
-from lieconformal.core import AxiomReport, CheckResult, CVec, LMPoly, LPoly
+from lieconformal.core import AxiomReport, CheckResult, CVec, GeneratorSpec, LcaPresentation, LMPoly, LPoly
+from lieconformal.dsl import (
+    MONOMIAL_LIMIT,
+    POW_LIMIT,
+    AlgebraFile,
+    BracketDecl,
+    Diagnostic,
+    DslError,
+    GeneratorDecl,
+    SourceSpan,
+    _nesting_bounded,
+)
 from lieconformal.enveloping import UElem, ULPoly
 from lieconformal.errors import TruncationInsufficient
 from lieconformal.lawtable import (
@@ -487,3 +503,329 @@ def global_stop_law_jacobi(table, samples, cap: int) -> dict:
             if resid:
                 return {"pass": False, "checks": entries}
     return {"pass": bool(entries), "checks": entries}
+
+
+# -- the .lca text format, character by character -----------------------------
+
+@dataclass
+class NaiveToken:
+    kind: str  # name, int, punct, eof
+    text: str
+    span: SourceSpan
+
+
+_NAIVE_PUNCT = ("[", "]", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "^", "/")
+
+
+def naive_tokenize(text: str) -> list:
+    """Tokens one character at a time, a span built for each.
+
+    A comment advances no column, and any `str.isdigit` character starts
+    or continues an int token.
+    """
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        start, sl, sc = i, line, col
+        if ch.isdigit():
+            while i < n and text[i].isdigit():
+                i += 1
+                col += 1
+            toks.append(NaiveToken("int", text[start:i], SourceSpan(start, i, sl, sc)))
+            continue
+        if ch.isalpha() or ch == "_":
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            toks.append(NaiveToken("name", text[start:i], SourceSpan(start, i, sl, sc)))
+            continue
+        if ch in _NAIVE_PUNCT:
+            i += 1
+            col += 1
+            toks.append(NaiveToken("punct", ch, SourceSpan(start, i, sl, sc)))
+            continue
+        raise DslError(Diagnostic(f"unexpected character {ch!r}", SourceSpan(start, start + 1, sl, sc)))
+    toks.append(NaiveToken("eof", "", SourceSpan(n, n, line, col)))
+    return toks
+
+
+class NaiveParser:
+    """The recursive-descent grammar over `naive_tokenize`, every literal a Fraction."""
+
+    def __init__(self, text: str):
+        self.toks = naive_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> NaiveToken:
+        return self.toks[self.pos]
+
+    def next(self) -> NaiveToken:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, expected: str):
+        t = self.peek()
+        got = t.text or "end of input"
+        raise DslError(Diagnostic(f"expected {expected}, found {got!r}", t.span))
+
+    def expect(self, kind: str, text: str | None = None) -> NaiveToken:
+        t = self.peek()
+        if t.kind != kind or (text is not None and t.text != text):
+            self.fail(text if text is not None else kind)
+        return self.next()
+
+    def accept(self, kind: str, text: str | None = None):
+        t = self.peek()
+        if t.kind == kind and (text is None or t.text == text):
+            return self.next()
+        return None
+
+    def parse_algebra(self) -> AlgebraFile:
+        start = self.expect("name", "algebra")
+        name = self.expect("name").text
+        self.expect("punct", "{")
+        self.expect("name", "generators")
+        self.expect("punct", "{")
+        gens = []
+        seen = set()
+        while not self.accept("punct", "}"):
+            gname = self.expect("name")
+            if gname.text in seen:
+                raise DslError(Diagnostic(f"duplicate generator {gname.text!r}", gname.span))
+            seen.add(gname.text)
+            self.expect("punct", ":")
+            kind = self.expect("name")
+            torsion = None
+            if kind.text == "torsion":
+                self.expect("punct", "(")
+                m = self.expect("int")
+                torsion = int(m.text)
+                if torsion < 1:
+                    raise DslError(Diagnostic("torsion order must be positive", m.span))
+                self.expect("punct", ")")
+            elif kind.text != "free":
+                raise DslError(Diagnostic("expected 'free' or 'torsion(m)'", kind.span))
+            self.expect("punct", ";")
+            gens.append(GeneratorDecl(gname.text, torsion, gname.span))
+        brackets = []
+        while not self.accept("punct", "}"):
+            kw = self.expect("name", "bracket")
+            self.expect("punct", "[")
+            left = self.expect("name").text
+            self.expect("punct", ",")
+            right = self.expect("name").text
+            self.expect("punct", "]")
+            self.expect("punct", "=")
+            expr = self.parse_expr()
+            self.expect("punct", ";")
+            brackets.append(BracketDecl(left, right, expr, kw.span))
+        self.expect("eof")
+        return AlgebraFile(name, gens, brackets, start.span)
+
+    def parse_expr(self):
+        span = self.peek().span
+        terms = []
+        negate = bool(self.accept("punct", "-"))
+        node = self.parse_term()
+        terms.append(("neg", node, span) if negate else node)
+        while True:
+            if self.accept("punct", "+"):
+                terms.append(self.parse_term())
+            elif self.accept("punct", "-"):
+                t = self.parse_term()
+                terms.append(("neg", t, t[-1]))
+            else:
+                break
+        if len(terms) == 1:
+            return terms[0]
+        return ("add", terms, span)
+
+    def parse_term(self):
+        span = self.peek().span
+        factors = [self.parse_factor()]
+        while self.accept("punct", "*"):
+            factors.append(self.parse_factor())
+        if len(factors) == 1:
+            return factors[0]
+        return ("mul", factors, span)
+
+    def parse_factor(self):
+        node = self.parse_atom()
+        if self.accept("punct", "^"):
+            e = self.expect("int")
+            if int(e.text) > POW_LIMIT:
+                raise DslError(Diagnostic(f"exponent {e.text} is beyond the limit {POW_LIMIT}", e.span))
+            return ("pow", node, int(e.text), node[-1])
+        return node
+
+    def parse_atom(self):
+        t = self.peek()
+        if t.kind == "int":
+            self.next()
+            num = int(t.text)
+            if self.accept("punct", "/"):
+                den = self.expect("int")
+                return ("num", Q(num, int(den.text)), t.span)
+            return ("num", Q(num), t.span)
+        if t.kind == "name":
+            self.next()
+            return ("sym", t.text, t.span)
+        if t.kind == "punct" and t.text == "(":
+            self.next()
+            node = self.parse_expr()
+            self.expect("punct", ")")
+            return node
+        self.fail("a number, name or parenthesized expression")
+
+
+def _naive_expand(node) -> list:
+    kind = node[0]
+    if kind == "num":
+        return [(node[1], 0, [])]
+    if kind == "sym":
+        if node[1] == "lambda":
+            return [(Q(1), 1, [])]
+        return [(Q(1), 0, [(node[1], node[2])])]
+    if kind == "neg":
+        return [(-c, p, syms) for (c, p, syms) in _naive_expand(node[1])]
+    if kind == "add":
+        out = []
+        for sub in node[1]:
+            out.extend(_naive_expand(sub))
+        return out
+    if kind == "mul":
+        out = [(Q(1), 0, [])]
+        for sub in node[1]:
+            out = _naive_times(out, _naive_expand(sub), node[-1])
+        return out
+    if kind == "pow":
+        base = _naive_expand(node[1])
+        out = [(Q(1), 0, [])]
+        for _ in range(node[2]):
+            out = _naive_times(out, base, node[-1])
+        return out
+    raise AssertionError(kind)
+
+
+def _naive_times(left: list, right: list, span) -> list:
+    if len(left) * len(right) > MONOMIAL_LIMIT:
+        raise DslError(Diagnostic(
+            f"expansion forms {len(left) * len(right)} monomials, beyond the limit {MONOMIAL_LIMIT}", span))
+    return _naive_merge((c1 * c2, p1 + p2, s1 + s2) for (c1, p1, s1) in left for (c2, p2, s2) in right)
+
+
+def _naive_merge(monomials) -> list:
+    out: dict = {}
+    for c, p, syms in monomials:
+        key = (p, tuple(name for name, _ in syms))
+        total, _, first = out.get(key, (0, p, syms))
+        out[key] = (total + c, p, first)
+    return [m for m in out.values() if m[0]]
+
+
+def _naive_lower_expr(expr, gen_index, torsion, span):
+    poly: dict = {}
+    warnings = []
+    for (coeff, lpow, syms) in _naive_expand(expr):
+        if coeff == 0:
+            continue
+        dcount = 0
+        gen = None
+        gen_span = span
+        for (name, sp) in syms:
+            if name == "D":
+                if gen is not None:
+                    raise DslError(
+                        Diagnostic("derivative operator must be applied to the left of a generator", sp)
+                    )
+                dcount += 1
+            else:
+                if name not in gen_index:
+                    raise DslError(Diagnostic(f"unknown identifier {name!r}", sp))
+                if gen is not None:
+                    raise DslError(
+                        Diagnostic("every monomial must contain exactly one generator", sp)
+                    )
+                gen = name
+                gen_span = sp
+        if gen is None:
+            raise DslError(
+                Diagnostic("every monomial must contain exactly one generator", span)
+            )
+        g = gen_index[gen]
+        t = torsion[g]
+        if t is not None and dcount >= t:
+            warnings.append(
+                Diagnostic(
+                    f"derivative power {dcount} annihilates torsion generator {gen!r}; term dropped",
+                    gen_span,
+                )
+            )
+            continue
+        iadd(poly.setdefault(lpow, {}), {(g, dcount): coeff * math.factorial(dcount)})
+    return poly, warnings
+
+
+@_nesting_bounded
+def naive_load_presentation(text: str):
+    """`dsl.load_presentation` over `naive_tokenize` and Fraction lowering."""
+    ast = NaiveParser(text).parse_algebra()
+    gen_index = {g.name: i for i, g in enumerate(ast.generators)}
+    torsion = [g.torsion for g in ast.generators]
+    table = {}
+    warnings = []
+    for decl in ast.brackets:
+        for side in (decl.left, decl.right):
+            if side not in gen_index:
+                raise DslError(Diagnostic(f"unknown identifier {side!r}", decl.span))
+        i, j = gen_index[decl.left], gen_index[decl.right]
+        if i > j:
+            raise DslError(
+                Diagnostic(
+                    f"bracket [{decl.left}, {decl.right}] must be stated as "
+                    f"[{decl.right}, {decl.left}]; transposed entries are derived",
+                    decl.span,
+                )
+            )
+        if (i, j) in table:
+            raise DslError(
+                Diagnostic(f"bracket [{decl.left}, {decl.right}] declared twice", decl.span)
+            )
+        poly, warns = _naive_lower_expr(decl.expr, gen_index, torsion, decl.span)
+        warnings.extend(warns)
+        poly = LPoly(poly)
+        if poly:
+            table[(i, j)] = poly
+    specs = [GeneratorSpec(g.name, g.torsion) for g in ast.generators]
+    return LcaPresentation(ast.name, specs, table), warnings
+
+
+@_nesting_bounded
+def naive_parse_vector(text: str, pres) -> CVec:
+    """`dsl.parse_vector` over `naive_tokenize` and Fraction lowering."""
+    parser = NaiveParser(text)
+    expr = parser.parse_expr()
+    parser.expect("eof")
+    span = SourceSpan(0, len(text), 1, 1)
+    if any(t.kind == "name" and t.text == "lambda" for t in parser.toks):
+        raise DslError(Diagnostic("lambda is not allowed here", span))
+    gen_index = {g.name: i for i, g in enumerate(pres.generators)}
+    torsion = [g.torsion for g in pres.generators]
+    poly, _ = _naive_lower_expr(expr, gen_index, torsion, span)
+    return CVec(poly.get(0, {}))
