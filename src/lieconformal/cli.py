@@ -1,5 +1,12 @@
 """Command-line driver.
 
+Each subcommand is declared once, as an entry of `COMMANDS`: its help,
+the options after FILE, the sizes it bounds and its handler.  A handler
+takes the parsed arguments and the loaded presentation and returns
+(exit code, text lines, JSON doc), both built in one pass; `run` prints
+exactly one of the two, the lines under ``--format text`` (after the
+presentation's warnings) and the doc under ``--format json``.
+
 Exit codes: 0 success / all checks pass, 1 a verification failed,
 2 parse or usage error, 3 the presentation is not nilpotent or its
 lower central series did not stabilize, 4 a truncated table cannot
@@ -15,23 +22,17 @@ import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import dsl, render
 from .bialgebra import coproduct, counit, primitives_up_to
-from .core import CVec, LPoly
+from .core import CVec
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import (
-    AxiomFailure,
-    NotNilpotent,
-    OutsideBasis,
-    SeriesDivergent,
-    TruncationInsufficient,
+    AxiomFailure, NotNilpotent, OutsideBasis, SeriesDivergent, TruncationInsufficient,
 )
 from .lawtable import check_identities, check_law_jacobi, extract_law
 from .manifold import integrate
-
-Q = Fraction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -136,19 +137,6 @@ def _check_yprod(left: tuple, right: tuple, lo: int) -> None:
         )
 
 
-def _check_sizes(args) -> None:
-    limits = {
-        "primitives": (("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)),
-        "verify-manifold": (("samples", SAMPLES_LIMIT),),
-        "fvl": (("deg", DEG_LIMIT), ("depth", DEPTH_LIMIT)),
-    }
-    for dest, limit in limits.get(args.command, ()):
-        value = getattr(args, dest)
-        if value > limit:
-            option = "--" + dest.replace("_", "-")
-            raise ValueError(f"{option} {value} is beyond the limit {limit}")
-
-
 def _size(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -156,9 +144,10 @@ def _size(text: str) -> int:
     return n
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return dsl.load_presentation(fh.read())
+class _Numeral(str):
+    """A JSON number as written: a point value reads it exactly and counts
+    its digits, where a float would round it and an int past CPython's
+    4,300 digits would not be built."""
 
 
 @dsl._nesting_bounded
@@ -171,12 +160,13 @@ def _parse_arg(arg: str, pres, key: str):
     if not arg.startswith("@"):
         return (dsl.parse_word if key == "word" else dsl.parse_point)(arg, pres)
     with open(arg[1:], "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_Numeral, parse_float=_Numeral)
     value = doc.get(key) if isinstance(doc, dict) else None
-    if key == "word" and isinstance(value, list) and all(isinstance(x, str) for x in value):
+    if key == "word" and isinstance(value, list) and all(type(x) is str for x in value):
         return dsl.word_from_letters(value, pres)
+    # a float here is NaN or Infinity, which a point value refuses
     if key == "coords" and isinstance(value, dict) and all(
-            isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in value.values()):
+            isinstance(x, (str, float)) for x in value.values()):
         return dsl.point_from_pairs([(k, str(v)) for k, v in sorted(value.items())], pres)
     raise dsl.DslError(
         dsl.Diagnostic(f"unrecognized JSON argument in {arg[1:]!r}", dsl.SourceSpan(0, 0, 1, 1))
@@ -188,57 +178,242 @@ def _vector_json(pres, v: CVec) -> dict:
 
 
 def _uelem_json(basis, u: UElem) -> list:
-    out = []
-    for word in sorted(u.terms):
-        out.append({"word": [basis.label(k) for k in word], "coeff": str(u.terms[word])})
-    return out
+    return [{"word": [basis.label(k) for k in word], "coeff": str(u.terms[word])}
+            for word in sorted(u.terms)]
 
 
-def _residual_text(pres, residual) -> str:
-    # a failing check's residual: an LPoly, or the LMPoly of the Jacobi check
-    if isinstance(residual, LPoly):
-        return render.lpoly_text(pres, residual)
-    return render.lmpoly_text(pres, residual)
-
-
-def _report_lines(pres, report) -> list[str]:
-    lines = []
+def _report(pres, report) -> tuple[list, dict]:
+    """Text lines and JSON doc of an axiom report, with the same witnesses
+    and residuals."""
+    lines, checks = [], []
     for c in report.checks:
         lines.append(f"{c.name}: {'pass' if c.passed else 'fail'}")
-        if not c.passed:
-            names = tuple(pres.gen_name(i) for i in c.witness)
-            lines.append(f"  witness: {names}")
-            lines.append("  residual: " + _residual_text(pres, c.residual))
-    return lines
-
-
-def _report_json(pres, report) -> dict:
-    out = []
-    for c in report.checks:
         entry = {"name": c.name, "pass": c.passed}
         if not c.passed:
             entry["witness"] = [pres.gen_name(i) for i in c.witness]
-            entry["residual"] = _residual_text(pres, c.residual)
-        out.append(entry)
-    return {"algebra": pres.name, "checks": out, "pass": report.ok}
+            entry["residual"] = render.poly_text(pres, c.residual)
+            lines += [f"  witness: {tuple(entry['witness'])}", "  residual: " + entry["residual"]]
+        checks.append(entry)
+    return lines, {"algebra": pres.name, "checks": checks, "pass": report.ok}
 
 
-class _Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.lines: list[str] = []
-        self.doc = None
+def _verdict(passed: bool) -> int:
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
-    def text(self, *lines: str):
-        self.lines.extend(lines)
 
-    def payload(self, doc):
-        self.doc = doc
+def _integrated(pres):
+    try:
+        return integrate(pres)
+    except NotNilpotent as exc:
+        # `_not_nilpotent_text` prints the stable generators
+        exc.rendered = [render.vector_text(pres, v) for v in exc.stable_generators]
+        raise
 
-    def render(self) -> str:
-        if self.fmt == "json":
-            return json.dumps(self.doc, indent=1, sort_keys=True) + "\n"
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+class Command(NamedTuple):
+    help: str
+    options: tuple  # (flag, add_argument keywords) after FILE
+    limits: tuple  # (dest, largest value)
+    handler: object  # handler(args, pres) -> (exit code, text lines, JSON doc)
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, help: str, *options, limits=()):
+    def register(handler):
+        COMMANDS[name] = Command(help, options, limits, handler)
+        return handler
+    return register
+
+
+_REQUIRED = {"required": True}
+_SIZE = {"type": _size, "required": True}
+_WINDOW = ("--window", {"type": _window, "required": True})
+_OPERANDS = (("--left", _REQUIRED), ("--right", _REQUIRED))
+
+
+@_command("check", "verify the algebra axioms")
+def _check(args, pres):
+    report = pres.check_axioms()
+    return (_verdict(report.ok), *_report(pres, report))
+
+
+@_command("bracket", "bracket of two vectors", *_OPERANDS)
+def _bracket(args, pres):
+    poly = pres.bracket(dsl.parse_vector(args.left, pres), dsl.parse_vector(args.right, pres))
+    doc = {str(n): _vector_json(pres, vec) for n, vec in sorted(poly.coeffs.items())}
+    return EXIT_OK, [render.poly_text(pres, poly)], {"lambda_poly": doc}
+
+
+@_command("nth", "nonnegative product of two vectors", *_OPERANDS,
+          ("--n", {"type": int, "required": True}))
+def _nth(args, pres):
+    out = pres.nth_product(dsl.parse_vector(args.left, pres), dsl.parse_vector(args.right, pres),
+                           args.n)
+    return EXIT_OK, [render.vector_text(pres, out)], {"vector": _vector_json(pres, out)}
+
+
+@_command("nop", "ordered product of two words", *_OPERANDS)
+def _nop(args, pres):
+    alg = EnvelopingAlgebra(pres)
+    left = UElem.monomial(_parse_arg(args.left, pres, "word"))
+    out = alg.nop(left, UElem.monomial(_parse_arg(args.right, pres, "word")))
+    return EXIT_OK, [render.uelem_text(alg.basis, out)], {"element": _uelem_json(alg.basis, out)}
+
+
+@_command("yprod", "window of integer-indexed products", *_OPERANDS, _WINDOW)
+def _yprod(args, pres):
+    left, right = _parse_arg(args.left, pres, "word"), _parse_arg(args.right, pres, "word")
+    lo, hi = args.window
+    _check_yprod(left, right, lo)
+    alg = EnvelopingAlgebra(pres)
+    products, bound = alg.y_window(UElem.monomial(left), UElem.monomial(right), lo, hi)
+    lines, docs = [], {}
+    for n in range(lo, hi + 1):
+        lines.append(f"n={n}: " + render.uelem_text(alg.basis, products[n]))
+        docs[str(n)] = _uelem_json(alg.basis, products[n])
+    lines.append(f"bound: {bound}")
+    return EXIT_OK, lines, {"bound": bound, "products": docs}
+
+
+@_command("coproduct", "coproduct of a word", ("--elem", _REQUIRED))
+def _coproduct(args, pres):
+    basis = EnvelopingAlgebra(pres).basis
+    elem = UElem.monomial(_parse_arg(args.elem, pres, "word"))
+    parts, tensor = [], []
+    for (a, b), c in sorted(coproduct(elem).terms.items()):
+        prefix = "" if c == 1 else f"{c}*"
+        parts.append(f"{prefix}{render.word_text(basis, a)} (x) {render.word_text(basis, b)}")
+        tensor.append({"left": [basis.label(k) for k in a], "right": [basis.label(k) for k in b],
+                       "coeff": str(c)})
+    eps = str(counit(elem))
+    return EXIT_OK, [" + ".join(parts) or "0", f"counit: {eps}"], {"tensor": tensor, "counit": eps}
+
+
+@_command("primitives", "primitive basis of a word span", ("--max-len", _SIZE), ("--depth", _SIZE),
+          limits=(("max_len", MAX_LEN_LIMIT), ("depth", DEPTH_LIMIT)))
+def _primitives(args, pres):
+    alg = EnvelopingAlgebra(pres)
+    basis = primitives_up_to(alg, args.max_len, args.depth)
+    return (EXIT_OK, [render.uelem_text(alg.basis, u) for u in basis],
+            {"primitives": [_uelem_json(alg.basis, u) for u in basis]})
+
+
+@_command("fvl", "extract the coefficient law table", ("--deg", _SIZE), ("--depth", _SIZE),
+          _WINDOW, ("--check-identities", {"action": "store_true"}),
+          ("--check-jacobi", {"type": int, "default": None, "metavar": "DEG"}),
+          ("--out", {"default": None}),
+          limits=(("deg", DEG_LIMIT), ("depth", DEPTH_LIMIT)))
+def _fvl(args, pres):
+    alg = EnvelopingAlgebra(pres)
+    _check_pairs(args, len(alg.basis.keys_up_to_depth(args.depth)))
+    table = extract_law(alg, args.deg, args.depth, args.window)
+    doc = table.to_json()
+    lines, reports, failed = [], {}, False
+    if args.check_identities:
+        rep = reports["identities"] = check_identities(table)
+        lines.append(f"left identity: {'pass' if rep['left_identity'] else 'fail'}")
+        lines.append(f"right identity: {'pass' if rep['right_identity'] else 'fail'}")
+        lines += [f"  fail: {f}" for f in rep["failures"]]
+        failed = not (rep["left_identity"] and rep["right_identity"])
+    if args.check_jacobi is not None:
+        samples = [(l, t, j) for l in (-1, 0, 1) for t in (-1, 0, 1) for j in (-1, 0, 1)]
+        rep = check_law_jacobi(table, samples, args.check_jacobi)
+        reports["jacobi"] = {k: rep[k] for k in ("pass", "reason") if k in rep}
+        lines.append(f"jacobi (degree {args.check_jacobi}): {'pass' if rep['pass'] else 'fail'}")
+        if "reason" in rep:
+            lines.append(f"  fail: {rep['reason']}")
+        if not rep["pass"] and rep["checks"]:
+            # the first failing case: check_law_jacobi stops at it
+            last = rep["checks"][-1]
+            witness = reports["jacobi"]["witness"] = {
+                k: last[k] for k in ("ltj", "l", "residual_monomials")}
+            lines.append("  witness: " + " ".join(f"{k}={v}" for k, v in witness.items()))
+        failed = failed or not rep["pass"]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+        lines.append(f"table written to {args.out}")
+    else:
+        lines.append(f"entries: {sum(len(c) for c in table.entries.values())}")
+    doc["reports"] = reports
+    return _verdict(not failed), lines, doc
+
+
+@_command("integrate", "integrate a nilpotent presentation")
+def _integrate(args, pres):
+    manifold = _integrated(pres)
+    lines, theta, change = [f"nilpotency degree: {manifold.N}"], {}, {}
+    for bv in manifold.basis.issued:
+        label = manifold.basis.label(bv.key)
+        lines.append(f"  {label}: weight {bv.weight}")
+        theta[label] = bv.weight
+        change[label] = _vector_json(pres, bv.vec)
+    return EXIT_OK, lines, {"N": manifold.N, "theta_table": theta, "basis_change": change}
+
+
+def _float_text(pres, vec: CVec, n: int) -> str:
+    parts = []
+    for sym, c in sorted(vec.coeffs.items()):
+        label = pres.symbol_label(sym)
+        try:
+            parts.append(f"{label}={float(c):.12g}")
+        except OverflowError:
+            raise ValueError(f"coordinate {label} at n={n} is beyond the float range") from None
+    return ", ".join(parts) or "0"
+
+
+@_command("eval", "products of two points", ("--a", _REQUIRED), ("--b", _REQUIRED), _WINDOW,
+          ("--float", {"action": "store_true", "dest": "as_float",
+                       "help": "render coordinates as floats (approximate; the core stays exact)"}))
+def _eval(args, pres):
+    manifold = _integrated(pres)
+    a_vec = CVec(_parse_arg(args.a, pres, "coords"))
+    b_vec = CVec(_parse_arg(args.b, pres, "coords"))
+    a, b = manifold.basis.expand(a_vec), manifold.basis.expand(b_vec)
+    lo, hi = args.window
+    result = manifold.product_window(a, b, lo, hi)
+    lines, slices = [], {}
+    for n in range(lo, hi + 1):
+        vec = CVec()
+        for key, c in result.slices[n].items():
+            vec.iadd_scaled(manifold.basis.vector(key), c)
+        text = _float_text(pres, vec, n) if args.as_float else render.vector_coord_text(pres, vec)
+        lines.append(f"n={n}: {text}")
+        slices[str(n)] = {"coords": _vector_json(pres, vec)}
+    lines.append(f"bound: {result.bound}")
+    return EXIT_OK, lines, {"bound": result.bound, "slices": slices}
+
+
+@_command("verify-manifold", "randomized product axiom suite",
+          ("--samples", {"type": _size, "default": 20}),
+          ("--window", {"type": _window, "default": (-4, 4)}),
+          limits=(("samples", SAMPLES_LIMIT),))
+def _verify_manifold(args, pres):
+    report = _integrated(pres).check_axioms(args.samples, args.seed, args.window)
+    lines = []
+    for c in report["checks"]:
+        lines.append(f"{c['axiom']}: {'pass' if c['pass'] else 'fail'}")
+        if "witness" in c:
+            # each point as `eval --a` spells it, in the JSON report's order
+            w = c["witness"]
+            points = [", ".join(f"{k}={v}" for k, v in sorted(p.items())) or "0"
+                      for p in w["points"]]
+            lines.append(f"  witness: ltj={w['ltj']} points={' | '.join(points)}")
+    return _verdict(report["pass"]), lines, report
+
+
+@_command("roundtrip", "tangent structure reproduces the input")
+def _roundtrip(args, pres):
+    manifold = _integrated(pres)
+    recon, change = manifold.tangent_presentation()
+    same = recon == pres
+    lines, docs = [f"roundtrip: {'pass' if same else 'fail'}"], {}
+    for label, vec in change.items():
+        lines.append(f"  {label} = " + render.vector_text(pres, vec))
+        docs[label] = _vector_json(pres, vec)
+    return _verdict(same), lines, {"pass": same, "basis_change": docs}
 
 
 @functools.cache
@@ -264,73 +439,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="verify the algebra axioms")
-    p.add_argument("file")
-
-    p = sub.add_parser("bracket", parents=[common], help="bracket of two vectors")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("nth", parents=[common], help="nonnegative product of two vectors")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("nop", parents=[common], help="ordered product of two words")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("yprod", parents=[common], help="window of integer-indexed products")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--window", type=_window, required=True)
-
-    p = sub.add_parser("coproduct", parents=[common], help="coproduct of a word")
-    p.add_argument("file")
-    p.add_argument("--elem", required=True)
-
-    p = sub.add_parser("primitives", parents=[common], help="primitive basis of a word span")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=_size, required=True)
-    p.add_argument("--depth", type=_size, required=True)
-
-    p = sub.add_parser("fvl", parents=[common], help="extract the coefficient law table")
-    p.add_argument("file")
-    p.add_argument("--deg", type=_size, required=True)
-    p.add_argument("--depth", type=_size, required=True)
-    p.add_argument("--window", type=_window, required=True)
-    p.add_argument("--check-identities", action="store_true")
-    p.add_argument("--check-jacobi", type=int, default=None, metavar="DEG")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("integrate", parents=[common], help="integrate a nilpotent presentation")
-    p.add_argument("file")
-
-    p = sub.add_parser("eval", parents=[common], help="products of two points")
-    p.add_argument("file")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--window", type=_window, required=True)
-    p.add_argument(
-        "--float",
-        action="store_true",
-        dest="as_float",
-        help="render coordinates as floats (approximate; the core stays exact)",
-    )
-
-    p = sub.add_parser("verify-manifold", parents=[common], help="randomized product axiom suite")
-    p.add_argument("file")
-    p.add_argument("--samples", type=_size, default=20)
-    p.add_argument("--window", type=_window, default=(-4, 4))
-
-    p = sub.add_parser("roundtrip", parents=[common], help="tangent structure reproduces the input")
-    p.add_argument("file")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        p.add_argument("file")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return ap
 
 
@@ -341,13 +454,11 @@ def run(argv) -> tuple[int, str]:
     try:
         with redirect_stdout(buf), redirect_stderr(buf):
             args = parser.parse_args(argv, argparse.Namespace(format="text", seed=0))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return (EXIT_USAGE if code not in (0,) else 0), buf.getvalue()
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return (EXIT_OK if exc.code == 0 else EXIT_USAGE), buf.getvalue()
 
-    em = _Emitter(args.format)
     try:
-        code = _dispatch(args, em)
+        code, lines, doc = _dispatch(args)
     except dsl.DslError as exc:
         return EXIT_USAGE, "\n".join(str(d) for d in exc.diagnostics) + "\n"
     except OSError as exc:
@@ -364,230 +475,32 @@ def run(argv) -> tuple[int, str]:
         return EXIT_TRUNCATION, f"basis slice exceeded: {exc}\n"
     except AxiomFailure as exc:
         return EXIT_CHECK_FAILED, f"axiom failure: {exc}\n"
-    return code, em.render()
+    if args.format == "json":
+        return code, json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return code, "".join(line + "\n" for line in lines)
 
 
 def _not_nilpotent_text(exc: NotNilpotent) -> str:
     lines = [f"not nilpotent: {exc}"]
-    # `_dispatch` renders the stable generators of the one NotNilpotent it lets out
     for txt in exc.rendered:
         lines.append(f"  stable: {txt}")
     return "\n".join(lines) + "\n"
 
 
-def _dispatch(args, em: _Emitter) -> int:
-    cmd = args.command
+def _dispatch(args) -> tuple[int, list, object]:
+    """The window and bounded sizes checked, FILE loaded, then the handler;
+    its text lines follow the warnings."""
+    command = COMMANDS[args.command]
     if getattr(args, "window", None) is not None:
         _check_window(args.window)
-    _check_sizes(args)
-    pres, warnings = _load(args.file)
-    for w in warnings:
-        em.text(f"warning: {w}")
-
-    if cmd == "check":
-        report = pres.check_axioms()
-        em.text(*_report_lines(pres, report))
-        em.payload(_report_json(pres, report))
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-    if cmd == "bracket":
-        v = dsl.parse_vector(args.left, pres)
-        w = dsl.parse_vector(args.right, pres)
-        poly = pres.bracket(v, w)
-        em.text(render.lpoly_text(pres, poly))
-        em.payload(
-            {
-                "lambda_poly": {
-                    str(n): _vector_json(pres, vec) for n, vec in sorted(poly.coeffs.items())
-                }
-            }
-        )
-        return EXIT_OK
-
-    if cmd == "nth":
-        v = dsl.parse_vector(args.left, pres)
-        w = dsl.parse_vector(args.right, pres)
-        out = pres.nth_product(v, w, args.n)
-        em.text(render.vector_text(pres, out))
-        em.payload({"vector": _vector_json(pres, out)})
-        return EXIT_OK
-
-    alg = EnvelopingAlgebra(pres)
-
-    if cmd == "nop":
-        left = UElem.monomial(_parse_arg(args.left, pres, "word"))
-        right = UElem.monomial(_parse_arg(args.right, pres, "word"))
-        out = alg.nop(left, right)
-        em.text(render.uelem_text(alg.basis, out))
-        em.payload({"element": _uelem_json(alg.basis, out)})
-        return EXIT_OK
-
-    if cmd == "yprod":
-        left, right = _parse_arg(args.left, pres, "word"), _parse_arg(args.right, pres, "word")
-        lo, hi = args.window
-        _check_yprod(left, right, lo)
-        products, bound = alg.y_window(UElem.monomial(left), UElem.monomial(right), lo, hi)
-        for n in range(lo, hi + 1):
-            em.text(f"n={n}: " + render.uelem_text(alg.basis, products[n]))
-        em.text(f"bound: {bound}")
-        em.payload(
-            {
-                "bound": bound,
-                "products": {str(n): _uelem_json(alg.basis, products[n]) for n in products},
-            }
-        )
-        return EXIT_OK
-
-    if cmd == "coproduct":
-        elem = UElem.monomial(_parse_arg(args.elem, pres, "word"))
-        tens = coproduct(elem)
-        parts = []
-        for (a, b) in sorted(tens.terms):
-            c = tens.terms[(a, b)]
-            lhs = render.word_text(alg.basis, a)
-            rhs = render.word_text(alg.basis, b)
-            prefix = "" if c == 1 else f"{c}*"
-            parts.append(f"{prefix}{lhs} (x) {rhs}")
-        em.text(" + ".join(parts) if parts else "0")
-        em.text(f"counit: {counit(elem)}")
-        em.payload(
-            {
-                "tensor": [
-                    {
-                        "left": [alg.basis.label(k) for k in a],
-                        "right": [alg.basis.label(k) for k in b],
-                        "coeff": str(tens.terms[(a, b)]),
-                    }
-                    for (a, b) in sorted(tens.terms)
-                ],
-                "counit": str(counit(elem)),
-            }
-        )
-        return EXIT_OK
-
-    if cmd == "primitives":
-        basis = primitives_up_to(alg, args.max_len, args.depth)
-        for u in basis:
-            em.text(render.uelem_text(alg.basis, u))
-        em.payload({"primitives": [_uelem_json(alg.basis, u) for u in basis]})
-        return EXIT_OK
-
-    if cmd == "fvl":
-        _check_pairs(args, len(alg.basis.keys_up_to_depth(args.depth)))
-        table = extract_law(alg, args.deg, args.depth, args.window)
-        doc = table.to_json()
-        failed = False
-        reports = {}
-        if args.check_identities:
-            rep = check_identities(table)
-            reports["identities"] = rep
-            em.text(f"left identity: {'pass' if rep['left_identity'] else 'fail'}")
-            em.text(f"right identity: {'pass' if rep['right_identity'] else 'fail'}")
-            for f in rep["failures"]:
-                em.text(f"  fail: {f}")
-            failed = failed or not (rep["left_identity"] and rep["right_identity"])
-        if args.check_jacobi is not None:
-            samples = [(l, t, j) for l in (-1, 0, 1) for t in (-1, 0, 1) for j in (-1, 0, 1)]
-            rep = check_law_jacobi(table, samples, args.check_jacobi)
-            reports["jacobi"] = {k: rep[k] for k in ("pass", "reason") if k in rep}
-            em.text(f"jacobi (degree {args.check_jacobi}): {'pass' if rep['pass'] else 'fail'}")
-            if "reason" in rep:
-                em.text(f"  fail: {rep['reason']}")
-            if not rep["pass"] and rep["checks"]:
-                # the first failing case: check_law_jacobi stops at it
-                last = rep["checks"][-1]
-                witness = {k: last[k] for k in ("ltj", "l", "residual_monomials")}
-                reports["jacobi"]["witness"] = witness
-                em.text("  witness: " + " ".join(f"{k}={v}" for k, v in witness.items()))
-            failed = failed or not rep["pass"]
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-            em.text(f"table written to {args.out}")
-        else:
-            em.text(f"entries: {sum(len(c) for c in table.entries.values())}")
-        doc["reports"] = reports
-        em.payload(doc)
-        return EXIT_CHECK_FAILED if failed else EXIT_OK
-
-    # remaining commands integrate the presentation
-    try:
-        manifold = integrate(pres)
-    except NotNilpotent as exc:
-        exc.rendered = [render.vector_text(pres, v) for v in exc.stable_generators]
-        raise
-
-    if cmd == "integrate":
-        theta_table = {
-            manifold.basis.label(bv.key): bv.weight for bv in manifold.basis.issued
-        }
-        change = {
-            manifold.basis.label(bv.key): _vector_json(pres, bv.vec)
-            for bv in manifold.basis.issued
-        }
-        em.text(f"nilpotency degree: {manifold.N}")
-        for bv in manifold.basis.issued:
-            em.text(f"  {manifold.basis.label(bv.key)}: weight {bv.weight}")
-        em.payload({"N": manifold.N, "theta_table": theta_table, "basis_change": change})
-        return EXIT_OK
-
-    if cmd == "eval":
-        a_vec = CVec(_parse_arg(args.a, pres, "coords"))
-        b_vec = CVec(_parse_arg(args.b, pres, "coords"))
-        a = manifold.basis.expand(a_vec)
-        b = manifold.basis.expand(b_vec)
-        lo, hi = args.window
-        result = manifold.product_window(a, b, lo, hi)
-        slices_json = {}
-        for n in range(lo, hi + 1):
-            pt = result.slices[n]
-            vec = CVec()
-            for key, c in pt.items():
-                vec.iadd_scaled(manifold.basis.vector(key), c)
-            if args.as_float:
-                txt = ", ".join(
-                    f"{pres.symbol_label(sym)}={float(c):.12g}"
-                    for sym, c in sorted(vec.coeffs.items())
-                ) or "0"
-            else:
-                txt = render.vector_coord_text(pres, vec)
-            em.text(f"n={n}: {txt}")
-            slices_json[str(n)] = {"coords": _vector_json(pres, vec)}
-        em.text(f"bound: {result.bound}")
-        em.payload({"bound": result.bound, "slices": slices_json})
-        return EXIT_OK
-
-    if cmd == "verify-manifold":
-        lo, hi = args.window
-        report = manifold.check_axioms(args.samples, args.seed, (lo, hi))
-        for c in report["checks"]:
-            em.text(f"{c['axiom']}: {'pass' if c['pass'] else 'fail'}")
-            if "witness" in c:
-                # each point as `eval --a` spells it, in the JSON report's order
-                w = c["witness"]
-                points = [", ".join(f"{k}={v}" for k, v in sorted(p.items())) or "0" for p in w["points"]]
-                em.text(f"  witness: ltj={w['ltj']} points={' | '.join(points)}")
-        em.payload(report)
-        return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
-
-    if cmd == "roundtrip":
-        recon, change = manifold.tangent_presentation()
-        same = recon == pres
-        em.text(f"roundtrip: {'pass' if same else 'fail'}")
-        for bv in manifold.basis.issued:
-            label = manifold.basis.label(bv.key)
-            em.text(f"  {label} = " + render.vector_text(pres, change[label]))
-        em.payload(
-            {
-                "pass": same,
-                "basis_change": {
-                    label: _vector_json(pres, vec) for label, vec in sorted(change.items())
-                },
-            }
-        )
-        return EXIT_OK if same else EXIT_CHECK_FAILED
-
-    raise AssertionError(cmd)
+    for dest, limit in command.limits:
+        value = getattr(args, dest)
+        if value > limit:
+            raise ValueError(f"--{dest.replace('_', '-')} {value} is beyond the limit {limit}")
+    with open(args.file, "r", encoding="utf-8") as fh:
+        pres, warnings = dsl.load_presentation(fh.read())
+    code, lines, doc = command.handler(args, pres)
+    return code, [f"warning: {w}" for w in warnings] + lines, doc
 
 
 def main() -> None:

@@ -81,6 +81,14 @@ def _span(tok) -> SourceSpan:
     return SourceSpan(tok[2], tok[3], tok[4], tok[5])
 
 
+def _int(tok) -> int:
+    digits = len(tok[1])
+    if digits > DIGITS_LIMIT:
+        raise DslError(Diagnostic(
+            f"integer literal of {digits} digits is beyond the limit {DIGITS_LIMIT}", _span(tok)))
+    return int(tok[1])
+
+
 def tokenize(text: str) -> list[tuple]:
     toks = []
     append = toks.append
@@ -139,6 +147,12 @@ MONOMIAL_LIMIT = 8192
 # took 59 s and 710 MB at --window=-1..1.
 LETTER_LIMIT = 4
 LETTER_DEPTH_LIMIT = 2
+
+# Most digits of an integer literal, and of a point value in all.  It is
+# CPython's default limit for converting between int and str, past which
+# `int` raises; an exponent, which would build the value digit by digit
+# before that check, is not part of either syntax.
+DIGITS_LIMIT = 4300
 
 
 # -- expression AST -----------------------------------------------------------
@@ -217,7 +231,7 @@ class Parser:
             if kind[1] == "torsion":
                 self.expect("(")
                 m = self.expect("int")
-                torsion = int(m[1])
+                torsion = _int(m)
                 if torsion < 1:
                     raise DslError(Diagnostic("torsion order must be positive", _span(m)))
                 self.expect(")")
@@ -270,9 +284,10 @@ class Parser:
         node = self.parse_atom()
         if self.accept("^"):
             e = self.expect("int")
-            if int(e[1]) > POW_LIMIT:
+            k = _int(e)
+            if k > POW_LIMIT:
                 raise DslError(Diagnostic(f"exponent {e[1]} is beyond the limit {POW_LIMIT}", _span(e)))
-            return ("pow", node, int(e[1]), node[-1])
+            return ("pow", node, k, node[-1])
         return node
 
     def parse_atom(self):
@@ -280,12 +295,14 @@ class Parser:
         kind = t[0]
         if kind == "int":
             self.pos += 1
+            num = _int(t)
             if not self.accept("/"):
-                return ("num", int(t[1]), _span(t))
+                return ("num", num, _span(t))
             den = self.expect("int")
-            if not int(den[1]):
+            q = _int(den)
+            if not q:
                 raise DslError(Diagnostic("division by zero", _span(den)))
-            return ("num", Q(int(t[1]), int(den[1])), _span(t))
+            return ("num", Q(num, q), _span(t))
         if kind == "name":
             self.pos += 1
             return ("sym", t[1], _span(t))
@@ -461,7 +478,7 @@ def load_presentation(text: str):
 
 
 def emit_algebra(pres: LcaPresentation) -> str:
-    from .render import lpoly_text
+    from .render import poly_text
 
     lines = [f"algebra {pres.name} {{"]
     gens = []
@@ -470,7 +487,7 @@ def emit_algebra(pres: LcaPresentation) -> str:
         gens.append(f"{g.name}: {kind};")
     lines.append("  generators { " + " ".join(gens) + " }")
     for (i, j) in sorted(pres.brackets):
-        expr = lpoly_text(pres, pres.brackets[(i, j)])
+        expr = poly_text(pres, pres.brackets[(i, j)])
         lines.append(f"  bracket [{pres.gen_name(i)}, {pres.gen_name(j)}] = {expr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -554,18 +571,36 @@ def parse_point(text: str, pres: LcaPresentation) -> dict:
     return point_from_pairs(pairs, pres)
 
 
+# What `Fraction` reads beyond a point value's p, p/q or decimal p.q: an
+# exponent, which would build the value digit by digit, or a '_' between digits.
+_EXPONENT_OR_UNDERSCORE = re.compile(r"[\d.][eE]|\d_\d")
+
+
+def _point_value(tok: str, text: str):
+    """The value of coordinate ``tok``, read by `Fraction`, with no exponent
+    or ``_`` and at most DIGITS_LIMIT digits in all."""
+    if _EXPONENT_OR_UNDERSCORE.search(text):
+        raise DslError(Diagnostic(f"coordinate {tok!r} has an exponent or '_'; "
+                                  "write p, p/q or a decimal", SourceSpan(0, 0, 1, 1)))
+    if (digits := sum(map(str.isdigit, text))) > DIGITS_LIMIT:
+        raise DslError(Diagnostic(f"coordinate {tok!r} has {digits} digits, beyond the limit "
+                                  f"{DIGITS_LIMIT}", SourceSpan(0, 0, 1, 1)))
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise DslError(Diagnostic(
+            f"division by zero in coordinate {tok!r}", SourceSpan(0, 0, 1, 1))) from None
+
+
 def point_from_pairs(pairs: list, pres: LcaPresentation) -> dict:
     """Point of (letter, value) text pairs, at most LETTER_LIMIT of them; a
     coordinate given twice is an error."""
     _check_letters("point", len(pairs))
     out: dict = {}
     for tok, value in pairs:
-        sym = _parse_letter(tok.strip(), pres)
+        tok = tok.strip()
+        sym = _parse_letter(tok, pres)
         if sym in out:
-            raise DslError(Diagnostic(f"coordinate {tok.strip()!r} given twice", SourceSpan(0, 0, 1, 1)))
-        try:
-            out[sym] = Q(value.strip())
-        except ZeroDivisionError:
-            raise DslError(Diagnostic(
-                f"division by zero in coordinate {tok.strip()!r}", SourceSpan(0, 0, 1, 1))) from None
+            raise DslError(Diagnostic(f"coordinate {tok!r} given twice", SourceSpan(0, 0, 1, 1)))
+        out[sym] = _point_value(tok, value.strip())
     return iadd({}, out)

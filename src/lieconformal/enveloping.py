@@ -349,7 +349,11 @@ class EnvelopingAlgebra:
         Skew-symmetry holds only in a vertex algebra, so this is done only
         when the presentation passes its axioms
         (`LcaPresentation.is_lie_conformal`, asked on the first such hit).
+        A side that is the vacuum takes 0 and builds nothing: by the vacuum
+        axiom 1_(n)v and u_(n)1 vanish for n >= 0 (Kac 1998).
         """
+        if not (wu and wv):
+            return 0
         key = (wu, wv)
         if key not in self._lead_memo:
             swapped = self._lead_memo.get((wv, wu))

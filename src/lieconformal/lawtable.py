@@ -37,7 +37,7 @@ slotted monomial) to a coefficient, so the residual adds exact scalars,
 up to the stops over all positions; a position's terms from its own stop
 on are zero and left out, and each position keeps the first raise its
 own terms meet.  The pairs with an empty side are read off the vacuum
-axiom (`law_cell`, `word_pair_bound`), not built.
+axiom (`law_cell`, `EnvelopingAlgebra.word_bound`), not built.
 
 Each table cell is a pure function of the product caches, so extraction
 may be parallelized over cells; report assembly is a deterministic
@@ -304,16 +304,6 @@ def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
     return scale(cell, Q(1, norm)) if norm != 1 and cell else cell
 
 
-def word_pair_bound(env: EnvelopingAlgebra, wu: tuple, wv: tuple) -> int:
-    """Index from which every product of the words ``wu`` and ``wv`` vanishes.
-
-    By the vacuum axiom, 1_(n)v and u_(n)1 vanish for n >= 0 (Kac 1998),
-    so a pair with an empty side takes 0 and builds nothing; any other
-    takes `EnvelopingAlgebra.word_bound`.
-    """
-    return env.word_bound(wu, wv) if wu and wv else 0
-
-
 class _Grading:
     """Conformal weights of cells, scaled to ints, for skipping cells.
 
@@ -432,7 +422,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
         # cell (k, k', n) weighs wk + wkp - step * (n + 1)
         base = wk - step
         for kp, wv, dkp, wkp in records[: ends[degree - dk]]:
-            bound = bounds[k, kp] = word_pair_bound(env, wu, wv)
+            bound = bounds[k, kp] = env.word_bound(wu, wv)
             deg = dk + dkp
             overflowed = deg in overflow
             for n, shallowest in walks[base + wkp, min(hi, bound - 1)]:

@@ -55,8 +55,7 @@ from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
 from .lawtable import (
-    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_pair_bound,
-    word_series,
+    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
 )
 from .linalg import exact, iadd
 
@@ -111,7 +110,7 @@ class VertexManifold:
     def pair_bound(self, k, kp) -> int:
         key = (k, kp)
         if key not in self._bounds:
-            self._bounds[key] = word_pair_bound(self.env, word_from_midx(k), word_from_midx(kp))
+            self._bounds[key] = self.env.word_bound(word_from_midx(k), word_from_midx(kp))
         return self._bounds[key]
 
     def table_entry(self, k, kp, n: int) -> Point:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import CVec, LMPoly, LPoly, LcaPresentation
+from .core import CVec, LcaPresentation
 
 Q = Fraction
 
@@ -69,15 +69,13 @@ def vector_coord_text(pres: LcaPresentation, v: CVec) -> str:
     return ", ".join(parts) if parts else "0"
 
 
-def lpoly_text(pres: LcaPresentation, poly: LPoly) -> str:
-    return _terms_text(pres, ((_power("lambda", n), poly.coeffs[n]) for n in sorted(poly.coeffs)))
-
-
-def lmpoly_text(pres: LcaPresentation, poly: LMPoly) -> str:
-    return _terms_text(pres, (
-        (_power("lambda", i) + _power("mu", j), poly.coeffs[(i, j)])
-        for (i, j) in sorted(poly.coeffs)
-    ))
+def poly_text(pres: LcaPresentation, poly) -> str:
+    """An LPoly, whose int keys are powers of lambda, or an LMPoly, whose
+    pair keys (i, j) are the powers of lambda and mu."""
+    def prefix(key) -> str:
+        i, j = (key, 0) if isinstance(key, int) else key
+        return _power("lambda", i) + _power("mu", j)
+    return _terms_text(pres, ((prefix(key), poly.coeffs[key]) for key in sorted(poly.coeffs)))
 
 
 def word_text(basis, word) -> str:

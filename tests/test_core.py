@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from lieconformal import build_presentation, dsl
-from lieconformal.cli import _report_json, _report_lines
+from lieconformal.cli import _report
 from lieconformal.core import CVec, LMPoly, LPoly, three_sum
 
 DATA = Path(__file__).parent / "data"
@@ -283,8 +283,7 @@ def test_axiom_reports_match_the_direct_extension(name, build):
     assert [(c.name, c.passed, c.witness, c.residual) for c in got.checks] == \
         [(c.name, c.passed, c.witness, c.residual) for c in want.checks]
     # the reports render to the same witnesses and residual text
-    assert _report_lines(pres, got) == _report_lines(pres, want)
-    assert _report_json(pres, got) == _report_json(pres, want)
+    assert _report(pres, got) == _report(pres, want)
 
 
 def test_bracket_table_is_read_only():

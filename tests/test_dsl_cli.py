@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -844,6 +845,115 @@ def test_python_dash_m_runs_the_command_line(module):
                           text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == run(argv)
     assert proc.returncode == 1 and "residual: 2*k" in proc.stdout
+
+
+def test_eval_float_beyond_the_float_range_exits_2_with_one_line():
+    heis = str(DATA / "heisenberg.lca")
+    big = "1" + "0" * 400
+    assert run(["eval", heis, "--a", f"a[0]={big}", "--b", "a[0]=1", "--window=-1..1", "--float"]) \
+        == (2, "invalid argument: coordinate a[0] at n=-1 is beyond the float range\n")
+    # a value below the float range rounds to 0, and in-range lines keep their text
+    assert run(["eval", heis, "--a", f"a[0]=1/{big}", "--b", "a[0]=1", "--window=0..1",
+                "--float"]) == (0, "n=0: 0\nn=1: k[0]=0\nbound: 2\n")
+    assert run(["eval", heis, "--a", "a[0]=1/3", "--b", "a[0]=2", "--window=-1..1", "--float"]) == \
+        (0, "n=-1: a[0]=2.33333333333\nn=0: 0\nn=1: k[0]=0.666666666667\nbound: 2\n")
+
+
+TOO_MANY_DIGITS = "1" * (dsl.DIGITS_LIMIT + 1)
+EXPONENT = "has an exponent or '_'; write p, p/q or a decimal"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e3000000", EXPONENT),
+    ("2.5E-3", EXPONENT),
+    ("1_0", EXPONENT),
+    (TOO_MANY_DIGITS, f"has {dsl.DIGITS_LIMIT + 1} digits, beyond the limit {dsl.DIGITS_LIMIT}"),
+    ("1/1" + "0" * dsl.DIGITS_LIMIT,
+     f"has {dsl.DIGITS_LIMIT + 2} digits, beyond the limit {dsl.DIGITS_LIMIT}"),
+], ids=["exponent", "signed-exponent", "underscore", "digits", "fraction-digits"])
+def test_point_values_refuse_exponents_underscores_and_too_many_digits(tmp_path, value, message):
+    heis = str(DATA / "heisenberg.lca")
+    pres, _ = dsl.load_presentation(read("heisenberg.lca"))
+    with pytest.raises(dsl.DslError, match=re.escape(f"coordinate 'a[0]' {message}")):
+        dsl.parse_point(f"k=1, a[0]={value}", pres)
+    (tmp_path / "p.json").write_text(json.dumps({"coords": {"a[0]": value}}))
+    start = time.process_time()
+    for a in (f"a[0]={value}", f"@{tmp_path / 'p.json'}"):
+        assert run(["eval", heis, "--a", a, "--b", "0", "--window=-1..1"]) == \
+            (2, f"1:1: coordinate 'a[0]' {message}\n")
+    assert time.process_time() - start < 1
+
+
+def test_point_values_within_the_syntax_read_as_before():
+    pres, _ = dsl.load_presentation(read("heisenberg.lca"))
+    (a,) = dsl.parse_point("a[0]=1", pres)
+    for value, want in [("0.5", Q(1, 2)), ("-.5", Q(-1, 2)), ("+3/2", Q(3, 2)), ("7.", Q(7)),
+                        ("9" * dsl.DIGITS_LIMIT, Q(int("9" * dsl.DIGITS_LIMIT)))]:
+        assert dsl.parse_point(f"a[0]={value}", pres) == {a: want}, value
+    heis = str(DATA / "heisenberg.lca")
+    # a text that is no number keeps Fraction's message, an 'e' in a word too
+    for value in ("x", "one"):
+        assert run(["eval", heis, "--a", f"a[0]={value}", "--b", "0", "--window=-1..1"]) == \
+            (2, f"invalid argument: Invalid literal for Fraction: {value!r}\n")
+
+
+def test_json_point_numbers_read_as_written(tmp_path):
+    heis = str(DATA / "heisenberg.lca")
+
+    def eval_at(number):
+        (tmp_path / "p.json").write_text('{"coords": {"a[0]": %s}}' % number)
+        return run(["eval", heis, "--a", f"@{tmp_path / 'p.json'}", "--b", "0",
+                    "--window=-1..-1"])
+
+    # no float rounds the number, whose repr 1e-05 would hold an exponent
+    assert eval_at("0.00001") == (0, "n=-1: a[0]=1/100000\nbound: 2\n")
+    assert eval_at("0.30000000000000001") == \
+        (0, "n=-1: a[0]=30000000000000001/100000000000000000\nbound: 2\n")
+    assert eval_at("-3") == (0, "n=-1: a[0]=-3\nbound: 2\n")
+    assert eval_at("1e-05") == (2, f"1:1: coordinate 'a[0]' {EXPONENT}\n")
+    # an int past CPython's int-string limit is refused, not built
+    assert eval_at(TOO_MANY_DIGITS) == \
+        (2, f"1:1: coordinate 'a[0]' has {dsl.DIGITS_LIMIT + 1} digits, beyond the limit "
+            f"{dsl.DIGITS_LIMIT}\n")
+    assert eval_at("NaN") == (2, "invalid argument: Invalid literal for Fraction: 'nan'\n")
+
+
+@pytest.mark.parametrize("template", [
+    "algebra h {{ generators {{ a: free; k: torsion(1); }} bracket [a, a] = {n}*lambda*k; }}",
+    "algebra h {{ generators {{ a: free; k: torsion(1); }} bracket [a, a] = {n}/2*lambda*k; }}",
+    "algebra h {{ generators {{ a: free; k: torsion(1); }} bracket [a, a] = 1/{n}*lambda*k; }}",
+    "algebra h {{ generators {{ a: free; k: torsion({n}); }} }}",
+    "algebra h {{ generators {{ a: free; k: torsion(1); }}\n bracket [a, a] = lambda^{n}*k; }}",
+], ids=["coefficient", "numerator", "denominator", "torsion", "power"])
+def test_lca_integer_literals_past_the_digit_limit_are_spanned_diagnostics(tmp_path, template):
+    text = template.format(n=TOO_MANY_DIGITS)
+    begin = text.index(TOO_MANY_DIGITS)
+    line = text.count("\n", 0, begin) + 1
+    column = begin - (text.rfind("\n", 0, begin) + 1) + 1
+    limit = dsl.DIGITS_LIMIT
+    message = f"integer literal of {limit + 1} digits is beyond the limit {limit}"
+    with pytest.raises(dsl.DslError) as err:
+        dsl.load_presentation(text)
+    (diag,) = err.value.diagnostics
+    assert (diag.message, diag.span) == \
+        (message, dsl.SourceSpan(begin, begin + len(TOO_MANY_DIGITS), line, column))
+    (tmp_path / "big.lca").write_text(text)
+    assert run(["check", str(tmp_path / "big.lca")]) == (2, f"{line}:{column}: {message}\n")
+    # the same literal in a vector argument
+    assert run(["bracket", str(DATA / "heisenberg.lca"), "--left", f"2*a + {TOO_MANY_DIGITS}*a",
+                "--right", "a"]) == (2, f"1:7: {message}\n")
+
+
+def test_command_table_matches_the_parser_the_transcript_and_the_readme():
+    from test_cli_transcript import COMMANDS as TRANSCRIPT
+
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.COMMANDS)
+    assert {name for argv in TRANSCRIPT for name in argv if name in cli.COMMANDS} == \
+        set(cli.COMMANDS)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## The `lcv` command", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^lcv ([\w-]+) FILE", block, re.M)) == set(cli.COMMANDS)
 
 
 # -- fuzzing the command line -------------------------------------------------------

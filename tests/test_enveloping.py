@@ -546,3 +546,13 @@ def test_products_match_the_lambda_coefficient_peel(name):
             assert U.nop(u, v) == ref.nop(u, v), (wu, wv)
             nonzero += bool(got)
     assert nonzero or not pres.brackets
+
+
+@pytest.mark.parametrize("name", DATA_ALGEBRAS)
+def test_word_bound_of_a_vacuum_side_is_0_and_builds_nothing(name):
+    # 1_(n)v and u_(n)1 vanish for n >= 0 by the vacuum axiom
+    env = data_alg(name)
+    word = tuple(sorted(env.basis.keys_up_to_depth(1)))[:2]
+    for pair in (((), word), (word, ()), ((), ())):
+        assert env.word_bound(*pair) == 0
+    assert not env._lead_memo and not env._bracket_memo and not env._straighten_memo
