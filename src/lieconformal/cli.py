@@ -358,9 +358,13 @@ def _float_text(pres, vec: CVec, n: int) -> str:
     for sym, c in sorted(vec.coeffs.items()):
         label = pres.symbol_label(sym)
         try:
-            parts.append(f"{label}={float(c):.12g}")
+            x = float(c)
         except OverflowError:
             raise ValueError(f"coordinate {label} at n={n} is beyond the float range") from None
+        if not x:
+            # c is nonzero, so 0 would misstate it
+            raise ValueError(f"coordinate {label} at n={n} is below the float range")
+        parts.append(f"{label}={x:.12g}")
     return ", ".join(parts) or "0"
 
 

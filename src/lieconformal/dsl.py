@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import GeneratorSpec, LPoly, LcaPresentation
-from .linalg import iadd
+from .linalg import DIGITS_LIMIT, iadd
 
 Q = Fraction
 
@@ -147,12 +147,6 @@ MONOMIAL_LIMIT = 8192
 # took 59 s and 710 MB at --window=-1..1.
 LETTER_LIMIT = 4
 LETTER_DEPTH_LIMIT = 2
-
-# Most digits of an integer literal, and of a point value in all.  It is
-# CPython's default limit for converting between int and str, past which
-# `int` raises; an exponent, which would build the value digit by digit
-# before that check, is not part of either syntax.
-DIGITS_LIMIT = 4300
 
 
 # -- expression AST -----------------------------------------------------------

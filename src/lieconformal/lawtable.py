@@ -9,7 +9,10 @@ on the nose, and the axiom checks below operate on the tables alone.
 
 Monomial bookkeeping: a multi-index is a sorted tuple of (basis key,
 positive exponent) pairs; composed-series polynomials live over slotted
-variables (slot, basis key) with slots numbering the argument groups.
+letters (slot, basis key), slots numbering the argument groups, and spell
+a monomial as the sorted tuple of its letters, each repeated by its
+exponent, as the enveloping algebra spells a word: a monomial's degree is
+its length and a product is its factors' letters, sorted.
 
 Extraction builds one record (multi-index, word, norm, weight) per
 multi-index, once per table and by ascending norm, so a pair reads its
@@ -47,6 +50,7 @@ reduction independent of completion order.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
@@ -56,9 +60,12 @@ from .core import three_sum
 from .enveloping import EnvelopingAlgebra
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
-from .linalg import iadd, scale
+from .linalg import DIGITS_LIMIT, iadd, scale
 
 Q = Fraction
+
+# A coefficient as `LawTable.to_json` writes it, p or p/q with q nonzero.
+_COEFF = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 MIdx = tuple  # sorted ((key, exp), ...)
 EMPTY: MIdx = ()
@@ -89,30 +96,13 @@ def midx_factorial(m: MIdx) -> int:
     return out
 
 
-class _Degrees(dict):
-    """Total degree of each slotted monomial, summed once when first asked."""
-
-    def __missing__(self, m: tuple) -> int:
-        d = self[m] = sum(e for _, e in m)
-        return d
-
-
-def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, degree: _Degrees, c=1) -> dict:
+def _poly_madd(out: dict, p1: dict, p2: dict, cap: int, c=1) -> dict:
     """out += c * p1 * p2 for slotted polynomials, in place, dropping
-    terms of degree above cap; returns out.  ``degree`` gives each
-    monomial's total degree and is kept by the caller."""
+    terms of degree above cap; returns out."""
     for m1, c1 in p1.items():
-        room = cap - degree[m1]
-        row: dict = {}
-        for m2, c2 in p2.items():
-            if degree[m2] > room:
-                continue
-            merged: dict = dict(m1)
-            for v, e in m2:
-                merged[v] = merged.get(v, 0) + e
-            # distinct m2 give distinct products with m1
-            row[tuple(sorted(merged.items()))] = c2
-        iadd(out, row, c * c1)
+        room = cap - len(m1)
+        # distinct m2 give distinct products with m1
+        iadd(out, {tuple(sorted(m1 + m2)): c2 for m2, c2 in p2.items() if len(m2) <= room}, c * c1)
     return out
 
 
@@ -153,7 +143,8 @@ def word_series(word: tuple, series: dict, maxn, lo: int, madd, memo: dict) -> d
 
 
 def _slot_monomial(m: MIdx, slot: int) -> tuple:
-    return tuple(((slot, k), e) for k, e in m)
+    """The letters of a sorted multi-index in one slot, in order."""
+    return tuple((slot, k) for k, e in m for _ in range(e))
 
 
 def _check_ranges(degree, depth, window) -> None:
@@ -214,21 +205,12 @@ class LawTable:
         return {self.labels[k]: e for k, e in m}
 
     def to_json(self) -> dict:
-        label_order = {k: i for i, k in enumerate(self.positions)}
-        entries = []
-        for (l, n), cell in self.entries.items():
-            for (k, kp), c in cell.items():
-                entries.append((label_order[l], n, k, kp, c))
-        entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-        out_entries = [
-            {
-                "l": self.labels[self.positions[li]],
-                "n": n,
-                "k": self._midx_json(k),
-                "kprime": self._midx_json(kp),
-                "coeff": str(c),
-            }
-            for (li, n, k, kp, c) in entries
+        # by position, index and pair; the pairs of a cell are distinct
+        entries = [
+            {"l": self.labels[l], "n": n, "k": self._midx_json(k), "kprime": self._midx_json(kp),
+             "coeff": str(c)}
+            for l, n in sorted(self.entries, key=lambda ln: (self.pos_index[ln[0]], ln[1]))
+            for (k, kp), c in sorted(self.entries[l, n].items())
         ]
         bounds = [
             [self._midx_json(k), self._midx_json(kp), b]
@@ -241,7 +223,7 @@ class LawTable:
             "depth": self.depth,
             "window": list(self.window),
             "basis": [self.labels[k] for k in self.positions],
-            "entries": out_entries,
+            "entries": entries,
             "bounds": bounds,
             "overflow_degrees": sorted(self.overflow_degrees),
         }
@@ -261,6 +243,8 @@ class LawTable:
         table.labels = {k: k for k in basis}
 
         def midx(d):
+            if type(d) is not dict:
+                raise ValueError(f"multi-index {d!r} is not an object of label exponents")
             stray = set(d) - table.labels.keys()
             if stray:
                 raise ValueError(f"labels {sorted(stray)} are not in the basis")
@@ -275,12 +259,19 @@ class LawTable:
                 raise ValueError(f"pair {k}, {kp} is beyond degree {table.degree}")
             return out
 
-        for e in doc["entries"]:
+        for i, e in enumerate(doc["entries"]):
+            if type(e["n"]) is not int:
+                raise ValueError(f"entry index {e['n']!r} is not an integer")
             if not table.window[0] <= e["n"] <= table.window[1]:
                 raise ValueError(f"entry index {e['n']} outside window {table.window}")
-            if e["l"] not in table.labels:
+            if type(e["l"]) is not str or e["l"] not in table.labels:
                 raise ValueError(f"output label {e['l']!r} is not in the basis")
-            table.add_entry(e["l"], e["n"], *pair(e["k"], e["kprime"]), Q(e["coeff"]))
+            c = e["coeff"]
+            if type(c) is not str or not _COEFF.fullmatch(c) \
+                    or len(c) - c.count("/") - c.count("-") > DIGITS_LIMIT:
+                raise ValueError(f"entry {i} coefficient {c!r:.40} is not p or p/q with q nonzero "
+                                 f"in at most {DIGITS_LIMIT} digits")
+            table.add_entry(e["l"], e["n"], *pair(e["k"], e["kprime"]), Q(c))
         for k, kp, b in doc.get("bounds", []):
             if type(b) is not int or b < 0:
                 raise ValueError(f"bound {b!r} is not a nonnegative integer")
@@ -382,7 +373,6 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     table = LawTable(env.pres.name, degree, depth, window, positions)
     table.labels = {k: basis.label(k) for k in positions}
     lo, hi = table.window
-    pos_set = set(positions)
     grading = _Grading(env)
     step, depths, weight = grading.step, grading.depths, grading.weight
 
@@ -429,7 +419,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
                 if overflowed and shallowest > depth:
                     continue
                 for l, c in law_cell(env, k, kp, n).items():
-                    if l in pos_set:
+                    if l in table.pos_index:
                         table.add_entry(l, n, k, kp, c)
                     else:
                         overflow.add(deg)
@@ -503,22 +493,17 @@ class _Composer:
         self.cap = cap
         self.lo, self.hi = table.window
         # each position's law series {n: {(k, k'): c}} over the window, by
-        # ascending n, with the terms of degree above cap dropped, and each
-        # outer index's (position, kept cell) pairs
+        # ascending n, with the terms of degree above cap dropped
         self._law: dict = {}
-        self._cells: dict = {}
         for (l, n), cell in sorted(table.entries.items(), key=lambda e: e[0][1]):
             kept = {kk: c for kk, c in cell.items() if midx_norm(kk[0]) + midx_norm(kk[1]) <= cap}
             if kept and self.lo <= n <= self.hi:
                 self._law.setdefault(l, {})[n] = kept
-                self._cells.setdefault(n, []).append((l, kept))
         self._maxn = {l: max(law) for l, law in self._law.items()}
         self._slotted: dict = {}
         # word product series per slot pair, seeded with the empty word's
         self._conv_memo = defaultdict(lambda: {(): {-1: {(): 1}}})
-        # the total degree of every slotted monomial the composer multiplies
-        self.degree = degree = _Degrees()
-        self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap, degree)
+        self._madd = lambda out, q, tail, head: _poly_madd(out.setdefault(q, {}), tail, head, cap)
         # composed coefficients by their arguments; callers only read them
         self._composed_memo: dict = {}
         # certified stops of the three-sum terms at each position: one past
@@ -544,9 +529,10 @@ class _Composer:
         once per slot pair."""
         out = self._slotted.get(slots)
         if out is None:
-            # the two slots differ, so distinct cells give distinct monomials
+            # the slots ascend, so the halves join sorted, and distinct cells
+            # give distinct monomials
             out = self._slotted[slots] = {
-                pos: {n: {tuple(sorted(_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]))): c
+                pos: {n: {_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]): c
                           for (k, kp), c in cell.items()}
                       for n, cell in law.items()}
                 for pos, law in self._law.items()
@@ -589,8 +575,9 @@ class _Composer:
         values, raises = out = self._composed_memo[key] = {}, {}
         # the substituted series' coefficient, by multi-index
         inners: dict = {}
-        for pos, cell in self._cells.get(outer_n, ()):
-            if self.stops[pos][2 if substitute_first else 0] <= inner_n:
+        for pos, law in self._law.items():
+            cell = law.get(outer_n)
+            if cell is None or self.stops[pos][2 if substitute_first else 0] <= inner_n:
                 continue
             poly: dict = {}
             try:
@@ -600,7 +587,7 @@ class _Composer:
                     if inner is None:
                         inner = inners[subst] = self.conv(word_from_midx(subst), inner_n, inner_slots)
                     if inner:
-                        _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, self.degree, c)
+                        _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
             except TruncationInsufficient as exc:
                 raises[pos] = exc
                 continue
@@ -684,9 +671,8 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
     the indices both windows share; stops at the first failing entry and
     fails when no entry was checked.
     """
-    for pos, poly in alpha.items():
-        if EMPTY in poly and poly[EMPTY] != 0:
-            raise ValueError("law homomorphisms have zero constant term")
+    if any(poly.get(EMPTY, 0) for poly in alpha.values()):
+        raise ValueError("law homomorphisms have zero constant term")
     cap = min(src.degree, dst.degree)
     _guard_table(src, cap)
     comp = _Composer(src, cap)
@@ -697,7 +683,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
     def alpha_poly(pos, slot):
         # distinct multi-indices give distinct slotted monomials
         return iadd({}, {
-            tuple(_slot_monomial(m, slot)): c
+            _slot_monomial(m, slot): c
             for m, c in alpha.get(pos, {}).items()
             if midx_norm(m) <= cap
         })
@@ -717,7 +703,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
                 poly = {(): 1}
                 for slot, m in ((0, k), (1, kp)):
                     for p in word_from_midx(m):
-                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap, comp.degree)
+                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap)
                 iadd(rhs, poly, c)
             resid = iadd(dict(lhs), rhs, -1)
             good = not resid

@@ -25,6 +25,13 @@ from numbers import Number, Rational
 
 Q = Fraction
 
+# Most digits of a `.lca` integer literal, and of a point value or a law
+# table coefficient in all (`dsl`, `lawtable`).  It is CPython's default
+# limit for converting between int and str, past which `int` raises; an
+# exponent, which would build the value digit by digit before that check,
+# is not part of any of these syntaxes.
+DIGITS_LIMIT = 4300
+
 
 def exact(v):
     """v as an exact coefficient: an int when integral, else a Fraction.

@@ -29,6 +29,10 @@ and points add as plain dicts.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
 formulas of their own: the n!, the integral weights and the derivative
 shifts the package's n-th-product form does without.
+The composer's capped product of slotted polynomials is rerun over
+monomials spelled as sorted (letter, exponent) pairs, degrees read from
+a map and exponents merged through a dict, where the package spells a
+monomial as its sorted letters.
 The `.lca` format is read by its first implementation: a lexer that steps
 one character at a time and builds a span for every token, the same
 grammar over its tokens, and a lowering that keeps every literal and
@@ -447,6 +451,33 @@ class LambdaPeel:
         return out
 
 
+class Degrees(dict):
+    """Total degree of each exponent-spelled monomial, summed once when first asked."""
+
+    def __missing__(self, m: tuple) -> int:
+        d = self[m] = sum(e for _, e in m)
+        return d
+
+
+def naive_poly_madd(out: dict, p1: dict, p2: dict, cap: int, degree: Degrees, c=1) -> dict:
+    """out += c * p1 * p2 for polynomials over monomials ((letter, exponent),
+    ...), sorted by letter, in place, dropping terms of degree above cap;
+    returns out.  ``degree`` gives each monomial's total degree."""
+    for m1, c1 in p1.items():
+        room = cap - degree[m1]
+        row: dict = {}
+        for m2, c2 in p2.items():
+            if degree[m2] > room:
+                continue
+            merged: dict = dict(m1)
+            for v, e in m2:
+                merged[v] = merged.get(v, 0) + e
+            # distinct m2 give distinct products with m1
+            row[tuple(sorted(merged.items()))] = c2
+        iadd(out, row, c * c1)
+    return out
+
+
 def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_slot: int,
                        inner_slots, substitute_first: bool) -> dict:
     """One position's mixed coefficient of the law applied to a law.
@@ -467,7 +498,7 @@ def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_s
         direct, subst = (kp, k) if substitute_first else (k, kp)
         inner = comp.conv(word_from_midx(subst), inner_n, inner_slots)
         if inner:
-            _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, comp.degree, c)
+            _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, c)
     memo[key] = out
     return out
 

@@ -252,9 +252,9 @@ def test_criterion_5_law_axioms():
                 if c:
                     mono = tuple(
                         sorted(
-                            [((0, kk), e) for kk, e in k]
-                            + [((1, kk), e) for kk, e in kp]
-                            + [((2, kk), e) for kk, e in kpp]
+                            [(0, kk) for kk in word_from_midx(k)]
+                            + [(1, kk) for kk in word_from_midx(kp)]
+                            + [(2, kk) for kk in word_from_midx(kpp)]
                         )
                     )
                     c = c / (midx_factorial(k) * midx_factorial(kp) * midx_factorial(kpp))

@@ -852,9 +852,12 @@ def test_eval_float_beyond_the_float_range_exits_2_with_one_line():
     big = "1" + "0" * 400
     assert run(["eval", heis, "--a", f"a[0]={big}", "--b", "a[0]=1", "--window=-1..1", "--float"]) \
         == (2, "invalid argument: coordinate a[0] at n=-1 is beyond the float range\n")
-    # a value below the float range rounds to 0, and in-range lines keep their text
+    # a nonzero value below the float range would show as 0; a subnormal
+    # still prints, and in-range lines keep their text
     assert run(["eval", heis, "--a", f"a[0]=1/{big}", "--b", "a[0]=1", "--window=0..1",
-                "--float"]) == (0, "n=0: 0\nn=1: k[0]=0\nbound: 2\n")
+                "--float"]) == (2, "invalid argument: coordinate k[0] at n=1 is below the float range\n")
+    assert run(["eval", heis, "--a", "a[0]=-1/1" + "0" * 310, "--b", "a[0]=1", "--window=0..1",
+                "--float"]) == (0, "n=0: 0\nn=1: k[0]=-1e-310\nbound: 2\n")
     assert run(["eval", heis, "--a", "a[0]=1/3", "--b", "a[0]=2", "--window=-1..1", "--float"]) == \
         (0, "n=-1: a[0]=2.33333333333\nn=0: 0\nn=1: k[0]=0.666666666667\nbound: 2\n")
 

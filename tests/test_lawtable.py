@@ -10,7 +10,7 @@ from pathlib import Path
 import golden
 import pytest
 from generated import nilpotent_current
-from oracles import LambdaPeel, global_stop_law_jacobi, nth_law_cell
+from oracles import Degrees, LambdaPeel, global_stop_law_jacobi, naive_poly_madd, nth_law_cell
 from test_generated import CASES
 
 from lieconformal import dsl, lawtable
@@ -21,7 +21,6 @@ from lieconformal.lawtable import (
     EMPTY,
     LawTable,
     _Composer,
-    _Degrees,
     _Grading,
     _poly_madd,
     check_convergence_bound,
@@ -148,9 +147,9 @@ def _h_oracle(U, T, l_key, p, q, cap):
                 if c:
                     mono = tuple(
                         sorted(
-                            [((0, kk), e) for kk, e in k]
-                            + [((1, kk), e) for kk, e in kp]
-                            + [((2, kk), e) for kk, e in kpp]
+                            [(0, kk) for kk in word_from_midx(k)]
+                            + [(1, kk) for kk in word_from_midx(kp)]
+                            + [(2, kk) for kk in word_from_midx(kpp)]
                         )
                     )
                     c = c / (midx_factorial(k) * midx_factorial(kp) * midx_factorial(kpp))
@@ -681,6 +680,23 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
     (lambda doc: doc["basis"].append(3), "is not of distinct string labels"),
     (lambda doc: doc.update(overflow_degrees=["q"]), r"overflow degrees \['q'\] are not integers in 0..2"),
     (lambda doc: doc.update(overflow_degrees=[3]), r"overflow degrees \[3\] are not integers in 0..2"),
+    # a coefficient is the text `to_json` writes, p or p/q with q nonzero, in
+    # at most DIGITS_LIMIT digits: no exponent, float, '_', zero q or null
+    (lambda doc: doc["entries"][0].update(coeff="1e30000000"), "entry 0 coefficient '1e30000000' is not p"),
+    (lambda doc: doc["entries"][0].update(coeff=0.1), "entry 0 coefficient 0.1 is not p"),
+    (lambda doc: doc["entries"][0].update(coeff="1_0"), "entry 0 coefficient '1_0' is not p"),
+    (lambda doc: doc["entries"][1].update(coeff="1/0"), "entry 1 coefficient '1/0' is not p"),
+    (lambda doc: doc["entries"][0].update(coeff=None), "entry 0 coefficient None is not p"),
+    (lambda doc: doc["entries"][0].update(coeff="1/" + "1" * dsl.DIGITS_LIMIT),
+     f"coefficient '1/1+ is not p or p/q with q nonzero in at most {dsl.DIGITS_LIMIT} digits"),
+    # an entry's index n is an int, k and k' are objects and l is a string:
+    # a cell (l, 0.5) is one no check reads
+    (lambda doc: doc["entries"][0].update(n=0.5), "entry index 0.5 is not an integer"),
+    (lambda doc: doc["entries"][0].update(n=True), "entry index True is not an integer"),
+    (lambda doc: doc["entries"][0].update(n="1"), "entry index '1' is not an integer"),
+    (lambda doc: doc["entries"][0].update(k=[]), r"multi-index \[\] is not an object of label exponents"),
+    (lambda doc: doc["entries"][0].update(kprime="a"), "multi-index 'a' is not an object of label"),
+    (lambda doc: doc["entries"][0].update(l=["a[0]"]), r"output label \['a\[0\]'\] is not in the basis"),
 ])
 def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, message):
     doc = json.loads(json.dumps(heis_table(window=(-8, 8)).to_json(), indent=1))
@@ -688,6 +704,15 @@ def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, me
     change(doc)
     with pytest.raises(ValueError, match=message):
         LawTable.from_json(doc)
+
+
+def test_from_json_reads_coefficients_of_up_to_the_digit_limit():
+    doc = heis_table(window=(-8, 8)).to_json()
+    e = doc["entries"][0]
+    k, kp = (tuple(sorted(e[side].items())) for side in ("k", "kprime"))
+    for coeff in ("-" + "9" * dsl.DIGITS_LIMIT, "7/0003", "-0"):
+        table = LawTable.from_json({**doc, "entries": [{**e, "coeff": coeff}]})
+        assert table.coefficient(e["l"], e["n"], k, kp) == Q(coeff)
 
 
 def test_from_json_rejects_an_output_label_outside_the_basis():
@@ -808,7 +833,7 @@ def _convolve(factors, q, series, maxn, window, cap, memo):
         if head:
             tail = _convolve(rest, q - m - 1, series, maxn, window, cap, memo)
             if tail:
-                _poly_madd(out, head, tail, cap, _Degrees())
+                _poly_madd(out, head, tail, cap)
     memo[key] = out
     return out
 
@@ -858,12 +883,12 @@ def test_word_series_matches_recursive_convolution_and_brute_force():
         for (f, m), c in coeffs.items():
             if c:
                 scalars[f][m] = c
-                slotted[f][m] = {(): c, (((0, f), 1),): Q(m)} if m else {(): c}
+                slotted[f][m] = {(): c, ((0, f),): Q(m)} if m else {(): c}
         assert all(lo <= m <= maxn[f] for f in scalars for m in scalars[f])
         series = _reader(slotted)
 
         def poly_madd(out, q, tail, head):
-            _poly_madd(out.setdefault(q, {}), tail, head, cap, _Degrees())
+            _poly_madd(out.setdefault(q, {}), tail, head, cap)
 
         scalar_memo, slotted_memo = {(): {-1: 1}}, {(): {-1: {(): 1}}}
         for s in range(4):
@@ -905,6 +930,45 @@ def _random_table(rng, lo, hi, positions):
                 k, kp = rng.choice(midxes), rng.choice(midxes)
                 table.add_entry(l, n, k, kp, Q(rng.randint(-3, 3), rng.randint(1, 2)))
     return table
+
+
+def test_poly_madd_matches_the_exponent_spelled_product():
+    # the composer's capped product over monomials spelled as sorted letters
+    # against the reference over sorted (letter, exponent) pairs, mapped to
+    # letters, on seeded polynomials, into an empty and a seeded sum
+    rng = random.Random(33)
+    letters = [(slot, key) for slot in range(3) for key in "ab"]
+
+    def spelled(poly):
+        return {tuple(v for v, e in m for _ in range(e)): c for m, c in poly.items()}
+
+    def draw():
+        poly = {}
+        for _ in range(rng.randint(0, 4)):
+            vs = sorted(rng.sample(letters, rng.randint(0, 2)))
+            poly[tuple((v, rng.randint(1, 2)) for v in vs)] = Q(rng.randint(1, 3) * rng.choice((-1, 1)),
+                                                               rng.randint(1, 2))
+        return poly
+
+    # x^2 - y^2 = (x - y)(x + y): the cross terms cancel inside one product
+    x, y = (((0, "a"), 1),), (((1, "a"), 1),)
+    cases = [({x: 1, y: -1}, {x: 1, y: 1})] + [(draw(), draw()) for _ in range(150)]
+    kept = dropped = 0
+    for p1, p2 in cases:
+        for cap in range(4):
+            for c in (1, -1, Q(3, 2)):
+                for start in ({}, draw()):
+                    want = spelled(naive_poly_madd(dict(start), p1, p2, cap, Degrees(), c))
+                    got = _poly_madd(spelled(start), spelled(p1), spelled(p2), cap, c)
+                    assert got == want, (p1, p2, cap, c, start)
+                    kept += len(got)
+                    # the same product with -c cancels it, to zero from {}
+                    assert _poly_madd(got, spelled(p1), spelled(p2), cap, -c) == spelled(start)
+                dropped += len(naive_poly_madd({}, p1, p2, 8, Degrees())) \
+                    - len(naive_poly_madd({}, p1, p2, cap, Degrees()))
+    assert _poly_madd({}, spelled({x: 1, y: -1}), spelled({x: 1, y: 1}), 2) \
+        == {((0, "a"), (0, "a")): 1, ((1, "a"), (1, "a")): -1}
+    assert kept > 1000 and dropped > 1000, (kept, dropped)
 
 
 def test_composer_conv_matches_recursive_convolution():
