@@ -7,12 +7,13 @@ divided by the factorials of both exponent multi-indices.  The divided
 powers make the degree-(1, 1) slice reproduce the structure constants
 on the nose, and the axiom checks below operate on the tables alone.
 
-Monomial bookkeeping: a multi-index is a sorted tuple of (basis key,
-positive exponent) pairs; composed-series polynomials live over slotted
-letters (slot, basis key), slots numbering the argument groups, and spell
-a monomial as the sorted tuple of its letters, each repeated by its
-exponent, as the enveloping algebra spells a word: a monomial's degree is
-its length and a product is its factors' letters, sorted.
+Monomial bookkeeping: the table's storage, its JSON and `check_law_hom`'s
+substitutions spell a monomial as a multi-index, a sorted tuple of (basis
+key, positive exponent) pairs; all else spells it as the sorted word of
+its letters, each repeated by its exponent, as the enveloping algebra
+does, so its degree is its length, a product is its factors' letters,
+sorted, and `word_factorial` gives its exponents' factorials.  Composed
+series spell monomials so over slotted letters (slot, basis key).
 
 Extraction builds one record (multi-index, word, norm, weight) per
 multi-index, once per table and by ascending norm, so a pair reads its
@@ -67,6 +68,10 @@ Q = Fraction
 # A coefficient as `LawTable.to_json` writes it, p or p/q with q nonzero.
 _COEFF = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
+# the fields `LawTable.from_json` needs of a document and of an entry
+_FIELDS = frozenset({"algebra", "degree", "depth", "window", "basis", "entries"})
+_ENTRY_FIELDS = frozenset({"l", "n", "k", "kprime", "coeff"})
+
 MIdx = tuple  # sorted ((key, exp), ...)
 EMPTY: MIdx = ()
 
@@ -89,10 +94,12 @@ def midx_norm(m: MIdx) -> int:
     return sum(e for _, e in m)
 
 
-def midx_factorial(m: MIdx) -> int:
-    out = 1
-    for _, e in m:
-        out *= math.factorial(e)
+def word_factorial(word: tuple) -> int:
+    """Π e! over the letter multiplicities e of a sorted word."""
+    out = run = 1
+    for prev, letter in zip(word, word[1:]):
+        run = run + 1 if letter == prev else 1
+        out *= run
     return out
 
 
@@ -142,9 +149,9 @@ def word_series(word: tuple, series: dict, maxn, lo: int, madd, memo: dict) -> d
     return cached
 
 
-def _slot_monomial(m: MIdx, slot: int) -> tuple:
-    """The letters of a sorted multi-index in one slot, in order."""
-    return tuple((slot, k) for k, e in m for _ in range(e))
+def _slot_monomial(word: tuple, slot: int) -> tuple:
+    """The letters of a sorted word in one slot, in order."""
+    return tuple((slot, k) for k in word)
 
 
 def _check_ranges(degree, depth, window) -> None:
@@ -230,9 +237,15 @@ class LawTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LawTable":
+        """The table of a `to_json` document; any other raises ValueError."""
+        if type(doc) is not dict or not _FIELDS <= doc.keys():
+            raise ValueError(f"document {doc!r:.60} is not an object with fields {sorted(_FIELDS)}")
         window = doc["window"]
         _check_ranges(doc["degree"], doc["depth"], window)
-        basis = list(doc["basis"])
+        for name in ("basis", "entries", "bounds", "overflow_degrees"):
+            if type(doc.get(name, [])) is not list:
+                raise ValueError(f"{name} {doc[name]!r:.40} is not a list")
+        basis = doc["basis"]
         if any(type(k) is not str for k in basis) or len(set(basis)) != len(basis):
             raise ValueError(f"basis {basis!r} is not of distinct string labels")
         overflow = doc.get("overflow_degrees", [])
@@ -259,7 +272,10 @@ class LawTable:
                 raise ValueError(f"pair {k}, {kp} is beyond degree {table.degree}")
             return out
 
+        cells = set()
         for i, e in enumerate(doc["entries"]):
+            if type(e) is not dict or not _ENTRY_FIELDS <= e.keys():
+                raise ValueError(f"entry {i} {e!r:.60} is not an object with fields {sorted(_ENTRY_FIELDS)}")
             if type(e["n"]) is not int:
                 raise ValueError(f"entry index {e['n']!r} is not an integer")
             if not table.window[0] <= e["n"] <= table.window[1]:
@@ -271,41 +287,51 @@ class LawTable:
                     or len(c) - c.count("/") - c.count("-") > DIGITS_LIMIT:
                 raise ValueError(f"entry {i} coefficient {c!r:.40} is not p or p/q with q nonzero "
                                  f"in at most {DIGITS_LIMIT} digits")
-            table.add_entry(e["l"], e["n"], *pair(e["k"], e["kprime"]), Q(c))
-        for k, kp, b in doc.get("bounds", []):
+            cell = (e["l"], e["n"], *pair(e["k"], e["kprime"]))
+            if cell in cells:
+                raise ValueError(f"entry {i} repeats the cell {e['l']}, {e['n']}, {e['k']}, {e['kprime']}")
+            cells.add(cell)
+            table.add_entry(*cell, Q(c))
+        for i, bound in enumerate(doc.get("bounds", [])):
+            if type(bound) is not list or len(bound) != 3:
+                raise ValueError(f"bound {i} {bound!r:.40} is not a list [k, kprime, bound]")
+            k, kp, b = bound
             if type(b) is not int or b < 0:
                 raise ValueError(f"bound {b!r} is not a nonnegative integer")
-            table.pair_bounds[pair(k, kp)] = b
+            key = pair(k, kp)
+            if key in table.pair_bounds:
+                raise ValueError(f"bound {i} repeats the pair {k}, {kp}")
+            table.pair_bounds[key] = b
         table.overflow_degrees = set(overflow)
         return table
 
 
-def law_cell(env: EnvelopingAlgebra, k: MIdx, kp: MIdx, n: int) -> dict:
-    """Single-letter part of ``e_k (n) e_k'`` divided by k! k'!, by letter.
+def law_cell(env: EnvelopingAlgebra, wu: tuple, wv: tuple, n: int) -> dict:
+    """Single-letter part of ``wu (n) wv`` for two sorted words, divided by
+    their `word_factorial` k! k'!, by letter.
 
     The one reading of a table cell, shared with `manifold`: the product
-    of the multi-indices' words is read off the kept word products by
-    `EnvelopingAlgebra.word_nth`, which takes a product with an empty side
-    from the vacuum axiom and builds none, and it is scaled only when
-    k! k'! is not 1.
+    is read off the kept word products by `EnvelopingAlgebra.word_nth`,
+    which takes a product with an empty side from the vacuum axiom and
+    builds none, and it is scaled only when k! k'! is not 1.
     """
-    prod = env.word_nth(word_from_midx(k), word_from_midx(kp), n)
+    prod = env.word_nth(wu, wv, n)
     cell = {w[0]: c for w, c in prod.terms.items() if len(w) == 1}
-    norm = midx_factorial(k) * midx_factorial(kp)
+    norm = word_factorial(wu) * word_factorial(wv)
     return scale(cell, Q(1, norm)) if norm != 1 and cell else cell
 
 
 class _Grading:
     """Conformal weights of cells, scaled to ints, for skipping cells.
 
-    The cell (k, k', n) can only hold letters weighing
-    ``weight[k] + weight[k'] - step * (n + 1)``; a multi-index's weight is
-    kept once asked for, summed from its letters' weights, each also kept
-    once asked for.  ``depths[w]`` holds the depths d < torsion at which
-    some letter (g, d) weighs w, at most one per generator, kept once asked
-    for.  A presentation without conformal weights, or a basis whose
-    letters are not one symbol, takes the trivial grading: ∂ and every
-    letter weigh 0, so every cell weighs 0 and a depth-0 letter can fill it.
+    The cell (wu, wv, n) of two sorted words can only hold letters weighing
+    ``weight[wu] + weight[wv] - step * (n + 1)``; a word's weight is kept
+    once asked for, summed from the weights of its one-letter words.
+    ``depths[w]`` holds the depths d < torsion at which some letter (g, d)
+    weighs w, at most one per generator, kept once asked for.  A
+    presentation without conformal weights, or a basis whose letters are
+    not one symbol, takes the trivial grading: ∂ and every letter weigh 0,
+    so every cell weighs 0 and a depth-0 letter can fill it.
     """
 
     def __init__(self, env: EnvelopingAlgebra):
@@ -319,17 +345,13 @@ class _Grading:
         gen_w = [int(x * step) for x in delta]
         symbol_valid = env.pres.symbol_valid
 
-        class Letters(dict):
-            def __missing__(self, key) -> int:
-                ((g, d),) = basis.vector(key).coeffs
-                w = self[key] = gen_w[g] + step * d
-                return w
-
-        letter = Letters()
-
         class Weights(dict):
-            def __missing__(self, m: MIdx) -> int:
-                w = self[m] = sum(e * letter[key] for key, e in m)
+            def __missing__(self, word: tuple) -> int:
+                if len(word) == 1:
+                    ((g, d),) = basis.vector(word[0]).coeffs
+                    w = self[word] = gen_w[g] + step * d
+                else:
+                    w = self[word] = sum(self[(key,)] for key in word)
                 return w
 
         class Depths(dict):
@@ -345,8 +367,8 @@ class _Grading:
         self.weight = Weights()
         self.depths = Depths()
 
-    def cell(self, k: MIdx, kp: MIdx, n: int) -> int:
-        return self.weight[k] + self.weight[kp] - self.step * (n + 1)
+    def cell(self, wu: tuple, wv: tuple, n: int) -> int:
+        return self.weight[wu] + self.weight[wv] - self.step * (n + 1)
 
 
 def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawTable:
@@ -360,10 +382,10 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     indices from the top down to the window's bottom at which some letter
     has the cell's weight, each with the shallowest depth of such a letter.
     A pair reads its norms, weights and words off one record per
-    multi-index.  The left-vacuum row comes first, from the vacuum axiom:
-    each of its pairs takes bound 0, and its (-1)-cell is read
-    (`law_cell`) when the window holds -1 and some letter has the weight
-    of k'.  A pair with an empty right side takes bound 0 as well.
+    multi-index, and hands its words to `law_cell`.  The left-vacuum row
+    comes first, from the vacuum axiom: each of its pairs takes bound 0,
+    and its (-1)-cell is read when the window holds -1 and some letter has
+    the weight of k'.  A pair with an empty right side takes bound 0 as well.
     Raises ValueError on a degree, depth or window that
     `LawTable.from_json` would refuse, before anything is built.
     """
@@ -377,13 +399,13 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     step, depths, weight = grading.step, grading.depths, grading.weight
 
     # one record (multi-index, word, norm, weight) per multi-index, by
-    # ascending norm; the first ends[d] have norm <= d
+    # ascending norm; the first ends[d] have norm <= d.  The positions
+    # ascend, so each word is sorted
     records = [(EMPTY, (), 0, 0)]
     ends = [1]
     for size in range(1, degree + 1):
         for w in combinations_with_replacement(positions, size):
-            m = midx_from_word(w)
-            records.append((m, word_from_midx(m), size, weight[m]))
+            records.append((midx_from_word(w), w, size, weight[w]))
         ends.append(len(records))
 
     class Walks(dict):
@@ -403,10 +425,10 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
     bounds, overflow = table.pair_bounds, table.overflow_degrees
     # the left-vacuum row by the vacuum axiom: 1_(n)v = δ_{n,-1} v, so every
     # bound is 0 and only a (-1)-cell can be nonzero, one weighing W(k')
-    for kp, *_, wkp in records[: ends[degree]]:
+    for kp, wv, _, wkp in records[: ends[degree]]:
         bounds[EMPTY, kp] = 0
         if lo <= -1 <= hi and depths[wkp]:
-            for l, c in law_cell(env, EMPTY, kp, -1).items():
+            for l, c in law_cell(env, (), wv, -1).items():
                 table.add_entry(l, -1, EMPTY, kp, c)
     for k, wu, dk, wk in records[1:]:
         # cell (k, k', n) weighs wk + wkp - step * (n + 1)
@@ -418,7 +440,7 @@ def extract_law(env: EnvelopingAlgebra, degree: int, depth: int, window) -> LawT
             for n, shallowest in walks[base + wkp, min(hi, bound - 1)]:
                 if overflowed and shallowest > depth:
                     continue
-                for l, c in law_cell(env, k, kp, n).items():
+                for l, c in law_cell(env, wu, wv, n).items():
                     if l in table.pos_index:
                         table.add_entry(l, n, k, kp, c)
                     else:
@@ -492,11 +514,13 @@ class _Composer:
         self.table = table
         self.cap = cap
         self.lo, self.hi = table.window
-        # each position's law series {n: {(k, k'): c}} over the window, by
-        # ascending n, with the terms of degree above cap dropped
+        # each position's law series {n: {(wu, wv): c}} over the window, by
+        # ascending n, each pair of multi-indices spelled as its two sorted
+        # words, with the terms of degree above cap dropped
         self._law: dict = {}
         for (l, n), cell in sorted(table.entries.items(), key=lambda e: e[0][1]):
-            kept = {kk: c for kk, c in cell.items() if midx_norm(kk[0]) + midx_norm(kk[1]) <= cap}
+            words = {(word_from_midx(k), word_from_midx(kp)): c for (k, kp), c in cell.items()}
+            kept = {ww: c for ww, c in words.items() if len(ww[0]) + len(ww[1]) <= cap}
             if kept and self.lo <= n <= self.hi:
                 self._law.setdefault(l, {})[n] = kept
         self._maxn = {l: max(law) for l, law in self._law.items()}
@@ -507,17 +531,17 @@ class _Composer:
         # composed coefficients by their arguments; callers only read them
         self._composed_memo: dict = {}
         # certified stops of the three-sum terms at each position: one past
-        # the top index of the product series of any multi-index its kept
-        # cells substitute, per substitution side (the second multi-index in
-        # the first two terms, the first in the third); a term at an inner
+        # the top index of the product series of any word its kept cells
+        # substitute, per substitution side (the second word in the first
+        # two terms, the first in the third); a term at an inner
         # index from its position's stop on is zero there, and the
         # `global_stops` that the sums run to are the largest over all
         # positions
         self.stops: dict = {}
         for pos, law in self._law.items():
             kept = [pair for cell in law.values() for pair in cell]
-            first = max(word_top(word_from_midx(k), self.maxn) for k, _ in kept) + 1
-            second = max(word_top(word_from_midx(kp), self.maxn) for _, kp in kept) + 1
+            first = max(word_top(wu, self.maxn) for wu, _ in kept) + 1
+            second = max(word_top(wv, self.maxn) for _, wv in kept) + 1
             self.stops[pos] = (second, second, first)
         self.global_stops = tuple(map(max, zip(*self.stops.values()))) or (0, 0, 0)
 
@@ -532,8 +556,8 @@ class _Composer:
             # the slots ascend, so the halves join sorted, and distinct cells
             # give distinct monomials
             out = self._slotted[slots] = {
-                pos: {n: {_slot_monomial(k, slots[0]) + _slot_monomial(kp, slots[1]): c
-                          for (k, kp), c in cell.items()}
+                pos: {n: {_slot_monomial(wu, slots[0]) + _slot_monomial(wv, slots[1]): c
+                          for (wu, wv), c in cell.items()}
                       for n, cell in law.items()}
                 for pos, law in self._law.items()
             }
@@ -554,8 +578,8 @@ class _Composer:
         """One mixed coefficient of the law applied to a law, for every
         position at once, as (values, raises).
 
-        ``direct_slot`` receives the unsubstituted multi-index; the other
-        multi-index is substituted by the composed series over
+        ``direct_slot`` receives the unsubstituted word; the other word is
+        substituted by the composed series over
         ``inner_slots`` and the ``inner_n`` coefficient is taken.  The
         values map (position, slotted monomial) to a nonzero coefficient;
         the raises map a position to the `TruncationInsufficient` its
@@ -573,7 +597,7 @@ class _Composer:
         if out is not None:
             return out
         values, raises = out = self._composed_memo[key] = {}, {}
-        # the substituted series' coefficient, by multi-index
+        # the substituted series' coefficient, by word
         inners: dict = {}
         for pos, law in self._law.items():
             cell = law.get(outer_n)
@@ -581,11 +605,11 @@ class _Composer:
                 continue
             poly: dict = {}
             try:
-                for (k, kp), c in cell.items():
-                    direct, subst = (kp, k) if substitute_first else (k, kp)
+                for (wu, wv), c in cell.items():
+                    direct, subst = (wv, wu) if substitute_first else (wu, wv)
                     inner = inners.get(subst)
                     if inner is None:
-                        inner = inners[subst] = self.conv(word_from_midx(subst), inner_n, inner_slots)
+                        inner = inners[subst] = self.conv(subst, inner_n, inner_slots)
                     if inner:
                         _poly_madd(poly, {_slot_monomial(direct, direct_slot): 1}, inner, self.cap, c)
             except TruncationInsufficient as exc:
@@ -622,7 +646,7 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     residual are flat maps from (position, slotted monomial) to an exact
     coefficient, and each sum runs to the stop over all positions, while
     a position's terms from its own stop on, one past the top inner index
-    over the multi-indices its kept cells substitute, are zero and left
+    over the words its kept cells substitute, are zero and left
     out.  An outer index below the window raises
     `TruncationInsufficient` for every position, a composition needing an
     index below it only for the positions that substitute that word; each
@@ -679,22 +703,19 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
     lo = max(src.window[0], dst.window[0])
     hi = min(src.window[1], dst.window[1])
     entries = []
-
-    def alpha_poly(pos, slot):
-        # distinct multi-indices give distinct slotted monomials
-        return iadd({}, {
-            _slot_monomial(m, slot): c
-            for m, c in alpha.get(pos, {}).items()
-            if midx_norm(m) <= cap
-        })
+    # alpha over sorted words, and per slot its terms of degree up to cap
+    # slotted; distinct words give distinct slotted monomials
+    alpha = {pos: {word_from_midx(m): c for m, c in poly.items()} for pos, poly in alpha.items()}
+    slotted = {(pos, slot): iadd({}, {_slot_monomial(w, slot): c for w, c in poly.items() if len(w) <= cap})
+               for pos, poly in alpha.items() for slot in (0, 1)}
 
     for dpos in dst.positions:
         apoly = alpha.get(dpos, {})
         for n in range(lo, hi + 1):
             # alpha applied to the source law series
             lhs: dict = {}
-            for m, c in apoly.items():
-                iadd(lhs, comp.conv(word_from_midx(m), n, (0, 1)), c)
+            for w, c in apoly.items():
+                iadd(lhs, comp.conv(w, n, (0, 1)), c)
             # destination law with substituted arguments
             rhs: dict = {}
             for (k, kp), c in dst.series_entry(dpos, n).items():
@@ -703,7 +724,7 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
                 poly = {(): 1}
                 for slot, m in ((0, k), (1, kp)):
                     for p in word_from_midx(m):
-                        poly = _poly_madd({}, poly, alpha_poly(p, slot), cap)
+                        poly = _poly_madd({}, poly, slotted.get((p, slot), {}), cap)
                 iadd(rhs, poly, c)
             resid = iadd(dict(lhs), rhs, -1)
             good = not resid

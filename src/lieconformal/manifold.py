@@ -2,8 +2,9 @@
 
 A nilpotent presentation gives the coordinate space a family of exact
 polynomial products, one per integer index: the coefficient on a pair of
-exponent multi-indices is the single-letter part of the corresponding
-enveloping product, divided by the multi-index factorials, and the
+monomials, each spelled as the sorted word of its letters, is the
+single-letter part of the product of the two words, divided by the
+factorials of their letter multiplicities (`law_cell`), and the
 nilpotency degree prunes everything of higher total degree.  The
 enveloping words are spelled in adapted basis keys, so that part is read
 off as adapted coordinates, as the coefficient-law extraction reads it.
@@ -13,7 +14,7 @@ element is the origin.
 By conformal weight, u_(n) v weighs Δu + Δv - n - 1, so a cell whose
 weight no letter of any depth has is zero and is stored as such without
 computing the enveloping product.  A product of points groups its
-exponent pairs by their summed weight and reads, at each index, only the
+word pairs by their summed weight and reads, at each index, only the
 groups whose cells some letter can weigh; the other cells are never read.
 A presentation without conformal weights, or an adapted basis whose
 letters mix symbols, takes the trivial grading: every pair weighs 0, so
@@ -23,7 +24,7 @@ Tables fill lazily per cell and never change once computed, so sharing a
 structure across threads is safe as long as the cell caches are treated
 as idempotent inserts.  The same holds for the other memos, all kept for
 the manifold's life and never released: the truncation bound per joint
-support of two points, the powers p^m per point, the inner series memo,
+support of two points, the powers p^w per point, the inner series memo,
 the coefficients of the product series of a point pair, kept per pair
 because every outer index and outer point of a composed product reads
 the same ones, and the Jacobi entries.  The inner series fill builds a
@@ -33,7 +34,7 @@ per point triple: its three three-sum stops (N times the bound of each
 pair, at least 1, plus 1) and its three sides.  A side is one composed
 product over three points, kept per side and points for every triple
 that reads it: copies of its points, its values per (outer, series)
-index pair, and its grouped exponent pairs per series index for every
+index pair, and its grouped word pairs per series index for every
 outer index to read.  The memos key a point by its (key,
 numerator, denominator) triples, which hash as ints, and an int and the
 equal Fraction give the same key; a warm residual keys its three points,
@@ -54,9 +55,7 @@ from .core import CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
-from .lawtable import (
-    _Grading, law_cell, midx_factorial, midx_from_word, midx_norm, word_from_midx, word_series,
-)
+from .lawtable import _Grading, law_cell, word_factorial, word_series
 from .linalg import exact, iadd
 
 Q = Fraction
@@ -94,7 +93,6 @@ class VertexManifold:
         self.env = env
         self.N = series.nilpotency_degree
         self._table: dict = {}
-        self._bounds: dict = {}
         self._support_bounds: dict = {}
         self._powers_memo: dict = {}
         # the cell weights against every letter
@@ -107,40 +105,24 @@ class VertexManifold:
 
     # -- table cells ------------------------------------------------------
 
-    def pair_bound(self, k, kp) -> int:
-        key = (k, kp)
-        if key not in self._bounds:
-            self._bounds[key] = self.env.word_bound(word_from_midx(k), word_from_midx(kp))
-        return self._bounds[key]
-
-    def table_entry(self, k, kp, n: int) -> Point:
-        """Adapted coordinates of the normalized single-letter product part."""
-        key = (k, kp, n)
+    def table_entry(self, wu: tuple, wv: tuple, n: int) -> Point:
+        """Adapted coordinates of `law_cell` of two sorted words."""
+        key = (wu, wv, n)
         cached = self._table.get(key)
         if cached is None:
             grading = self._grading
-            if midx_norm(k) + midx_norm(kp) > self.N or not grading.depths[grading.cell(k, kp, n)]:
+            if len(wu) + len(wv) > self.N or not grading.depths[grading.cell(wu, wv, n)]:
                 cached = {}
             else:
-                cached = law_cell(self.env, k, kp, n)
+                cached = law_cell(self.env, wu, wv, n)
             self._table[key] = cached
         return cached
 
     # -- products of points ----------------------------------------------------
 
-    @staticmethod
-    def _power(p: Point, m) -> Q:
-        out = 1
-        for pos, e in m:
-            c = p.get(pos, 0)
-            if c == 0:
-                return 0
-            out *= c ** e
-        return out
-
     def _powers(self, p: Point) -> list:
-        """(m, |m|, p^m) over the multi-indices of the point's support with
-        norm 0..N, by norm, nonzero only."""
+        """(w, |w|, p^w) over the sorted words of length 0..N over the
+        point's support, by length, nonzero only."""
         key = point_key(p)
         cached = self._powers_memo.get(key)
         if cached is None:
@@ -148,33 +130,32 @@ class VertexManifold:
             supp = sorted(p)
             for s in range(self.N + 1):
                 for w in combinations_with_replacement(supp, s):
-                    m = midx_from_word(w)
-                    c = self._power(p, m)
+                    c = math.prod(p[x] for x in w)
                     if c:
-                        cached.append((m, s, c))
+                        cached.append((w, s, c))
         return cached
 
     def _weights(self, left: list, right: list) -> list:
-        """(W, [(k, k', w * w'), ...]) over the exponent pairs of total degree
-        1..N, grouped by the summed weight W = weight[k] + weight[k'].
+        """(W, [(wu, wv, c * c'), ...]) over the word pairs of total length
+        1..N, grouped by the summed weight W = weight[wu] + weight[wv].
 
-        Both sides list (multi-index, norm, weight) in order of norm, as
+        Both sides list (word, length, coefficient) in order of length, as
         `_powers` and `_inner_series` give them; each group keeps that order.
         """
         N = self.N
         weight = self._grading.weight
         groups: dict = {}
-        for k, s, w in left:
-            wk = weight[k]
-            for kp, sp, wp in right:
+        for wu, s, c in left:
+            weight_u = weight[wu]
+            for wv, sp, cp in right:
                 if s + sp > N:
                     break
                 if s + sp:
-                    groups.setdefault(wk + weight[kp], []).append((k, kp, w * wp))
+                    groups.setdefault(weight_u + weight[wv], []).append((wu, wv, c * cp))
         return list(groups.items())
 
     def _combine(self, groups: list, n: int) -> Point:
-        """Index-n table cells of the grouped exponent pairs, summed.
+        """Index-n table cells of the grouped word pairs, summed.
 
         A group is read only when some letter weighs W - step * (n + 1):
         `table_entry` stores the cells of every other group as zero.
@@ -204,8 +185,8 @@ class VertexManifold:
             unit = self._powers(dict.fromkeys(supp, 1))
             bound = 0
             for _, pairs in self._weights(unit, unit):
-                for k, kp, _ in pairs:
-                    bound = max(bound, self.pair_bound(k, kp))
+                for wu, wv, _ in pairs:
+                    bound = max(bound, self.env.word_bound(wu, wv))
             self._support_bounds[supp] = bound
         return bound
 
@@ -217,25 +198,25 @@ class VertexManifold:
     def exponential_element(self, a: Point) -> UElem:
         """Degree-truncated coordinate exponential in the enveloping algebra."""
         out = UElem.vacuum()
-        for m, s, c in self._powers(a):
+        for w, s, c in self._powers(a):
             if s:
-                out.iadd_scaled(UElem.monomial(word_from_midx(m)), Q(c, midx_factorial(m)))
+                out.iadd_scaled(UElem.monomial(w), Q(c, word_factorial(w)))
         return out
 
     # -- composed products (series substituted into a polynomial slot) -----------
 
     def _inner_series(self, b: Point, c: Point, q: int) -> list:
-        """x^q coefficients of the (b, c) product series, as (m, |m|, coefficient).
+        """x^q coefficients of the (b, c) product series, as (w, |w|, coefficient).
 
-        The multi-indices m run over the support of the series with norm
-        1..N, plus () when q = -1, in order of norm, then lex: all that
+        The sorted words w run over the support of the series with length
+        1..N, plus () when q = -1, in order of length, then lex: all that
         `composed` and `composed_first` read, whatever their outer point and
         index.  One fill per pair files every q from its own up; only a
         lower q fills again, from a deeper window.  Zero coefficients are not
         stored.  The series coordinates enter `word_series` as exact
         rationals, and no word product outlives its fill.
 
-        Words are built norm by norm from (), each extended by the letters
+        Words are built length by length from (), each extended by the letters
         from its last one on, and only if its series kept a coefficient: a
         word's kept series comes from its prefix's alone.  Each letter tops
         at n_bc - 1 at most, so word + (f,) and its extensions reach q only
@@ -256,14 +237,13 @@ class VertexManifold:
             tops = [max(heads[f]) for f in letters]
             memo: dict = {(): {-1: 1}}
             filled = self._inner_memo[key] = (q, {})
-            words = deque([((), 0)])  # (word, index of its last letter), by norm, then lex
+            words = deque([((), 0)])  # (word, index of its last letter), by length, then lex
             while words:
                 word, i = words.popleft()
                 series = word_series(word, heads, lambda pos: n_bc - 1, lo, _scalar_madd, memo)
-                midx = midx_from_word(word)
                 for t, v in series.items():
                     if t >= q:
-                        filled[1].setdefault(t, []).append((midx, len(word), v))
+                        filled[1].setdefault(t, []).append((word, len(word), v))
                 if series and len(word) < self.N:
                     need = q - (self.N - len(word) - 1) * n_bc - max(series) - 1
                     words.extend((word + (letters[j],), j) for j in range(i, len(letters)) if tops[j] >= need)
@@ -280,7 +260,7 @@ class VertexManifold:
         return side
 
     def _term(self, side: tuple, p: int, q: int) -> Point:
-        """Coefficient q of a side's composed product; the grouped exponent
+        """Coefficient q of a side's composed product; the grouped word
         pairs are kept per q for every p."""
         kind, (a, b, c), products, weights = side
         value = products.get((p, q))
@@ -431,15 +411,12 @@ class VertexManifold:
         for i in range(ngen):
             for j in range(i, ngen):
                 poly = LPoly()
-                top = 0
-                for u in coords[i]:
-                    for v in coords[j]:
-                        top = max(top, self.pair_bound(((u, 1),), ((v, 1),)))
+                top = max(self.env.word_bound((u,), (v,)) for u in coords[i] for v in coords[j])
                 for n in range(top):
                     acc = CVec()
                     for u, cu in coords[i].items():
                         for v, cv in coords[j].items():
-                            cell = self.table_entry(((u, 1),), ((v, 1),), n)
+                            cell = self.table_entry((u,), (v,), n)
                             for pos, c in cell.items():
                                 acc.iadd_scaled(self.basis.vector(pos), c * cu * cv)
                     poly.add_term(n, acc, Q(1, math.factorial(n)))

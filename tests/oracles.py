@@ -64,12 +64,15 @@ from lieconformal.lawtable import (
     _guard_table,
     _poly_madd,
     _slot_monomial,
-    midx_factorial,
-    midx_from_word,
     word_from_midx,
     word_top,
 )
 from lieconformal.linalg import iadd
+
+
+def midx_factorial(m) -> int:
+    """Π e! over the exponents e of a multi-index ((key, e), ...)."""
+    return math.prod(math.factorial(e) for _, e in m)
 
 
 def binom_z(n: int, k: int) -> int:
@@ -304,21 +307,21 @@ def nth_law_cell(env, k, kp, n: int) -> dict:
 
 
 def brute_combine(M, left: list, right: list, n: int) -> dict:
-    """Index-n cells of a vertex manifold summed over every exponent pair of
-    total degree 1..N of two (multi-index, norm, weight) lists."""
+    """Index-n cells of a vertex manifold summed over every word pair of
+    total length 1..N of two (sorted word, length, coefficient) lists."""
     out: dict = {}
-    for k, s, w in left:
-        for kp, sp, wp in right:
+    for wu, s, w in left:
+        for wv, sp, wp in right:
             if 0 < s + sp <= M.N:
-                for pos, v in M.table_entry(k, kp, n).items():
+                for pos, v in M.table_entry(wu, wv, n).items():
                     out[pos] = out.get(pos, 0) + w * wp * v
     return {pos: v for pos, v in out.items() if v}
 
 
 def brute_inner_series(M, b, c, q: int) -> list:
     """x^q coefficients of the (b, c) product series of a vertex manifold,
-    as (m, |m|, coefficient), from every word of norm 0..N over the letters
-    of the series, in order of norm, then lex.  A word's coefficient sums
+    as (w, |w|, coefficient), from every sorted word w of length 0..N over
+    the letters of the series, in order of length, then lex.  A word's coefficient sums
     the products of its letters' coefficients over every index tuple
     m_1 + ... + m_s + s - 1 = q; the series from lo up hold every index
     such a tuple can take."""
@@ -335,7 +338,7 @@ def brute_inner_series(M, b, c, q: int) -> list:
                         for terms in product(*(heads[f].items() for f in word))
                         if sum(m for m, _ in terms) + s - 1 == q)
             if total:
-                out.append((midx_from_word(word), s, total))
+                out.append((word, s, total))
     return out
 
 
@@ -482,7 +485,7 @@ def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_s
                        inner_slots, substitute_first: bool) -> dict:
     """One position's mixed coefficient of the law applied to a law.
 
-    ``direct_slot`` receives the unsubstituted multi-index; the other is
+    ``direct_slot`` receives the unsubstituted word; the other is
     substituted by the composed series over ``inner_slots`` and the
     ``inner_n`` coefficient is taken.  A composition needing an index
     below the window raises at the position's first cell that needs it.
@@ -494,9 +497,9 @@ def _position_composed(comp, memo: dict, l, outer_n: int, inner_n: int, direct_s
     if outer_n < comp.lo:
         raise TruncationInsufficient(f"outer index {outer_n} outside window {comp.table.window}")
     out = {}
-    for (k, kp), c in comp._law.get(l, {}).get(outer_n, {}).items():
-        direct, subst = (kp, k) if substitute_first else (k, kp)
-        inner = comp.conv(word_from_midx(subst), inner_n, inner_slots)
+    for (wu, wv), c in comp._law.get(l, {}).get(outer_n, {}).items():
+        direct, subst = (wv, wu) if substitute_first else (wu, wv)
+        inner = comp.conv(subst, inner_n, inner_slots)
         if inner:
             _poly_madd(out, {_slot_monomial(direct, direct_slot): 1}, inner, comp.cap, c)
     memo[key] = out
@@ -517,8 +520,8 @@ def global_stop_law_jacobi(table, samples, cap: int) -> dict:
     comp = _Composer(table, cap)
     memo: dict = {}
     kept = [pair for law in comp._law.values() for cell in law.values() for pair in cell]
-    first = max((word_top(word_from_midx(k), comp.maxn) for k, _ in kept), default=-1)
-    second = max((word_top(word_from_midx(kp), comp.maxn) for _, kp in kept), default=-1)
+    first = max((word_top(wu, comp.maxn) for wu, _ in kept), default=-1)
+    second = max((word_top(wv, comp.maxn) for _, wv in kept), default=-1)
     stops = (second + 1, second + 1, first + 1)
     entries = []
     for (l, t, j) in samples:

@@ -11,7 +11,9 @@ from itertools import combinations_with_replacement, product as iproduct
 from pathlib import Path
 
 import golden
-from oracles import delta_on_component, flip, oracle_bracket, oracle_straighten, point_add
+from oracles import (
+    delta_on_component, flip, midx_factorial, oracle_bracket, oracle_straighten, point_add,
+)
 
 from lieconformal.bialgebra import (
     check_delta_is_vertex_hom,
@@ -26,7 +28,6 @@ from lieconformal.lawtable import (
     check_identities,
     check_law_jacobi,
     extract_law,
-    midx_factorial,
     midx_from_word,
     midx_norm,
     word_from_midx,

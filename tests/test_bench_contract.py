@@ -4,7 +4,8 @@
 attributes of the objects it registers; a rename under `src/` would break
 `bench/run.py --trace 1` without failing any other test.  One reduced
 round of each workload runs as the benchmark runs it, in a fresh process,
-and must pass its own output checks.
+and must pass its own output checks; a traced one must also see the cell
+tables it reads by name.
 """
 
 import importlib
@@ -57,14 +58,32 @@ def test_memo_attributes_exist():
             assert isinstance(getattr(objects[cls_name], attr, None), dict), (cls_name, attr)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_reduced_round_passes_its_checks(workload):
+def _reduced_round(workload: str, *flags: str) -> dict:
+    """The JSON line of one seed-1 reduced round, checked to pass."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "round.py"), "--workload", workload,
-         "--seed", "1", "--reduced"],
+         "--seed", "1", "--reduced", *flags],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["attempted"] > 0
     assert (result["problems"], result["failed"]) == ([], 0), result["problems"]
+    return result
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_reduced_round_passes_its_checks(workload):
+    _reduced_round(workload)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_reduced_round_sees_the_cell_tables(workload):
+    # the manifold's cells are read through `VertexManifold.table_entry` and
+    # kept in its `_table`; the law tables' cells are counted off `extract_law`
+    layers = _reduced_round(workload, "--trace")["layers"]
+    if workload == "manifold_jacobi":
+        assert layers["manifold.table_entry.calls"] > 0, layers
+        assert layers["manifold.table_entry.memo"] > 0, layers
+    if workload == "law_tables":
+        assert layers["lawtable.cells"] > 0, layers

@@ -739,7 +739,7 @@ def test_failing_manifold_jacobi_names_its_witness(monkeypatch):
     def corrupted(pres):
         M = integrate(pres)
         a0, a1, k0 = (M.basis.key_for_symbol(sym) for sym in [(0, 0), (0, 1), (1, 0)])
-        key = (((a1, 1),), ((a0, 1),), 2)
+        key = ((a1,), (a0,), 2)
         M.table_entry(*key)
         M._table[key] = {k0: Q(5)}
         return M

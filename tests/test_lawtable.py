@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import golden
 import pytest
 from generated import nilpotent_current
-from oracles import Degrees, LambdaPeel, global_stop_law_jacobi, naive_poly_madd, nth_law_cell
+from oracles import (
+    Degrees, LambdaPeel, global_stop_law_jacobi, midx_factorial, naive_poly_madd, nth_law_cell,
+)
 from test_generated import CASES
 
 from lieconformal import dsl, lawtable
@@ -29,9 +32,9 @@ from lieconformal.lawtable import (
     check_law_jacobi,
     extract_law,
     law_cell,
-    midx_factorial,
     midx_from_word,
     midx_norm,
+    word_factorial,
     word_from_midx,
     word_series,
     word_top,
@@ -418,23 +421,61 @@ def test_vacuum_rows_equal_the_cellwise_products(name):
 
 @pytest.mark.parametrize("name", [*ALL_DATA, "ungraded"])
 def test_law_cell_equals_the_products_by_definition(name):
-    # every pair of degree <= 3 over the letters to depth 1, at every index
-    # in -4..4, the vacuum on either side included; on n3current and
+    # every pair of sorted words of total length <= 3 over the letters to
+    # depth 1, at every index in -4..4, the vacuum on either side included,
+    # against the oracle over the pair's multi-indices; on n3current and
     # virasoro some nonzero cells are divided by k! k'! > 1
     pres = golden.ungraded() if name == "ungraded" else _data(name)
     env, fresh = EnvelopingAlgebra(pres), EnvelopingAlgebra(pres)
     positions = env.basis.keys_up_to_depth(1)
-    midxes = [midx_from_word(w) for size in range(4) for w in combinations_with_replacement(positions, size)]
+    words = [w for size in range(4) for w in combinations_with_replacement(positions, size)]
     scaled = 0
-    for k in midxes:
-        for kp in midxes:
-            if midx_norm(k) + midx_norm(kp) > 3:
+    for wu in words:
+        for wv in words:
+            if len(wu) + len(wv) > 3:
                 continue
+            k, kp = midx_from_word(wu), midx_from_word(wv)
             for n in range(-4, 5):
-                got = law_cell(env, k, kp, n)
-                assert got == nth_law_cell(fresh, k, kp, n), (k, kp, n)
+                got = law_cell(env, wu, wv, n)
+                assert got == nth_law_cell(fresh, k, kp, n), (wu, wv, n)
                 scaled += bool(got) and midx_factorial(k) * midx_factorial(kp) > 1
     assert scaled or name not in ("n3current", "virasoro"), name
+
+
+def test_word_factorial_is_the_exponent_factorials_of_the_multi_index():
+    # Π e! over the multi-index of seeded sorted words, the empty word and
+    # words of one repeated letter included
+    rng = random.Random(34)
+    words = [(), (A0,), (A0, A0, A0), (A0, A0, A1, A1, A1, K0)]
+    words += [tuple(sorted(rng.choices([A0, A1, A2, K0], k=rng.randint(0, 7)))) for _ in range(200)]
+    for w in words:
+        assert word_factorial(w) == midx_factorial(midx_from_word(w)), w
+    assert word_factorial((A0, A0, A1, A1, A1, K0)) == 12
+
+
+def test_extraction_spells_each_multi_index_once(monkeypatch):
+    # below the table's storage a monomial is its sorted word: extraction
+    # spells the multi-index of each record once, from its word, and never
+    # spells a word back
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(lawtable, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for name in ("midx_from_word", "word_from_midx"):
+        monkeypatch.setattr(lawtable, name, counting(name))
+    for build, degree, depth in [(golden.heisenberg, 3, 1), (golden.mixed, 2, 1), (golden.n3_current, 2, 2)]:
+        counts.clear()
+        env = EnvelopingAlgebra(build())
+        extract_law(env, degree, depth, (-4, 4))
+        # the nonempty multisets of at most `degree` positions
+        multi_indices = math.comb(len(env.basis.keys_up_to_depth(depth)) + degree, degree) - 1
+        assert counts == {"midx_from_word": multi_indices}, build.__name__
 
 
 @pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: "n{}_draws{}_seed{}".format(*c))
@@ -524,14 +565,13 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
         assert step, build.__name__
 
         def letter_weight(key):
-            return weight[((key, 1),)]
+            return weight[(key,)]
 
         for depth in range(4):
             positions = env.basis.keys_up_to_depth(depth)
-            midxes = [midx_from_word(w) for size in range(4)
-                      for w in combinations_with_replacement(positions, size)]
-            # a pair's weight is that of its joint multi-index
-            cell_weights = {weight[m] - step * (n + 1) for m in midxes for n in range(-8, 9)}
+            words = [w for size in range(4) for w in combinations_with_replacement(positions, size)]
+            # a pair's weight is that of its joint word
+            cell_weights = {weight[w] - step * (n + 1) for w in words for n in range(-8, 9)}
             # a letter one depth deeper weighs one step more
             least = min(map(letter_weight, env.basis.keys_up_to_depth(0)))
             letters = env.basis.keys_up_to_depth((max(cell_weights) - least) // step + 1)
@@ -558,19 +598,19 @@ def test_skip_rule_matches_the_in_depth_and_deep_rule(monkeypatch):
                 calls.clear()
                 table = extract_law(env, degree, depth, (-8, 8))
                 want, overflow = [], set()
-                below = [m for m in midxes if midx_norm(m) <= degree]
-                for k in below:
-                    for kp in below:
-                        deg = midx_norm(k) + midx_norm(kp)
+                below = [w for w in words if len(w) <= degree]
+                for wu in below:
+                    for wv in below:
+                        deg = len(wu) + len(wv)
                         if deg > degree:
                             continue
-                        top = min(8, env.word_bound(word_from_midx(k), word_from_midx(kp)) - 1)
+                        top = min(8, env.word_bound(wu, wv) - 1)
                         for n in range(top, -9, -1):
-                            if k == EMPTY and n != -1:
+                            if wu == () and n != -1:
                                 continue
-                            if not old_skips(weight[k] + weight[kp] - step * (n + 1), deg in overflow):
-                                want.append((k, kp, n))
-                                if set(law_cell(env, k, kp, n)) - set(positions):
+                            if not old_skips(weight[wu] + weight[wv] - step * (n + 1), deg in overflow):
+                                want.append((wu, wv, n))
+                                if set(law_cell(env, wu, wv, n)) - set(positions):
                                     overflow.add(deg)
                 assert calls == want, (build.__name__, degree, depth)
                 assert table.overflow_degrees == overflow
@@ -608,13 +648,13 @@ def test_vacuum_cells_build_no_chain():
     assert counts[0] == counts[1], counts
     # the cells still read as the enveloping products do
     env = EnvelopingAlgebra(golden.heisenberg())
-    for kp in [EMPTY, ((A1, 1),), midx_from_word((A0, A1))]:
-        v = UElem.monomial(word_from_midx(kp))
+    for wv in [(), (A1,), (A0, A1)]:
+        v = UElem.monomial(wv)
         for n in range(-6, 3):
             want = {w[0]: c for w, c in env.nth(UElem.vacuum(), v, n).terms.items()
                     if len(w) == 1}
-            assert law_cell(env, EMPTY, kp, n) == want, (kp, n)
-    assert law_cell(env, EMPTY, ((A1, 1),), -1) == {A1: 1}
+            assert law_cell(env, (), wv, n) == want, (wv, n)
+    assert law_cell(env, (), (A1,), -1) == {A1: 1}
 
 
 def test_monotone_reextraction():
@@ -697,6 +737,22 @@ def test_from_json_rejects_entries_the_document_cannot_hold():
     (lambda doc: doc["entries"][0].update(k=[]), r"multi-index \[\] is not an object of label exponents"),
     (lambda doc: doc["entries"][0].update(kprime="a"), "multi-index 'a' is not an object of label"),
     (lambda doc: doc["entries"][0].update(l=["a[0]"]), r"output label \['a\[0\]'\] is not in the basis"),
+    # a document, basis, entry list or bound list of another shape: a string
+    # basis is no list of its characters
+    (lambda doc: doc.pop("window"), "document .* is not an object with fields"),
+    (lambda doc: doc.update(basis="ab"), "basis 'ab' is not a list"),
+    (lambda doc: doc.update(entries={}), r"entries \{\} is not a list"),
+    (lambda doc: doc.update(bounds=3), "bounds 3 is not a list"),
+    # an entry that is no object, or lacks a field
+    (lambda doc: doc["entries"].__setitem__(0, [1]), r"entry 0 \[1\] is not an object with fields"),
+    *((lambda doc, field=field: doc["entries"][0].pop(field), "entry 0 .* is not an object with fields")
+      for field in ("coeff", "l", "n", "k", "kprime")),
+    # a bound that is no triple [k, kprime, bound]
+    (lambda doc: doc["bounds"][0].pop(), r"bound 0 .* is not a list \[k, kprime, bound\]"),
+    (lambda doc: doc["bounds"].__setitem__(0, 3), r"bound 0 3 is not a list \[k, kprime, bound\]"),
+    # a cell or a pair bound given twice is neither summed nor replaced
+    (lambda doc: doc["entries"].append(dict(doc["entries"][0])), "entry [0-9]+ repeats the cell a"),
+    (lambda doc: doc["bounds"].append([*doc["bounds"][0][:2], 99]), "bound [0-9]+ repeats the pair"),
 ])
 def test_from_json_rejects_bounds_and_exponents_the_table_cannot_hold(change, message):
     doc = json.loads(json.dumps(heis_table(window=(-8, 8)).to_json(), indent=1))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 from functools import partial
@@ -6,13 +7,12 @@ from pathlib import Path
 
 import golden
 import pytest
-from oracles import brute_combine, brute_inner_series, naive_three_sum, point_add
+from oracles import brute_combine, brute_inner_series, midx_factorial, naive_three_sum, point_add
 
 from lieconformal import dsl
 from lieconformal.core import CVec, three_sum
 from lieconformal.enveloping import UElem
 from lieconformal.errors import AxiomFailure, NotNilpotent
-from lieconformal.lawtable import word_from_midx
 from lieconformal.manifold import integrate, point_key
 
 DATA = Path(__file__).parent / "data"
@@ -138,7 +138,7 @@ def test_corollary_pruning_is_sound():
         # direct sum over all support pairs regardless of total degree
         from itertools import combinations_with_replacement
 
-        from lieconformal.lawtable import midx_factorial, midx_from_word, word_from_midx
+        from lieconformal.lawtable import midx_from_word
 
         supp_p, supp_q = sorted(p), sorted(q)
         for sp in range(0, 5):
@@ -149,11 +149,11 @@ def test_corollary_pruning_is_sound():
                             continue
                         k = midx_from_word(wl)
                         kp = midx_from_word(wr)
-                        u = UElem.monomial(word_from_midx(k))
-                        v = UElem.monomial(word_from_midx(kp))
+                        u = UElem.monomial(wl)
+                        v = UElem.monomial(wr)
                         vec = M.env.pi(M.env.nth(u, v, n))
                         norm = Q(1, midx_factorial(k) * midx_factorial(kp))
-                        ca = M._power(p, k) * M._power(q, kp) * norm
+                        ca = math.prod(p[x] for x in wl) * math.prod(q[x] for x in wr) * norm
                         if ca == 0:
                             continue
                         for pos, c in M.basis.expand(vec).items():
@@ -177,7 +177,7 @@ def test_axiom_suite_and_fault_injection():
     k0 = M.basis.key_for_symbol((1, 0))
     a1 = M.basis.key_for_symbol((0, 1))
     # corrupt one shifted table cell, then the identity must fail
-    key = (((a1, 1),), ((a0, 1),), 2)
+    key = ((a1,), (a0,), 2)
     M.table_entry(*key)
     M._table[key] = {k0: Q(5)}
     report = M.check_axioms(8, seed=5, window=(-4, 4))
@@ -198,7 +198,7 @@ def test_roundtrip_all_nilpotent():
             assert change[M.basis.label(bv.key)] == bv.vec
         # the creation slice of the table reproduces the derivative action
         for key in M.basis.keys_up_to_depth(1):
-            cell = M.table_entry(((key, 1),), (), -2)
+            cell = M.table_entry((key,), (), -2)
             expected = M.basis.expand(M.pres.partial(M.basis.vector(key)))
             assert dict(CVec(cell).coeffs) == expected, (build.__name__, key)
 
@@ -450,7 +450,7 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
     from itertools import combinations_with_replacement
 
     import lieconformal.manifold as manifold
-    from lieconformal.lawtable import midx_factorial, midx_from_word, midx_norm, word_from_midx
+    from lieconformal.lawtable import midx_from_word
 
     calls = []
     law_cell = manifold.law_cell
@@ -462,24 +462,20 @@ def test_table_cells_match_projected_enveloping_products(monkeypatch):
         M = integrate(build())
         env = M.env
         keys = M.basis.keys_up_to_depth(depth)
-        midxes = [
-            midx_from_word(w)
-            for s in range(M.N + 1)
-            for w in combinations_with_replacement(keys, s)
-        ]
+        words = [w for s in range(M.N + 1) for w in combinations_with_replacement(keys, s)]
         calls.clear()
         cells = nonzero = 0
-        for k in midxes:
-            for kp in midxes:
-                if midx_norm(k) + midx_norm(kp) > M.N:
+        for wu in words:
+            for wv in words:
+                if len(wu) + len(wv) > M.N:
                     continue
-                u = UElem.monomial(word_from_midx(k))
-                v = UElem.monomial(word_from_midx(kp))
-                norm = Q(1, midx_factorial(k) * midx_factorial(kp))
+                u = UElem.monomial(wu)
+                v = UElem.monomial(wv)
+                norm = Q(1, midx_factorial(midx_from_word(wu)) * midx_factorial(midx_from_word(wv)))
                 for n in window:
                     vec = env.pi(env.nth(u, v, n))
                     want = {pos: c * norm for pos, c in M.basis.expand(vec).items()}
-                    assert M.table_entry(k, kp, n) == want, (build.__name__, k, kp, n)
+                    assert M.table_entry(wu, wv, n) == want, (build.__name__, wu, wv, n)
                     cells += 1
                     nonzero += bool(want)
         assert nonzero, build.__name__
@@ -565,11 +561,10 @@ def test_truncation_bound_reads_only_the_support():
             assert fresh.truncation_bound(a2, b) == bound, build.__name__
         # the memo is keyed by support, apart from the cell-pair bounds
         assert all(isinstance(key, frozenset) for key in M._support_bounds)
-        assert not any(isinstance(key, frozenset) for key in M._bounds)
+        assert not any(isinstance(key, frozenset) for key in M.env._lead_memo)
 
 
 def test_point_powers_are_kept_per_point():
-    from collections import Counter
     from itertools import combinations_with_replacement
 
     M = integrate(golden.n3_current())
@@ -577,11 +572,11 @@ def test_point_powers_are_kept_per_point():
     powers = M._powers(a)
     assert M._powers(dict(reversed(list(a.items())))) is powers
     assert M._powers(b) is not powers
-    # one entry per multi-index of norm 0..N over the support, by norm
-    want = [(tuple(sorted(Counter(w).items())), s) for s in range(M.N + 1)
+    # one entry per sorted word of length 0..N over the support, by length
+    want = [(w, s) for s in range(M.N + 1)
             for w in combinations_with_replacement(sorted(b), s)]
-    assert [(m, s) for m, s, _ in M._powers(b)] == want
-    assert all(c == M._power(b, m) != 0 for m, _, c in M._powers(b))
+    assert [(w, s) for w, s, _ in M._powers(b)] == want
+    assert all(c == math.prod(b[x] for x in w) != 0 for w, _, c in M._powers(b))
 
 
 def test_fault_injection_reports_pinned():
@@ -597,8 +592,8 @@ def test_fault_injection_reports_pinned():
         {"a[0]": "-1", "a[2]": "-2", "k[0]": "-4"},
     ]
     cases = [
-        ((((a1, 1),), ((a0, 1),), 2), {k0: Q(5)}, True, [1, -1, 1]),
-        ((((a0, 1),), (), -1), {a0: Q(2)}, False, [-1, -1, -1]),
+        (((a1,), (a0,), 2), {k0: Q(5)}, True, [1, -1, 1]),
+        (((a0,), (), -1), {a0: Q(2)}, False, [-1, -1, -1]),
     ]
     for key, cell, creation, ltj in cases:
         M = integrate(golden.heisenberg())
@@ -725,20 +720,53 @@ def test_kept_points_are_copies():
         assert nonzero, build.__name__
 
 
+@pytest.mark.parametrize("build", [golden.heisenberg, golden.mixed, golden.n3_current])
+def test_manifold_spells_no_multi_index(build, monkeypatch):
+    # a manifold reads sorted words throughout, its cells included: with
+    # the multi-index helpers raising, every manifold entry point runs
+    import lieconformal.lawtable as lawtable
+    import lieconformal.manifold as manifold
+
+    def refuse(*args):
+        raise AssertionError(f"a multi-index helper was called on {args}")
+
+    for name in ("word_from_midx", "midx_from_word", "midx_norm"):
+        monkeypatch.setattr(lawtable, name, refuse)
+        monkeypatch.setattr(manifold, name, refuse, raising=False)
+    M = integrate(build())
+    rng = random.Random(34)
+    a, b, c = (rand_point(rng, M) for _ in range(3))
+    window = M.product_window(a, b, -3, 3)
+    assert window.bound == M.truncation_bound(a, b)
+    assert any(window.slices.values()), build.__name__
+    assert not M.jacobi_residual(a, b, c, -1, 0, 1)
+    assert any(M.composed(a, b, c, p, q) for p, q in ((-1, -1), (0, -1), (-1, 0)))
+    assert M.exponential_element(a)
+    assert M.tangent_presentation()[0] == build()
+    assert M.check_axioms(4, seed=5, window=(-2, 2))["pass"]
+
+
 @pytest.mark.parametrize("build", [golden.heisenberg, golden.n3_current])
 def test_vacuum_pairs_build_no_product(build):
     # by the vacuum axiom a pair with an empty side takes bound 0 and its
-    # cells without an enveloping product; every kept bound is the one a
-    # fresh algebra's word_bound gives
+    # cells without an enveloping product; every bound asked for is the one
+    # a fresh algebra's word_bound gives
     M = integrate(build())
     rng = random.Random(3)
     a, b, c = (rand_point(rng, M) for _ in range(3))
+    env = M.env
+    asked, word_bound = [], env.word_bound
+
+    def spy(wu, wv):
+        asked.append((wu, wv, word_bound(wu, wv)))
+        return asked[-1][2]
+
+    env.word_bound = spy
     M.truncation_bound(a, b)
     assert not M.jacobi_residual(a, b, c, -1, 0, 1)
-    env = M.env
     for memo in (env._lead_memo, env._bracket_memo, env._nop_memo):
         assert all(wu and wv for wu, wv in memo), build.__name__
-    assert any(not k or not kp for k, kp in M._bounds), M._bounds
+    assert any(not wu or not wv for wu, wv, _ in asked), asked
     fresh = integrate(build()).env
-    for (k, kp), bound in M._bounds.items():
-        assert bound == fresh.word_bound(word_from_midx(k), word_from_midx(kp)), (k, kp)
+    for wu, wv, bound in asked:
+        assert bound == fresh.word_bound(wu, wv), (wu, wv)
