@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import judge
 from .enveloping import EnvelopingAlgebra, UElem, VACUUM, Word
 from .linalg import Sparse, iadd
 
@@ -78,21 +79,20 @@ def tensor_nth(alg: EnvelopingAlgebra, s: TensorElem, t: TensorElem, n: int) -> 
     """Integer-indexed product of the two-factor vertex algebra.
 
     The inner index range is finite through the per-factor vanishing
-    bounds.
+    bounds.  Each factor's products and bound are read off its word pair
+    (`word_nth`, `word_bound`).
     """
     out = TensorElem()
     for (u1, u2), c1 in s.terms.items():
-        e_u1, e_u2 = UElem.monomial(u1), UElem.monomial(u2)
         for (v1, v2), c2 in t.terms.items():
-            e_v1, e_v2 = UElem.monomial(v1), UElem.monomial(v2)
-            n1 = alg.trunc_bound(e_u1, e_v1)
-            n2 = alg.trunc_bound(e_u2, e_v2)
+            n1 = alg.word_bound(u1, v1)
+            n2 = alg.word_bound(u2, v2)
             c = c1 * c2
             for m in range(n - n2, n1):
-                p1 = alg.nth(e_u1, e_v1, m)
+                p1 = alg.word_nth(u1, v1, m)
                 if not p1:
                     continue
-                p2 = alg.nth(e_u2, e_v2, n - m - 1)
+                p2 = alg.word_nth(u2, v2, n - m - 1)
                 if not p2:
                     continue
                 for w1, a in p1.terms.items():
@@ -105,32 +105,30 @@ def check_delta_is_vertex_hom(alg: EnvelopingAlgebra, samples, window) -> dict:
     """Verify the coproduct intertwines all products over the window.
 
     ``samples`` is a list of UElem pairs; ``window`` an inclusive (lo, hi)
-    index range.  Returns a JSON-ready report dict; stops at the first
-    failing entry and fails when no entry was checked.
+    index range.  Returns a JSON-ready report dict, judged by
+    `core.judge`: it stops at the first failing entry and fails when no
+    entry was checked.
     """
     from .render import uelem_text
 
     lo, hi = window
-    entries = []
-    for u, v in samples:
-        du, dv = coproduct(u), coproduct(v)
-        for n in range(lo, hi + 1):
-            prod = alg.nth(u, v, n)
-            lhs = coproduct(prod)
-            rhs = tensor_nth(alg, du, dv, n)
-            resid = lhs - rhs
-            ce = counit(prod) - (counit(u) * counit(v) if n == -1 else Q(0))
-            good = resid.is_zero() and ce == 0
-            entries.append(
-                {
+
+    def entries():
+        for u, v in samples:
+            du, dv = coproduct(u), coproduct(v)
+            for n in range(lo, hi + 1):
+                prod = alg.nth(u, v, n)
+                lhs = coproduct(prod)
+                rhs = tensor_nth(alg, du, dv, n)
+                resid = lhs - rhs
+                ce = counit(prod) - (counit(u) * counit(v) if n == -1 else Q(0))
+                yield {
                     "left": uelem_text(alg.basis, u),
                     "right": uelem_text(alg.basis, v),
                     "n": n,
-                    "pass": good,
+                    "pass": resid.is_zero() and ce == 0,
                     "residual_terms": len(resid.terms),
                     "counit_residual": str(ce),
                 }
-            )
-            if not good:
-                return {"pass": False, "checks": entries}
-    return {"pass": bool(entries), "checks": entries}
+
+    return judge(entries())

@@ -399,6 +399,8 @@ def _verify_manifold(args, pres):
     lines = []
     for c in report["checks"]:
         lines.append(f"{c['axiom']}: {'pass' if c['pass'] else 'fail'}")
+        if "reason" in c:
+            lines.append(f"  fail: {c['reason']}")
         if "witness" in c:
             # each point as `eval --a` spells it, in the JSON report's order
             w = c["witness"]

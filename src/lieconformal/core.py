@@ -18,17 +18,18 @@ The row is the one sesquilinear extension of the table, and one pair
 sum reads it: brackets, n-th products, the Lie bracket and the Jacobi
 residual all take their λ-coefficients from that sum.
 Rows and ∂ shift symbols through one helper, and `symbol_valid` states
-the torsion rule for every other module.
+the torsion rule for every other module.  `judge` is the one verdict of
+a sampled check, which fails one that examined nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .linalg import Echelon, Sparse, SparsePoly, exact, iadd, scale
 
@@ -69,6 +70,27 @@ def three_sum(l: int, t: int, j: int, stops, terms) -> dict:
     return out
 
 
+# why a check that examined no case fails
+NO_CASE = "no case was checked"
+
+
+def judge(entries) -> dict:
+    """Report of a check over its entries, dicts with a ``"pass"`` verdict.
+
+    The entries are judged in order, and the first failing one ends the
+    check and the report's ``checks``.  A check that examined no entry
+    fails, and its report gives ``NO_CASE`` as its ``"reason"``.
+    """
+    checks = []
+    for entry in entries:
+        checks.append(entry)
+        if not entry["pass"]:
+            return {"pass": False, "checks": checks}
+    if checks:
+        return {"pass": True, "checks": checks}
+    return {"pass": False, "checks": checks, "reason": NO_CASE}
+
+
 class CVec(Sparse):
     """Finite rational combination of divided-power basis symbols."""
 
@@ -99,8 +121,7 @@ class LMPoly(SparsePoly):
     zero = ZERO_VEC
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     name: str
     torsion: int | None = None  # order m means the m-th derivative vanishes
 
@@ -109,16 +130,14 @@ class GeneratorSpec:
         return self.torsion is None
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: tuple | None = None
     residual: object | None = None
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checks: list
 
     @property

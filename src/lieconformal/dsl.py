@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,8 +50,7 @@ class SourceSpan(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     span: SourceSpan
 
@@ -155,23 +153,20 @@ LETTER_DEPTH_LIMIT = 2
 #        | ("add", [nodes], span) | ("mul", [nodes], span) | ("pow", node, int, span)
 
 
-@dataclass
-class BracketDecl:
+class BracketDecl(NamedTuple):
     left: str
     right: str
     expr: object
     span: SourceSpan
 
 
-@dataclass
-class GeneratorDecl:
+class GeneratorDecl(NamedTuple):
     name: str
     torsion: int | None
     span: SourceSpan
 
 
-@dataclass
-class AlgebraFile:
+class AlgebraFile(NamedTuple):
     name: str
     generators: list
     brackets: list

@@ -9,7 +9,9 @@ computed by the two recursion rules that peel one basis letter at a time
 constants give integral products.  Only `bracket` divides by n! for the
 λ view.  Negative-index products come from divided powers of the ordered
 product.  `word_nth` reads a word pair's n-th product off what is kept,
-the vacuum's by the vacuum axiom, and `nth` is its bilinear extension.
+the vacuum's by the vacuum axiom.  `_bilinear` is the one extension of
+a product of words to elements: `mul`, `nop`, `nth` and the λ view are
+each one call of it, and the peel lifts multiply only by `nop`.
 Each peel rule is stated once, in `_peel`, as its parts, and
 read two ways: `_word_products` sums every part in full, and `_lead`
 builds only the tops of the parts at the overall top index.  A word pair's
@@ -71,6 +73,18 @@ class ULPoly(SparsePoly):
 
     __slots__ = ()
     zero = ZERO_U
+
+
+def _bilinear(u: UElem, v: UElem, word_product, out=None):
+    """Add Σ cu·cv·word_product(wu, wv) over the words of u and v to out,
+    a new UElem unless given, and return it: every product of two
+    elements is this sum of its word products."""
+    if out is None:
+        out = UElem()
+    for wu, cu in u.terms.items():
+        for wv, cv in v.terms.items():
+            out.iadd_scaled(word_product(wu, wv), cu * cv)
+    return out
 
 
 class EnvelopingAlgebra:
@@ -142,11 +156,7 @@ class EnvelopingAlgebra:
 
     def mul(self, u: UElem, v: UElem) -> UElem:
         """Associative product (concatenate, then rewrite)."""
-        out = UElem()
-        for wu, cu in u.terms.items():
-            for wv, cv in v.terms.items():
-                out.iadd_scaled(self.straighten(wu + wv), cu * cv)
-        return out
+        return _bilinear(u, v, lambda wu, wv: self.straighten(wu + wv))
 
     # -- translation operator ---------------------------------------------------
 
@@ -172,10 +182,7 @@ class EnvelopingAlgebra:
         return chain[j - 1]
 
     def partial(self, u: UElem) -> UElem:
-        out = UElem()
-        for w, c in u.terms.items():
-            out.iadd_scaled(self._dpow(w, 1), c)
-        return out
+        return self.partial_div(u, 1)
 
     def partial_div(self, u: UElem, times: int) -> UElem:
         if times < 0:
@@ -199,13 +206,7 @@ class EnvelopingAlgebra:
 
     def _products(self, u: UElem, v: UElem) -> ULPoly:
         """u_(n)v for every n >= 0, keyed by n."""
-        out = ULPoly()
-        for wu, cu in u.terms.items():
-            for wv, cv in v.terms.items():
-                c = cu * cv
-                for n, val in self._word_products(wu, wv).coeffs.items():
-                    out.add_term(n, val, c)
-        return out
+        return _bilinear(u, v, self._word_products, ULPoly())
 
     def _word_products(self, wu: Word, wv: Word) -> ULPoly:
         memo = self._bracket_memo
@@ -245,12 +246,14 @@ class EnvelopingAlgebra:
         + Σ_{j<n} rest_(n-1-j)(a_(j)v).
         The inner sums have one part per j and word w of a_(j)b or a_(j)v,
         which is built when the reader reaches these parts, after the others.
+        Every lift multiplies by `nop`: a letter's two lifts have single
+        letters on the left (a_(m)b or b), where x_(-1)w = straighten(x w).
         """
         if len(wu) == 1:
             b, rest = wv[:1], wv[1:]
             b_elem, rest_elem = UElem.monomial(b), UElem.monomial(rest)
-            yield wu, b, 0, _unit, lambda t, r: self.mul(r, rest_elem), False
-            yield wu, rest, 0, _unit, lambda t, r: self.mul(b_elem, r), False
+            yield wu, b, 0, _unit, lambda t, r: self.nop(r, rest_elem), False
+            yield wu, rest, 0, _unit, lambda t, r: self.nop(b_elem, r), False
             for j, p in self._word_products(wu, b).coeffs.items():
                 for w, c in p.terms.items():
                     yield w, rest, j + 1, lambda n, j=j, c=c: c * math.comb(n, j), _plain, False
@@ -265,15 +268,7 @@ class EnvelopingAlgebra:
     # -- ordered product and integer-indexed products ------------------------------
 
     def nop(self, u: UElem, v: UElem) -> UElem:
-        out = UElem()
-        self._nop_into(out, u, v, 1)
-        return out
-
-    def _nop_into(self, out: UElem, u: UElem, v: UElem, c) -> None:
-        """Add c times the ordered product of u and v to out."""
-        for wu, cu in u.terms.items():
-            for wv, cv in v.terms.items():
-                out.iadd_scaled(self._nop_words(wu, wv), c * cu * cv)
+        return _bilinear(u, v, self._nop_words)
 
     def _nop_words(self, wu: Word, wv: Word) -> UElem:
         """(a rest)_(-1)v = a (rest_(-1)v) + Σ_{m>=0} (∂^(m+1)a)(rest_(m)v)
@@ -287,11 +282,10 @@ class EnvelopingAlgebra:
             res = self.straighten(wu + wv)
         else:
             a, rest = wu[:1], wu[1:]
-            res = UElem()
-            self._nop_into(res, UElem.monomial(a), self._nop_words(rest, wv), 1)
+            res = _bilinear(UElem.monomial(a), self._nop_words(rest, wv), self._nop_words)
             for head, tail in ((a, rest), (rest, a)):
                 for m, r in self._word_products(tail, wv).coeffs.items():
-                    self._nop_into(res, self._dpow(head, m + 1), r, 1)
+                    _bilinear(self._dpow(head, m + 1), r, self._nop_words, res)
         memo[key] = res
         return res
 
@@ -321,11 +315,7 @@ class EnvelopingAlgebra:
 
     def nth(self, u: UElem, v: UElem, n: int) -> UElem:
         """u_(n)v, the bilinear extension of `word_nth`."""
-        out = UElem()
-        for wu, cu in u.terms.items():
-            for wv, cv in v.terms.items():
-                out.iadd_scaled(self.word_nth(wu, wv, n), cu * cv)
-        return out
+        return _bilinear(u, v, lambda wu, wv: self.word_nth(wu, wv, n))
 
     def trunc_bound(self, u: UElem, v: UElem) -> int:
         """Exact N with the n-th product zero for all n >= N.

@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 
-from .core import three_sum
+from .core import judge, three_sum
 from .enveloping import EnvelopingAlgebra
 from .errors import TruncationInsufficient
 from .filtration import RawBasis
@@ -653,7 +653,8 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
     position keeps the first its own terms meet.  Positions are judged in
     order: a position's raise is raised, else a nonzero residual fails,
     naming its number of monomials, the residual's keys at the position.
-    Stops at the first failing entry; fails when no entry was checked.
+    Judged by `core.judge`: stops at the first failing entry, and fails
+    with its reason when no entry was checked.
     """
     _guard_table(table, cap)
     if not table.positions:
@@ -671,20 +672,20 @@ def check_law_jacobi(table: LawTable, samples, cap: int) -> dict:
 
     # u_(v_ w), v_(u_ w) and (u_ v)_ w from the law composed with itself
     terms = [partial(term, args) for args in ((0, (1, 2), False), (1, (0, 2), False), (2, (0, 1), True))]
-    entries = []
-    for (l, t, j) in samples:
-        raised.clear()
-        resid = three_sum(l, t, j, comp.global_stops, terms)
-        monomials_of = Counter(pos for pos, _ in resid)
-        for pos in table.positions:
-            if pos in raised:
-                raise raised[pos]
-            monomials = monomials_of[pos]
-            entries.append({"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
-                            "pass": not monomials, "residual_monomials": monomials})
-            if monomials:
-                return {"pass": False, "checks": entries}
-    return {"pass": bool(entries), "checks": entries}
+
+    def entries():
+        for (l, t, j) in samples:
+            raised.clear()
+            resid = three_sum(l, t, j, comp.global_stops, terms)
+            monomials_of = Counter(pos for pos, _ in resid)
+            for pos in table.positions:
+                if pos in raised:
+                    raise raised[pos]
+                monomials = monomials_of[pos]
+                yield {"ltj": [l, t, j], "l": table.labels.get(pos, str(pos)),
+                       "pass": not monomials, "residual_monomials": monomials}
+
+    return judge(entries())
 
 
 def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
@@ -692,8 +693,9 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
 
     ``alpha`` maps destination positions to polynomials over source
     positions, given as {midx over src keys: coefficient}.  Checked over
-    the indices both windows share; stops at the first failing entry and
-    fails when no entry was checked.
+    the indices both windows share, and judged by `core.judge`: stops at
+    the first failing entry and fails with its reason when no entry was
+    checked.
     """
     if any(poly.get(EMPTY, 0) for poly in alpha.values()):
         raise ValueError("law homomorphisms have zero constant term")
@@ -702,34 +704,32 @@ def check_law_hom(alpha: dict, src: LawTable, dst: LawTable) -> dict:
     comp = _Composer(src, cap)
     lo = max(src.window[0], dst.window[0])
     hi = min(src.window[1], dst.window[1])
-    entries = []
     # alpha over sorted words, and per slot its terms of degree up to cap
     # slotted; distinct words give distinct slotted monomials
     alpha = {pos: {word_from_midx(m): c for m, c in poly.items()} for pos, poly in alpha.items()}
     slotted = {(pos, slot): iadd({}, {_slot_monomial(w, slot): c for w, c in poly.items() if len(w) <= cap})
                for pos, poly in alpha.items() for slot in (0, 1)}
 
-    for dpos in dst.positions:
-        apoly = alpha.get(dpos, {})
-        for n in range(lo, hi + 1):
-            # alpha applied to the source law series
-            lhs: dict = {}
-            for w, c in apoly.items():
-                iadd(lhs, comp.conv(w, n, (0, 1)), c)
-            # destination law with substituted arguments
-            rhs: dict = {}
-            for (k, kp), c in dst.series_entry(dpos, n).items():
-                if midx_norm(k) + midx_norm(kp) > cap:
-                    continue
-                poly = {(): 1}
-                for slot, m in ((0, k), (1, kp)):
-                    for p in word_from_midx(m):
-                        poly = _poly_madd({}, poly, slotted.get((p, slot), {}), cap)
-                iadd(rhs, poly, c)
-            resid = iadd(dict(lhs), rhs, -1)
-            good = not resid
-            entries.append({"target": dst.labels.get(dpos, str(dpos)), "n": n,
-                            "pass": good, "residual_monomials": len(resid)})
-            if not good:
-                return {"pass": False, "checks": entries}
-    return {"pass": bool(entries), "checks": entries}
+    def entries():
+        for dpos in dst.positions:
+            apoly = alpha.get(dpos, {})
+            for n in range(lo, hi + 1):
+                # alpha applied to the source law series
+                lhs: dict = {}
+                for w, c in apoly.items():
+                    iadd(lhs, comp.conv(w, n, (0, 1)), c)
+                # destination law with substituted arguments
+                rhs: dict = {}
+                for (k, kp), c in dst.series_entry(dpos, n).items():
+                    if midx_norm(k) + midx_norm(kp) > cap:
+                        continue
+                    poly = {(): 1}
+                    for slot, m in ((0, k), (1, kp)):
+                        for p in word_from_midx(m):
+                            poly = _poly_madd({}, poly, slotted.get((p, slot), {}), cap)
+                    iadd(rhs, poly, c)
+                resid = iadd(dict(lhs), rhs, -1)
+                yield {"target": dst.labels.get(dpos, str(dpos)), "n": n,
+                       "pass": not resid, "residual_monomials": len(resid)}
+
+    return judge(entries())

@@ -51,7 +51,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .core import CVec, LcaPresentation, LPoly, three_sum
+from .core import NO_CASE, CVec, LcaPresentation, LPoly, three_sum
 from .enveloping import EnvelopingAlgebra, UElem
 from .errors import AxiomFailure, NotNilpotent
 from .filtration import AdaptedBasis, LowerCentralSeries
@@ -323,7 +323,8 @@ class VertexManifold:
 
         Each axiom stops at its first failing case; the Jacobi entry names
         that case as its witness.  An axiom passes only when it checked at
-        least one case and none failed.
+        least one case and none failed; one that checked no case gives
+        `core.NO_CASE` as its reason.
         """
         import random
 
@@ -380,14 +381,15 @@ class VertexManifold:
         checks = []
         for name, outcomes in cases.items():
             # an axiom passes only when it checked a case and none failed
-            entry, failure = {"axiom": name, "pass": False}, None
+            entry, good = {"axiom": name, "pass": False}, None
             for case, good in outcomes:
                 entry["pass"] = good
                 if not good:
-                    failure = case
                     break
-            if failure:
-                ltj, abc = failure
+            if good is None:
+                entry["reason"] = NO_CASE
+            elif not good and case:
+                ltj, abc = case
                 entry["witness"] = {
                     "ltj": list(ltj),
                     "points": [{self.basis.label(k): str(v) for k, v in p.items()} for p in abc],

@@ -25,7 +25,9 @@ A law table cell is rebuilt from the products' definitions, the λ-bracket
 and the ordered product of a divided power, the vacuum taking no
 shortcut, where the package reads kept word products and the axiom.
 The coalgebra helpers split words over position subsets on their own,
-and points add as plain dicts.  Brackets and ordered products of words
+and points add as plain dicts.  The two-factor product wraps each word
+as an element and reads the element products and bounds, where the
+package reads the word pairs' own.  Brackets and ordered products of words
 are rebuilt in λ-coefficient form, [u_λ v] = Σ_n λ^n/n! u_(n)v, by peel
 formulas of their own: the n!, the integral weights and the derivative
 shifts the package's n-th-product form does without.
@@ -348,6 +350,30 @@ def point_add(a: dict, b: dict, cb=1) -> dict:
     for k, v in b.items():
         out[k] = out.get(k, 0) + cb * v
     return {k: v for k, v in out.items() if v}
+
+
+def naive_tensor_nth(alg, s: TensorElem, t: TensorElem, n: int) -> TensorElem:
+    """`bialgebra.tensor_nth` through the element products: each word is
+    wrapped as a monomial and read by `trunc_bound` and `nth`."""
+    out = TensorElem()
+    for (u1, u2), c1 in s.terms.items():
+        e_u1, e_u2 = UElem.monomial(u1), UElem.monomial(u2)
+        for (v1, v2), c2 in t.terms.items():
+            e_v1, e_v2 = UElem.monomial(v1), UElem.monomial(v2)
+            n1 = alg.trunc_bound(e_u1, e_v1)
+            n2 = alg.trunc_bound(e_u2, e_v2)
+            c = c1 * c2
+            for m in range(n - n2, n1):
+                p1 = alg.nth(e_u1, e_v1, m)
+                if not p1:
+                    continue
+                p2 = alg.nth(e_u2, e_v2, n - m - 1)
+                if not p2:
+                    continue
+                for w1, a in p1.terms.items():
+                    for w2, b in p2.terms.items():
+                        out.iadd((w1, w2), c * a * b)
+    return out
 
 
 def flip(t: TensorElem) -> TensorElem:

@@ -18,7 +18,7 @@ from oracles import (
 
 from lieconformal import build_presentation, dsl
 from lieconformal.cli import _report
-from lieconformal.core import CVec, LMPoly, LPoly, three_sum
+from lieconformal.core import CVec, LMPoly, LPoly, judge, three_sum
 
 DATA = Path(__file__).parent / "data"
 # every presentation under tests/data that parses, torsion ones included
@@ -377,3 +377,19 @@ def test_three_sum_matches_the_naive_sum():
     # the reference binomial, at a negative and a nonnegative upper index
     assert [binom_z(-3, i) for i in range(5)] == [1, -3, 6, -10, 15]
     assert [binom_z(2, i) for i in range(5)] == [1, 2, 1, 0, 0]
+
+
+def test_judge_stops_at_the_first_failure_and_fails_an_empty_check():
+    pulled = []
+
+    def entries(verdicts):
+        for good in verdicts:
+            pulled.append(good)
+            yield {"pass": good}
+
+    assert judge(entries([True, True])) == {"pass": True, "checks": [{"pass": True}] * 2}
+    # the entries after the first failing one are never built
+    assert judge(entries([True, False, True])) == {
+        "pass": False, "checks": [{"pass": True}, {"pass": False}]}
+    assert pulled == [True, True, True, False]
+    assert judge(entries([])) == {"pass": False, "checks": [], "reason": "no case was checked"}

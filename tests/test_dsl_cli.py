@@ -836,6 +836,13 @@ def test_json_check_carries_the_text_residual(tmp_path, name):
     assert [c["residual"] for c in failed] == _text_residuals(text) != []
 
 
+def test_verify_manifold_says_when_an_axiom_checked_nothing():
+    code, text = run(["verify-manifold", str(DATA / "heisenberg.lca"), "--samples", "0"])
+    assert code == 1
+    assert text == "".join(f"{axiom}: fail\n  fail: no case was checked\n" for axiom in (
+        "weak_truncation", "left_identity", "creation", "jacobi"))
+
+
 @pytest.mark.parametrize("module", ["lieconformal", "lieconformal.cli"])
 def test_python_dash_m_runs_the_command_line(module):
     src = str(Path(__file__).parent.parent / "src")
@@ -845,6 +852,19 @@ def test_python_dash_m_runs_the_command_line(module):
                           text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == run(argv)
     assert proc.returncode == 1 and "residual: 2*k" in proc.stdout
+
+
+def test_import_loads_no_dataclasses():
+    # the package's records are named tuples; `dataclasses` would pull in
+    # inspect, ast, dis and tokenize at every start of the command line
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); "
+            "import lieconformal, lieconformal.dsl, lieconformal.cli; "
+            "print(sorted({'dataclasses'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_eval_float_beyond_the_float_range_exits_2_with_one_line():

@@ -12,6 +12,7 @@ from oracles import LambdaPeel, naive_three_sum, oracle_mul, oracle_straighten, 
 from lieconformal import dsl
 from lieconformal.core import CVec
 from lieconformal.enveloping import EnvelopingAlgebra, UElem, ULPoly
+from lieconformal.lawtable import extract_law
 
 DATA = Path(__file__).parent / "data"
 DATA_ALGEBRAS = ["abelian1", "abelian2", "heisenberg", "mixed", "n3current", "virasoro"]
@@ -556,3 +557,23 @@ def test_word_bound_of_a_vacuum_side_is_0_and_builds_nothing(name):
     for pair in (((), word), (word, ()), ((), ())):
         assert env.word_bound(*pair) == 0
     assert not env._lead_memo and not env._bracket_memo and not env._straighten_memo
+
+
+@pytest.mark.parametrize("name", DATA_ALGEBRAS)
+def test_peel_lifts_only_through_the_ordered_product(name, monkeypatch):
+    # both lifts of a letter's parts multiply by `nop`, which equals the
+    # associative product on their single-letter left factors, so the
+    # kernel never calls `mul`: not in a law table of degree 3, read off
+    # leading forms and kept products, nor in the full products of every
+    # pair of words of up to three letters
+    def no_mul(self, u, v):
+        raise AssertionError("the kernel called mul")
+
+    monkeypatch.setattr(EnvelopingAlgebra, "mul", no_mul)
+    env = data_alg(name)
+    assert extract_law(env, 3, 1, (-3, 3)).entries
+    letters = sorted(env.basis.keys_up_to_depth(0))
+    words = [w for s in range(1, 4) for w in combinations_with_replacement(letters, s)]
+    for wu in words:
+        for wv in words:
+            env._word_products(wu, wv)
